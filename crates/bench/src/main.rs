@@ -16,9 +16,8 @@
 //! bit-identically to an in-process `Simulator::run` (used by
 //! `scripts/verify.sh`).
 //!
-//! The Criterion benches (`benches/`) remain available behind the
-//! `criterion` feature for statistically rigorous comparisons; this
-//! harness is the one that runs offline with zero dependencies.
+//! For A/B comparisons between commits, use the repository benchmark in
+//! `perfbench/` (`run` and `compare`; see `perfbench/README.md`).
 
 use cachetime::{replay_many, simulate, sweep, BehavioralSim, SimResult, Simulator, SystemConfig};
 use cachetime_cache::{CacheConfig, VictimCacheConfig, WayPrediction};

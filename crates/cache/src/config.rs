@@ -56,7 +56,7 @@ impl fmt::Display for WriteAllocate {
 /// constructors. All parameters are validated together, so a held
 /// `CacheConfig` is always internally consistent (at least one set,
 /// fetch size no larger than the block, etc.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     size: CacheSize,
     block: BlockWords,

@@ -25,7 +25,7 @@ pub const MAX_VICTIM_ENTRIES: u32 = 64;
 /// A small fully-associative FIFO buffer that captures blocks evicted
 /// from the cache; misses probe it before going downstream, and a hit
 /// swaps the block back without a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VictimCacheConfig {
     entries: u32,
 }
@@ -60,7 +60,7 @@ impl VictimCacheConfig {
 /// Prediction never changes what hits or misses — it splits read hits
 /// into *first hits* (predicted way was right, direct-mapped-speed) and
 /// *slow hits* (wrong way predicted, a second probe round is needed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WayPrediction {
     /// Predict the most-recently-used way of the set.
     Mru,
@@ -94,7 +94,7 @@ impl fmt::Display for WayPrediction {
 /// hash-identical to a config from before features existed.
 ///
 /// [`CacheConfig`]: crate::CacheConfig
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OrgFeatures {
     victim_cache: Option<VictimCacheConfig>,
     way_prediction: Option<WayPrediction>,

@@ -55,7 +55,7 @@ impl Simulator {
             config: *config,
             l1i: Cache::new(*config.l1i()),
             l1d: Cache::new(*config.l1d()),
-            down: Downstream::new(config),
+            down: Downstream::new(&config.cycle_timing()),
             mmu: config.translation().map(|t| Mmu::new(*t)),
             now: 0,
             couplets: 0,

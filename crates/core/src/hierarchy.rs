@@ -9,7 +9,7 @@
 //! busy-until timestamps back, so a repriced run cannot drift from a
 //! direct one.
 
-use crate::system::{LevelTwoConfig, SystemConfig};
+use crate::system::{CycleTiming, LevelTwoConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
 use cachetime_mem::{FillGrant, FillRequest, MemorySystem, WbEntry, WbPayload, WriteBuffer};
 use cachetime_types::{Pid, WordAddr};
@@ -53,17 +53,16 @@ pub(crate) struct Downstream {
 }
 
 impl Downstream {
-    /// Builds a cold downstream hierarchy from a configuration's timing
-    /// half.
-    pub(crate) fn new(config: &SystemConfig) -> Self {
+    /// Builds a cold downstream hierarchy from a quantized timing half.
+    pub(crate) fn new(timing: &CycleTiming) -> Self {
         Downstream {
-            levels: config
-                .l2()
-                .into_iter()
-                .chain(config.l3())
+            levels: timing
+                .l2
+                .iter()
+                .chain(&timing.l3)
                 .map(MidLevel::new)
                 .collect(),
-            mem: MemorySystem::new(config.memory(), config.cycle_time()),
+            mem: MemorySystem::from_cycles(&timing.memory),
         }
     }
 
@@ -123,7 +122,7 @@ impl Downstream {
     /// mid-level cache.
     pub(crate) fn upstream_transfer_cycles(&self, words: u32) -> u64 {
         if self.levels.is_empty() {
-            self.mem.timing().transfer_cycles(words)
+            self.mem.cycles().transfer_cycles(words)
         } else {
             words as u64
         }

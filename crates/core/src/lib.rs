@@ -58,7 +58,8 @@ pub use engine::Simulator;
 pub use replay::{replay, replay_many, simulate_two_phase, BehavioralSim, EventTrace};
 pub use result::{CoupletHistogram, SimResult};
 pub use system::{
-    FillPolicy, LevelTwoConfig, OrgConfig, SystemConfig, SystemConfigBuilder, TimingConfig,
+    CycleTiming, FillPolicy, LevelTwoConfig, OrgConfig, SystemConfig, SystemConfigBuilder,
+    TimingConfig,
 };
 
 // Re-export the vocabulary crates under their natural names.

@@ -40,13 +40,15 @@
 
 use crate::hierarchy::Downstream;
 use crate::result::{CoupletHistogram, SimResult};
-use crate::system::{FillPolicy, OrgConfig, SystemConfig};
+use crate::system::{CycleTiming, FillPolicy, OrgConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
 use cachetime_mmu::{Mmu, MmuStats};
 use cachetime_trace::Trace;
 use cachetime_types::{
-    AccessEvent, ConfigError, CoupletClass, Cycles, EventOp, MemRef, RefEvent, VictimBlock,
+    AccessEvent, ConfigError, CoupletClass, CycleTime, Cycles, EventOp, MemRef, RefEvent,
+    VictimBlock,
 };
+use std::collections::HashMap;
 
 /// A recorded behavioral pass: the timing-free events of one
 /// `(organization, trace)` pairing, plus the behavioral statistics that no
@@ -441,9 +443,12 @@ pub fn replay(events: &EventTrace, config: &SystemConfig) -> Result<SimResult, C
 /// Equivalent to calling [`replay`] once per configuration, but the ops —
 /// the bulk of the working set for a long trace — stream through the
 /// cache hierarchy once instead of once per timing point, which is where
-/// most of a repricing sweep's wall time goes. Each configuration gets its
-/// own independent downstream machine, so results are bit-identical to
-/// the one-at-a-time path.
+/// most of a repricing sweep's wall time goes. Configurations are grouped
+/// by their [`CycleTiming`]: each distinct one drives its own independent
+/// downstream machine, and every configuration in a group receives that
+/// machine's result with its own cycle time. Equal `CycleTiming`s run the
+/// same machine cycle for cycle, so results are bit-identical to the
+/// one-at-a-time path.
 ///
 /// # Errors
 ///
@@ -462,12 +467,17 @@ pub fn replay_many(
     }
     let obs = cachetime_obs::global();
     let mut span = obs.span("core_replay");
+    // Work stays one unit per priced (reference, configuration) cell, so
+    // the span's per-op time compares across grids with any class count.
     span.set_work(events.refs * configs.len() as u64);
+    let (classes, class_of) = timing_classes(configs);
     obs.counter("cachetime_replay_refs_total", &[])
         .add(events.refs * configs.len() as u64);
     obs.counter("cachetime_replay_configs_total", &[])
         .add(configs.len() as u64);
-    let mut rs: Vec<Replayer> = configs.iter().map(Replayer::new).collect();
+    obs.counter("cachetime_replay_classes_total", &[])
+        .add(classes.len() as u64);
+    let mut rs: Vec<Replayer> = classes.iter().map(Replayer::new).collect();
     // On the sweeps this call exists for, only the *memory* quantization
     // varies between configs — cache hits cost processor cycles, so every
     // replayer prices a hit run identically. Resolve the per-class costs
@@ -562,11 +572,29 @@ pub fn replay_many(
             }
         }
     }
-    Ok(rs
+    Ok(class_of
         .iter()
         .zip(configs)
-        .map(|(r, config)| r.result(events, config))
+        .map(|(&k, config)| rs[k].result(events, config.cycle_time()))
         .collect())
+}
+
+/// Groups configurations by [`CycleTiming`]: returns the distinct values
+/// in first-seen order, and each configuration's index into them.
+fn timing_classes(configs: &[SystemConfig]) -> (Vec<CycleTiming>, Vec<usize>) {
+    let mut index: HashMap<CycleTiming, usize> = HashMap::with_capacity(configs.len());
+    let mut classes = Vec::new();
+    let class_of = configs
+        .iter()
+        .map(|config| {
+            let timing = config.cycle_timing();
+            *index.entry(timing).or_insert_with(|| {
+                classes.push(timing);
+                classes.len() - 1
+            })
+        })
+        .collect();
+    (classes, class_of)
 }
 
 /// Convenience: Phase A + Phase B in one call. Equivalent to
@@ -580,7 +608,7 @@ pub fn simulate_two_phase(config: &SystemConfig, trace: &Trace) -> SimResult {
 
 /// The replay-side timing state: the clock and everything below L1.
 ///
-/// The timing parameters are copied out of the [`SystemConfig`] once at
+/// The timing parameters are copied out of the [`CycleTiming`] once at
 /// construction — replay visits tens of ops per couplet-equivalent of
 /// work, so the hot loop should touch nothing but local state.
 struct Replayer {
@@ -602,10 +630,10 @@ struct Replayer {
 }
 
 impl Replayer {
-    fn new(config: &SystemConfig) -> Self {
-        let rh = config.read_hit_cycles();
-        let wh = config.write_hit_cycles();
-        let dual = config.dual_issue();
+    fn new(timing: &CycleTiming) -> Self {
+        let rh = timing.read_hit_cycles;
+        let wh = timing.write_hit_cycles;
+        let dual = timing.dual_issue;
         let mut hit_costs = [0u64; CoupletClass::COUNT];
         for class in CoupletClass::ALL {
             hit_costs[class.index()] = match class {
@@ -628,7 +656,7 @@ impl Replayer {
             };
         }
         Replayer {
-            down: Downstream::new(config),
+            down: Downstream::new(timing),
             now: 0,
             couplets: 0,
             warm_cycle: 0,
@@ -637,18 +665,19 @@ impl Replayer {
             latency: CoupletHistogram::default(),
             read_hit: rh,
             write_hit: wh,
-            way_slow_hit: config.way_slow_hit_cycles(),
-            victim_swap: config.victim_swap_cycles(),
+            way_slow_hit: timing.way_slow_hit_cycles,
+            victim_swap: timing.victim_swap_cycles,
             dual_issue: dual,
-            fill_policy: config.fill_policy(),
+            fill_policy: timing.fill_policy,
             hit_costs,
         }
     }
 
-    /// Assembles the [`SimResult`] of a finished replay.
-    fn result(&self, events: &EventTrace, config: &SystemConfig) -> SimResult {
+    /// Assembles the [`SimResult`] of a finished replay at `cycle_time`,
+    /// the one field the cycle-level machine cannot know.
+    fn result(&self, events: &EventTrace, cycle_time: CycleTime) -> SimResult {
         SimResult {
-            cycle_time: config.cycle_time(),
+            cycle_time,
             cycles: Cycles(self.now - self.warm_cycle),
             refs: events.refs,
             couplets: self.couplets - self.warm_couplets,
@@ -911,6 +940,80 @@ mod tests {
             let repriced = replay(&events, &config).unwrap();
             assert_eq!(repriced, direct, "cycle time {ct}ns");
         }
+    }
+
+    /// The paper's cycle-time axis, 20–80 ns in 4 ns steps.
+    const CYCLE_TIMES_NS: [u32; 16] = [
+        20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72, 76, 80,
+    ];
+
+    fn axis(memory: cachetime_mem::MemoryConfig) -> Vec<SystemConfig> {
+        CYCLE_TIMES_NS
+            .iter()
+            .map(|&ns| {
+                SystemConfig::builder()
+                    .cycle_time(CycleTime::from_ns(ns).unwrap())
+                    .memory(memory)
+                    .build()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sixteen_cycle_times_at_the_default_memory_are_nine_classes() {
+        let configs = axis(cachetime_mem::MemoryConfig::paper_default());
+        let (classes, class_of) = timing_classes(&configs);
+        assert_eq!(classes.len(), 9);
+        // 40 and 44 ns share a class, as do 52 and 56, and 60 through 80.
+        let ns_class = |ns: u32| class_of[CYCLE_TIMES_NS.iter().position(|&c| c == ns).unwrap()];
+        assert_eq!(ns_class(40), ns_class(44));
+        assert_eq!(ns_class(52), ns_class(56));
+        assert!((60..=80).step_by(4).all(|ns| ns_class(ns) == ns_class(60)));
+        assert_ne!(ns_class(36), ns_class(40));
+    }
+
+    #[test]
+    fn the_benchmark_sweep_grid_is_thirty_three_classes() {
+        use cachetime_mem::{MemoryConfig, TransferRate};
+        use cachetime_types::Nanos;
+        let uniform = |ns, rate| MemoryConfig::uniform_latency(Nanos(ns), rate).unwrap();
+        let configs: Vec<SystemConfig> = [
+            MemoryConfig::paper_default(),
+            uniform(100, TransferRate::WordsPerCycle(4)),
+            uniform(260, TransferRate::WordsPerCycle(1)),
+            uniform(420, TransferRate::CyclesPerWord(4)),
+        ]
+        .into_iter()
+        .flat_map(axis)
+        .collect();
+        assert_eq!(configs.len(), 64);
+        let (classes, class_of) = timing_classes(&configs);
+        assert_eq!(classes.len(), 33);
+        // Classes are numbered in first-seen order.
+        assert_eq!(class_of[0], 0);
+        assert_eq!(class_of.iter().max(), Some(&32));
+    }
+
+    #[test]
+    fn class_members_share_one_replay_and_keep_their_cycle_times() {
+        let refs: Vec<MemRef> = (0..400)
+            .map(|i| match i % 3 {
+                0 => MemRef::ifetch(WordAddr::new(i * 7 % 256), Pid(1)),
+                1 => MemRef::load(WordAddr::new(i * 13 % 512), Pid(1)),
+                _ => MemRef::store(WordAddr::new(i * 11 % 128), Pid(2)),
+            })
+            .collect();
+        let t = Trace::new("t", refs, 50);
+        let configs = axis(cachetime_mem::MemoryConfig::paper_default());
+        let events = BehavioralSim::new(&configs[0].organization()).record(&t);
+        let batched = replay_many(&events, &configs).unwrap();
+        for (config, r) in configs.iter().zip(&batched) {
+            assert_eq!(r, &crate::Simulator::new(config).run(&t));
+        }
+        // 40 and 44 ns: one machine, two clocks.
+        assert_eq!(batched[5].cycles, batched[6].cycles);
+        assert_ne!(batched[5].exec_time(), batched[6].exec_time());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Whole-system configuration: CPU clock, cache hierarchy, main memory.
 
 use cachetime_cache::CacheConfig;
-use cachetime_mem::MemoryConfig;
+use cachetime_mem::{MemoryConfig, MemoryCycles};
 use cachetime_mmu::TranslationConfig;
 use cachetime_types::{stable_hash_of, ConfigError, CycleTime, StableHash, StableHasher};
 use std::fmt;
@@ -13,7 +13,7 @@ use std::fmt;
 /// performance is through the use of a multilevel cache hierarchy": an L2
 /// shrinks the L1 miss penalty, which in turn shrinks the optimal L1 and
 /// lets the cycle time come back down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelTwoConfig {
     /// Organization of the (unified) second-level cache.
     pub cache: CacheConfig,
@@ -48,7 +48,7 @@ impl LevelTwoConfig {
 /// processor to continue once the desired word is received from memory")
 /// and load forwarding ("starting the fetch from the desired word").
 /// All the paper's experiments use [`FillPolicy::WaitWholeBlock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FillPolicy {
     /// The CPU waits until the whole fetch region is in the cache.
     #[default]
@@ -247,6 +247,22 @@ impl SystemConfig {
         }
     }
 
+    /// The timing half quantized at the cycle time: everything the machine
+    /// below the first-level caches can observe. See [`CycleTiming`].
+    pub fn cycle_timing(&self) -> CycleTiming {
+        CycleTiming {
+            read_hit_cycles: self.read_hit_cycles,
+            write_hit_cycles: self.write_hit_cycles,
+            way_slow_hit_cycles: self.way_slow_hit_cycles,
+            victim_swap_cycles: self.victim_swap_cycles,
+            dual_issue: self.dual_issue,
+            fill_policy: self.fill_policy,
+            l2: self.l2,
+            l3: self.l3,
+            memory: MemoryCycles::new(&self.memory, self.cycle_time),
+        }
+    }
+
     /// Reassembles a full configuration from an organization and a timing
     /// half, re-running the cross-field validation.
     ///
@@ -356,6 +372,34 @@ pub struct TimingConfig {
     pub way_slow_hit_cycles: u64,
     /// Extra cycles for a victim-buffer hit's swap.
     pub victim_swap_cycles: u64,
+}
+
+/// A timing half with every nanosecond quantized at its cycle time: the
+/// hit costs, the issue and fill policies, the mid-level caches, and the
+/// memory in whole cycles ([`MemoryCycles`]). Built by
+/// [`SystemConfig::cycle_timing`].
+///
+/// This is the only input the timing machine takes, so two timing halves
+/// with equal `CycleTiming`s produce the same run cycle for cycle; their
+/// results differ only in [`SimResult::cycle_time`]. Quantization makes
+/// that common: fixed memory delays round up to the same whole cycles at
+/// neighbouring cycle times (the paper's Table 2), so the 16 cycle times
+/// of its speed–size axis price the default memory with 9 distinct
+/// machines. [`replay_many`] runs one replay per distinct value.
+///
+/// [`SimResult::cycle_time`]: crate::SimResult::cycle_time
+/// [`replay_many`]: crate::replay_many
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CycleTiming {
+    pub(crate) read_hit_cycles: u64,
+    pub(crate) write_hit_cycles: u64,
+    pub(crate) way_slow_hit_cycles: u64,
+    pub(crate) victim_swap_cycles: u64,
+    pub(crate) dual_issue: bool,
+    pub(crate) fill_policy: FillPolicy,
+    pub(crate) l2: Option<LevelTwoConfig>,
+    pub(crate) l3: Option<LevelTwoConfig>,
+    pub(crate) memory: MemoryCycles,
 }
 
 impl StableHash for FillPolicy {

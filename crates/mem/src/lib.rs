@@ -10,7 +10,10 @@
 //! [`MemoryTiming`] exposes that arithmetic (it reproduces the paper's
 //! Table 2 exactly — see `timing::tests`), and [`MemorySystem`] adds the
 //! stateful parts: the busy/recovery tracking and the write buffer with
-//! read-address matching and read priority.
+//! read-address matching and read priority. A [`MemorySystem`] sees its
+//! configuration only as [`MemoryCycles`], the pairing with every
+//! nanosecond quantized, so cycle times that quantize alike build
+//! identical systems.
 //!
 //! # Examples
 //!
@@ -39,5 +42,5 @@ mod write_buffer;
 pub use config::{MemoryConfig, MemoryConfigBuilder, TransferRate};
 pub use stats::MemStats;
 pub use system::{FillGrant, FillRequest, MemorySystem};
-pub use timing::MemoryTiming;
+pub use timing::{MemoryCycles, MemoryTiming};
 pub use write_buffer::{WbEntry, WbPayload, WriteBuffer};

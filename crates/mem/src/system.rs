@@ -2,7 +2,7 @@
 
 use crate::config::MemoryConfig;
 use crate::stats::MemStats;
-use crate::timing::MemoryTiming;
+use crate::timing::MemoryCycles;
 use crate::write_buffer::{WbEntry, WriteBuffer};
 use cachetime_types::{CycleTime, Pid, WordAddr};
 
@@ -63,11 +63,8 @@ pub struct FillGrant {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
-    timing: MemoryTiming,
+    cycles: MemoryCycles,
     wb: WriteBuffer,
-    coalesce: bool,
-    drain_delay: u64,
-    read_priority: bool,
     /// Cycle at which the memory unit can start its next operation.
     free_at: u64,
     stats: MemStats,
@@ -76,20 +73,22 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates an idle memory system.
     pub fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
+        Self::from_cycles(&MemoryCycles::new(config, cycle_time))
+    }
+
+    /// Creates an idle memory system from its cycle-level description.
+    pub fn from_cycles(cycles: &MemoryCycles) -> Self {
         MemorySystem {
-            timing: MemoryTiming::new(config, cycle_time),
-            wb: WriteBuffer::new(config.wb_depth()),
-            coalesce: config.wb_coalesce(),
-            drain_delay: config.wb_drain_delay(),
-            read_priority: config.read_priority(),
+            cycles: *cycles,
+            wb: WriteBuffer::new(cycles.wb_depth),
             free_at: 0,
             stats: MemStats::default(),
         }
     }
 
     /// Returns the cycle arithmetic in force.
-    pub fn timing(&self) -> &MemoryTiming {
-        &self.timing
+    pub fn cycles(&self) -> &MemoryCycles {
+        &self.cycles
     }
 
     /// Returns the accumulated statistics.
@@ -127,9 +126,9 @@ impl MemorySystem {
         if req.victim.is_none() && self.wb.is_empty() {
             let start = now.max(self.free_at);
             let data_start =
-                start + self.timing.config().addr_cycles() + self.timing.latency_cycles();
-            let transfer = self.timing.transfer_cycles(req.words);
-            self.free_at = data_start + transfer + self.timing.recovery_cycles();
+                start + self.cycles.addr_cycles() + self.cycles.latency_cycles();
+            let transfer = self.cycles.transfer_cycles(req.words);
+            self.free_at = data_start + transfer + self.cycles.recovery_cycles();
             self.stats.reads += 1;
             self.stats.read_words += req.words as u64;
             return FillGrant {
@@ -138,7 +137,7 @@ impl MemorySystem {
             };
         }
         self.catch_up(now);
-        if !self.read_priority {
+        if !self.cycles.read_priority {
             while !self.wb.is_empty() {
                 self.drain_one(now);
             }
@@ -158,9 +157,9 @@ impl MemorySystem {
         }
 
         let start = now.max(self.free_at);
-        let data_start = start + self.timing.config().addr_cycles() + self.timing.latency_cycles();
-        let transfer = self.timing.transfer_cycles(req.words);
-        self.free_at = data_start + transfer + self.timing.recovery_cycles();
+        let data_start = start + self.cycles.addr_cycles() + self.cycles.latency_cycles();
+        let transfer = self.cycles.transfer_cycles(req.words);
+        self.free_at = data_start + transfer + self.cycles.recovery_cycles();
         self.stats.reads += 1;
         self.stats.read_words += req.words as u64;
 
@@ -205,7 +204,7 @@ impl MemorySystem {
         if self.wb.capacity() == 0 {
             return self.synchronous_write(now, 1);
         }
-        if self.coalesce && self.wb.try_coalesce(pid, addr) {
+        if self.cycles.wb_coalesce && self.wb.try_coalesce(pid, addr) {
             self.stats.coalesced_writes += 1;
             return now;
         }
@@ -255,7 +254,7 @@ impl MemorySystem {
     #[inline]
     fn catch_up(&mut self, now: u64) {
         while let Some(e) = self.wb.front() {
-            let eligible = e.ready_at + self.drain_delay;
+            let eligible = e.ready_at + self.cycles.wb_drain_delay;
             if eligible.max(self.free_at) < now {
                 // Backdate the launch to when it actually would have
                 // started; passing `now` would wrongly stretch the busy
@@ -271,8 +270,8 @@ impl MemorySystem {
     /// release. Used when the write-buffer depth is zero.
     fn synchronous_write(&mut self, now: u64, words: u32) -> u64 {
         let start = now.max(self.free_at);
-        let bus_release = start + self.timing.write_bus_time(words);
-        self.free_at = bus_release + self.timing.write_op_cycles() + self.timing.recovery_cycles();
+        let bus_release = start + self.cycles.write_bus_time(words);
+        self.free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
         self.stats.writes += 1;
         self.stats.write_words += words as u64;
         bus_release
@@ -284,8 +283,8 @@ impl MemorySystem {
         let e = self.wb.pop_front().expect("drain_one on empty buffer");
         let start = earliest.max(e.ready_at).max(self.free_at);
         let words = e.words();
-        let bus_release = start + self.timing.write_bus_time(words);
-        self.free_at = bus_release + self.timing.write_op_cycles() + self.timing.recovery_cycles();
+        let bus_release = start + self.cycles.write_bus_time(words);
+        self.free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
         self.stats.writes += 1;
         self.stats.write_words += words as u64;
         bus_release

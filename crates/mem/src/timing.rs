@@ -13,46 +13,16 @@ use cachetime_types::CycleTime;
 pub struct MemoryTiming {
     config: MemoryConfig,
     cycle_time: CycleTime,
-    latency_cycles: u64,
-    write_op_cycles: u64,
-    recovery_cycles: u64,
-    transfer: TransferCycles,
-}
-
-/// Division-free [`TransferRate::cycles_for_words`]: the backplane rate is
-/// fixed when the timing is bound, and the quantization sits on the
-/// hot path of every fill and drain, so reduce it to a shift or a multiply
-/// up front (a hardware divide per call is measurable at replay rates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransferCycles {
-    /// `WordsPerCycle(2^shift)`: ceiling division by add-then-shift.
-    Shift { add: u32, shift: u32 },
-    /// `CyclesPerWord(c)`: a multiply.
-    Mul { c: u32 },
-    /// `WordsPerCycle(n)`, `n` not a power of two: general division.
-    Div { n: u32 },
+    cycles: MemoryCycles,
 }
 
 impl MemoryTiming {
     /// Binds a memory configuration to a cycle time.
     pub fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
-        let transfer = match config.transfer() {
-            crate::TransferRate::WordsPerCycle(n) if n.is_power_of_two() => {
-                TransferCycles::Shift {
-                    add: n - 1,
-                    shift: n.trailing_zeros(),
-                }
-            }
-            crate::TransferRate::WordsPerCycle(n) => TransferCycles::Div { n },
-            crate::TransferRate::CyclesPerWord(c) => TransferCycles::Mul { c },
-        };
         MemoryTiming {
             config: *config,
             cycle_time,
-            latency_cycles: cycle_time.cycles_for(config.read_op().0),
-            write_op_cycles: cycle_time.cycles_for(config.write_op().0),
-            recovery_cycles: cycle_time.cycles_for(config.recovery().0),
-            transfer,
+            cycles: MemoryCycles::new(config, cycle_time),
         }
     }
 
@@ -69,6 +39,124 @@ impl MemoryTiming {
     /// The quantized DRAM read latency in cycles — `la` in the paper's
     /// `la × tr` memory-speed product (excludes the address cycle).
     pub const fn latency_cycles(&self) -> u64 {
+        self.cycles.latency_cycles()
+    }
+
+    /// The quantized write-operation time in cycles.
+    pub const fn write_op_cycles(&self) -> u64 {
+        self.cycles.write_op_cycles()
+    }
+
+    /// The quantized recovery time in cycles (Table 2, "Recovery time").
+    pub const fn recovery_cycles(&self) -> u64 {
+        self.cycles.recovery_cycles()
+    }
+
+    /// Cycles to transfer `words` words over the backplane.
+    #[inline]
+    pub const fn transfer_cycles(&self, words: u32) -> u64 {
+        self.cycles.transfer_cycles(words)
+    }
+
+    /// Total cycles for a read of `words` words: address + latency +
+    /// transfer (Table 2, "Read Time", with the default 4-word block).
+    pub const fn read_time(&self, words: u32) -> u64 {
+        self.cycles.read_time(words)
+    }
+
+    /// Total cycles a write of `words` words occupies the memory before
+    /// recovery: address + transfer + write operation (Table 2, "Write
+    /// Time").
+    pub const fn write_time(&self, words: u32) -> u64 {
+        self.cycles.write_time(words)
+    }
+
+    /// Cycles a write occupies the *bus* (after which the cache proceeds
+    /// while the memory completes the write internally).
+    pub const fn write_bus_time(&self, words: u32) -> u64 {
+        self.cycles.write_bus_time(words)
+    }
+
+    /// The paper's memory-speed product `la × tr` (latency in cycles times
+    /// transfer rate in words per cycle), which section 5 shows is the sole
+    /// determinant of the optimal block size.
+    pub fn memory_speed_product(&self) -> f64 {
+        self.latency_cycles() as f64 * self.config.transfer().words_per_cycle()
+    }
+}
+
+/// A memory configuration bound to one cycle time, with every nanosecond
+/// already quantized: the operation times in whole cycles, the transfer
+/// rate, and the write buffer's depth, coalescing, drain delay and read
+/// priority. It is everything a [`MemorySystem`](crate::MemorySystem)
+/// can observe.
+///
+/// Equal values drive identical memory systems cycle for cycle, and fixed
+/// delays quantize alike at neighbouring cycle times: the default memory
+/// is 5 latency, 3 write and 3 recovery cycles at both 40 ns and 44 ns.
+/// So a timing sweep can price both cycle times with one machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MemoryCycles {
+    addr_cycles: u64,
+    latency_cycles: u64,
+    write_op_cycles: u64,
+    recovery_cycles: u64,
+    transfer: TransferCycles,
+    pub(crate) wb_depth: u32,
+    pub(crate) wb_coalesce: bool,
+    pub(crate) wb_drain_delay: u64,
+    pub(crate) read_priority: bool,
+}
+
+/// Division-free [`TransferRate::cycles_for_words`]: the backplane rate is
+/// fixed when the timing is bound, and the quantization sits on the
+/// hot path of every fill and drain, so reduce it to a shift or a multiply
+/// up front (a hardware divide per call is measurable at replay rates).
+///
+/// [`TransferRate::cycles_for_words`]: crate::TransferRate::cycles_for_words
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum TransferCycles {
+    /// `WordsPerCycle(2^shift)`: ceiling division by add-then-shift.
+    Shift { add: u32, shift: u32 },
+    /// `CyclesPerWord(c)`: a multiply.
+    Mul { c: u32 },
+    /// `WordsPerCycle(n)`, `n` not a power of two: general division.
+    Div { n: u32 },
+}
+
+impl MemoryCycles {
+    /// Binds a memory configuration to a cycle time.
+    pub fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
+        let transfer = match config.transfer() {
+            crate::TransferRate::WordsPerCycle(n) if n.is_power_of_two() => {
+                TransferCycles::Shift {
+                    add: n - 1,
+                    shift: n.trailing_zeros(),
+                }
+            }
+            crate::TransferRate::WordsPerCycle(n) => TransferCycles::Div { n },
+            crate::TransferRate::CyclesPerWord(c) => TransferCycles::Mul { c },
+        };
+        MemoryCycles {
+            addr_cycles: config.addr_cycles(),
+            latency_cycles: cycle_time.cycles_for(config.read_op().0),
+            write_op_cycles: cycle_time.cycles_for(config.write_op().0),
+            recovery_cycles: cycle_time.cycles_for(config.recovery().0),
+            transfer,
+            wb_depth: config.wb_depth(),
+            wb_coalesce: config.wb_coalesce(),
+            wb_drain_delay: config.wb_drain_delay(),
+            read_priority: config.read_priority(),
+        }
+    }
+
+    /// Cycles for the address phase of every operation.
+    pub const fn addr_cycles(&self) -> u64 {
+        self.addr_cycles
+    }
+
+    /// The quantized DRAM read latency in cycles.
+    pub const fn latency_cycles(&self) -> u64 {
         self.latency_cycles
     }
 
@@ -77,7 +165,7 @@ impl MemoryTiming {
         self.write_op_cycles
     }
 
-    /// The quantized recovery time in cycles (Table 2, "Recovery time").
+    /// The quantized recovery time in cycles.
     pub const fn recovery_cycles(&self) -> u64 {
         self.recovery_cycles
     }
@@ -93,29 +181,20 @@ impl MemoryTiming {
     }
 
     /// Total cycles for a read of `words` words: address + latency +
-    /// transfer (Table 2, "Read Time", with the default 4-word block).
+    /// transfer.
     pub const fn read_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.latency_cycles + self.transfer_cycles(words)
+        self.addr_cycles + self.latency_cycles + self.transfer_cycles(words)
     }
 
     /// Total cycles a write of `words` words occupies the memory before
-    /// recovery: address + transfer + write operation (Table 2, "Write
-    /// Time").
+    /// recovery: address + transfer + write operation.
     pub const fn write_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.transfer_cycles(words) + self.write_op_cycles
+        self.addr_cycles + self.transfer_cycles(words) + self.write_op_cycles
     }
 
-    /// Cycles a write occupies the *bus* (after which the cache proceeds
-    /// while the memory completes the write internally).
+    /// Cycles a write occupies the bus.
     pub const fn write_bus_time(&self, words: u32) -> u64 {
-        self.config.addr_cycles() + self.transfer_cycles(words)
-    }
-
-    /// The paper's memory-speed product `la × tr` (latency in cycles times
-    /// transfer rate in words per cycle), which section 5 shows is the sole
-    /// determinant of the optimal block size.
-    pub fn memory_speed_product(&self) -> f64 {
-        self.latency_cycles as f64 * self.config.transfer().words_per_cycle()
+        self.addr_cycles + self.transfer_cycles(words)
     }
 }
 

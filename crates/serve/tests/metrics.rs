@@ -338,3 +338,51 @@ fn metrics_family_filter_over_a_socket() {
     handle.shutdown();
     handle.join();
 }
+
+/// A server on the process-wide registry (as `ctserve` runs) renders the
+/// core engine's replay counters, timing classes included, in
+/// `/v1/metrics`.
+#[test]
+fn replay_class_counter_renders_on_the_process_wide_registry() {
+    let app = Arc::new(App::with_registry(
+        64 * 1024 * 1024,
+        Arc::clone(cachetime_obs::global()),
+    ));
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        },
+        Arc::clone(&app),
+    )
+    .expect("bind an ephemeral port");
+    let addr = handle.local_addr().to_string();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, body) = client
+        .post("/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.004}}"#)
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let key = Json::parse(&body).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
+    // 40 and 44 ns quantize the default memory alike: three points, two
+    // replays.
+    let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 44, 80]}}"#);
+    let (status, body) = client.post("/v1/replay", &replay_body).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (status, text) = client.get("/v1/metrics?family=cachetime_replay_").unwrap();
+    assert_eq!(status, 200, "{text}");
+    for ty in [
+        "# TYPE cachetime_replay_classes_total counter",
+        "# TYPE cachetime_replay_configs_total counter",
+    ] {
+        assert!(text.contains(ty), "missing {ty:?} in:\n{text}");
+    }
+    // Other tests in this process replay too; the counters only grow.
+    assert!(prom(&text, "cachetime_replay_classes_total") >= 2, "{text}");
+    assert!(prom(&text, "cachetime_replay_configs_total") >= 3, "{text}");
+
+    handle.shutdown();
+    handle.join();
+}

@@ -113,6 +113,7 @@ for family in \
   cachetime_request_duration_us \
   cachetime_record_refs_total \
   cachetime_replay_refs_total \
+  cachetime_replay_classes_total \
   cachetime_span_duration_us \
   cachetime_disk_spills_total \
   cachetime_disk_spill_bytes_total \
