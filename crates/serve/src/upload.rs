@@ -154,7 +154,8 @@ pub fn trace_bytes(trace: &Trace) -> usize {
 
 /// Parses one uploaded body into a trace, streaming: the importer walks
 /// the bytes once, and the digest and interval profile are computed in
-/// the same pass over the growing ref vector.
+/// the same pass over the growing ref vector. The parse is timed as the
+/// `trace_import` span, its work the references parsed.
 ///
 /// Returns the trace, the digest, the format actually used, and the
 /// count of truncated sub-word addresses.
@@ -179,6 +180,8 @@ pub fn ingest(
             })?
         }
     };
+    let obs = cachetime_obs::global();
+    let mut span = obs.span("trace_import");
     let mut iter = cachetime_trace::import::ImportIter::new(bytes, format);
     let mut refs: Vec<MemRef> = Vec::new();
     let mut digest = keyed::UploadDigest::new();
@@ -188,6 +191,7 @@ pub fn ingest(
         refs.push(r);
     }
     let truncated = iter.truncated();
+    span.set_work(refs.len() as u64);
     if refs.is_empty() {
         return Err("upload contains no references".to_string());
     }

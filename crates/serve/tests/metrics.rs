@@ -386,3 +386,66 @@ fn replay_class_counter_renders_on_the_process_wide_registry() {
     handle.shutdown();
     handle.join();
 }
+
+/// An upload is timed as the `trace_import` span, so `/v1/metrics` on
+/// the process-wide registry shows its parse time per upload.
+#[test]
+fn trace_import_span_renders_after_an_upload() {
+    let app = Arc::new(App::with_registry(
+        64 * 1024 * 1024,
+        Arc::clone(cachetime_obs::global()),
+    ));
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        },
+        Arc::clone(&app),
+    )
+    .expect("bind an ephemeral port");
+    let addr = handle.local_addr().to_string();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, body) = client
+        .post(
+            "/v1/traces?format=lackey",
+            "I  0023c790,2\n L 04ebe0fc,4\n M 0421e419,4\n",
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let upload = Json::parse(&body).unwrap();
+    assert_eq!(upload.get("refs").and_then(Json::as_u64), Some(4), "{body}");
+    assert_eq!(
+        upload.get("truncated_refs").and_then(Json::as_u64),
+        Some(2),
+        "both halves of the unaligned modify: {body}"
+    );
+
+    let (status, text) = client
+        .get("/v1/metrics?family=cachetime_span_duration_us")
+        .unwrap();
+    assert_eq!(status, 200, "{text}");
+    assert!(
+        text.contains("# TYPE cachetime_span_duration_us histogram"),
+        "{text}"
+    );
+    // Other tests in this process upload too; the count only grows.
+    assert!(
+        prom(
+            &text,
+            "cachetime_span_duration_us_count{span=\"trace_import\"}"
+        ) >= 1,
+        "{text}"
+    );
+    assert!(
+        prom(
+            &text,
+            "cachetime_span_duration_us_bucket{span=\"trace_import\",le=\"+Inf\"}"
+        ) >= 1,
+        "{text}"
+    );
+
+    handle.shutdown();
+    handle.join();
+}

@@ -25,6 +25,7 @@
 //! which drops the sub-word bits and counts how many lines were affected
 //! so callers can surface the loss instead of hiding it.
 
+use crate::lines::{self, LineReader, LineRefs};
 use crate::trace::Trace;
 use cachetime_types::{AccessKind, MemRef, Pid, WordAddr, BYTES_PER_WORD};
 use std::error::Error;
@@ -81,14 +82,19 @@ pub fn parse_din<R: BufRead>(reader: R) -> Result<Vec<MemRef>, ParseDinError> {
     DinIter::new(reader).collect()
 }
 
-/// Parses one non-comment, non-blank `din` line. The `bool` reports
-/// whether the address lost sub-word bits (always `false` under
-/// [`Alignment::Reject`], which errors instead).
-fn parse_line(
-    trimmed: &str,
+/// Parses one `din` line: no reference for a blank or `#` comment line,
+/// else one, with whether its address lost sub-word bits (never under
+/// [`Alignment::Reject`], which errors instead). The authority on every
+/// line the byte-level parser declines.
+pub(crate) fn parse_line(
+    line: &str,
     lineno: usize,
     alignment: Alignment,
-) -> Result<(MemRef, bool), ParseDinError> {
+) -> Result<LineRefs, ParseDinError> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
     let mut fields = trimmed.split_whitespace();
     let label = fields.next().expect("nonempty line has a field");
     let kind = match label {
@@ -138,10 +144,8 @@ fn parse_line(
             ),
         });
     }
-    Ok((
-        MemRef::new(WordAddr::from_byte_addr(byte_addr), kind, pid),
-        truncated,
-    ))
+    let r = MemRef::new(WordAddr::from_byte_addr(byte_addr), kind, pid);
+    Ok(Some((r, None, truncated)))
 }
 
 /// Writes references as `din` lines (with the pid extension field whenever
@@ -173,6 +177,9 @@ pub fn write_din<W: Write>(mut writer: W, refs: &[MemRef]) -> io::Result<()> {
 /// constant memory. Errors surface as the iterator's `Err` items; parsing
 /// stops at the first error — the iterator is fused, so after yielding an
 /// `Err` (or reaching end of input) every subsequent `next()` is `None`.
+/// Lines take the byte path [`ImportIter`](crate::import::ImportIter)
+/// shares (see [its module](crate::import#the-byte-path)), so a line
+/// costs no allocation.
 ///
 /// # Examples
 ///
@@ -184,8 +191,7 @@ pub fn write_din<W: Write>(mut writer: W, refs: &[MemRef]) -> io::Result<()> {
 /// ```
 #[derive(Debug)]
 pub struct DinIter<R> {
-    lines: io::Lines<R>,
-    lineno: usize,
+    lines: LineReader<R>,
     alignment: Alignment,
     truncated: u64,
     done: bool,
@@ -201,8 +207,7 @@ impl<R: BufRead> DinIter<R> {
     /// Wraps a buffered reader with an explicit sub-word address policy.
     pub fn with_alignment(reader: R, alignment: Alignment) -> Self {
         DinIter {
-            lines: reader.lines(),
-            lineno: 0,
+            lines: LineReader::new(reader),
             alignment,
             truncated: 0,
             done: false,
@@ -217,7 +222,7 @@ impl<R: BufRead> DinIter<R> {
 
     /// The 1-based number of the last line examined.
     pub fn line(&self) -> usize {
-        self.lineno
+        self.lines.line()
     }
 }
 
@@ -228,36 +233,27 @@ impl<R: BufRead> Iterator for DinIter<R> {
         if self.done {
             return None;
         }
-        loop {
-            self.lineno += 1;
-            let line = match self.lines.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Ok(l)) => l,
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(ParseDinError {
-                        line: self.lineno,
-                        message: format!("read failed: {e}"),
-                    }));
-                }
-            };
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
+        let alignment = self.alignment;
+        match self.lines.next_refs(
+            |line| lines::din(line, alignment),
+            |line, lineno| parse_line(line, lineno, alignment),
+            |e, line| ParseDinError {
+                line,
+                message: format!("read failed: {e}"),
+            },
+        ) {
+            Some(Ok((r, _, truncated))) => {
+                self.truncated += u64::from(truncated);
+                Some(Ok(r))
             }
-            return match parse_line(trimmed, self.lineno, self.alignment) {
-                Ok((r, truncated)) => {
-                    self.truncated += u64::from(truncated);
-                    Some(Ok(r))
-                }
-                Err(e) => {
-                    self.done = true;
-                    Some(Err(e))
-                }
-            };
+            Some(Err(e)) => {
+                self.done = true;
+                Some(Err(e))
+            }
+            None => {
+                self.done = true;
+                None
+            }
         }
     }
 }

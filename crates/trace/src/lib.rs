@@ -41,6 +41,7 @@ pub mod catalog;
 pub mod import;
 pub mod interval;
 pub mod io;
+mod lines;
 pub mod locality;
 mod mtf;
 mod multiprogram;
