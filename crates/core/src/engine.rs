@@ -41,6 +41,8 @@ pub struct Simulator {
     l1i: Cache,
     l1d: Cache,
     down: Downstream,
+    /// Main memory's busy-until cycle (see [`Downstream`]).
+    mem_free_at: u64,
     mmu: Option<Mmu>,
     now: u64,
     couplets: u64,
@@ -56,6 +58,7 @@ impl Simulator {
             l1i: Cache::new(*config.l1i()),
             l1d: Cache::new(*config.l1d()),
             down: Downstream::new(&config.cycle_timing()),
+            mem_free_at: 0,
             mmu: config.translation().map(|t| Mmu::new(*t)),
             now: 0,
             couplets: 0,
@@ -124,7 +127,7 @@ impl Simulator {
         }
 
         span.set_work(i as u64);
-        obs.counter("cachetime_simulate_refs_total", &[]).add(i as u64);
+        global_counter!("cachetime_simulate_refs_total").add(i as u64);
         SimResult {
             cycle_time: self.config.cycle_time(),
             cycles: Cycles(self.now - warm_cycle),
@@ -243,9 +246,14 @@ impl Simulator {
                 let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
                 // The miss is detected during the probe cycle; the fill
                 // request goes downstream the cycle after.
-                let grant = self
-                    .down
-                    .fill_l1(now + 1, r.pid, fetch_start, fill_words, victim);
+                let grant = self.down.fill_l1(
+                    &mut self.mem_free_at,
+                    now + 1,
+                    r.pid,
+                    fetch_start,
+                    fill_words,
+                    victim,
+                );
                 let completion = match self.config.fill_policy() {
                     FillPolicy::WaitWholeBlock => grant.done,
                     FillPolicy::EarlyContinuation => {
@@ -275,7 +283,9 @@ impl Simulator {
             WriteOutcome::Hit { through } => {
                 let mut done = now + whc;
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
+                    let accepted =
+                        self.down
+                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
                     done = done.max(accepted + 1);
                 }
                 done
@@ -285,14 +295,18 @@ impl Simulator {
                 // into it as a hit.
                 let mut done = now + whc + self.config.victim_swap_cycles();
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
+                    let accepted =
+                        self.down
+                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
                     done = done.max(accepted + 1);
                 }
                 done
             }
             WriteOutcome::MissNoAllocate => {
                 // The word goes around the cache into the write buffer.
-                let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
+                let accepted =
+                    self.down
+                        .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
                 (now + whc).max(accepted + 1)
             }
             WriteOutcome::MissAllocate {
@@ -304,11 +318,20 @@ impl Simulator {
                 let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
                 let filled = self
                     .down
-                    .fill_l1(now + 1, r.pid, fetch_start, fill_words, victim)
+                    .fill_l1(
+                        &mut self.mem_free_at,
+                        now + 1,
+                        r.pid,
+                        fetch_start,
+                        fill_words,
+                        victim,
+                    )
                     .done;
                 let mut done = filled + 1; // the write itself
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, r.pid, r.addr);
+                    let accepted =
+                        self.down
+                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
                     done = done.max(accepted + 1);
                 }
                 done

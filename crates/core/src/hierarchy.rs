@@ -11,13 +11,13 @@
 
 use crate::system::{CycleTiming, LevelTwoConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
-use cachetime_mem::{FillGrant, FillRequest, MemorySystem, WbEntry, WbPayload, WriteBuffer};
+use cachetime_mem::{FillGrant, FillRequest, MemoryUnit, WbEntry, WbPayload, WriteBuffer};
 use cachetime_types::{Pid, WordAddr};
 
 /// A mid-level cache (L2 or L3) with the write buffer feeding it from
 /// above and its port timing.
 ///
-/// Structurally a sibling of [`MemorySystem`], but drains land in a cache
+/// Structurally a sibling of [`MemoryUnit`], but drains land in a cache
 /// (which may hit, miss-around, or miss-allocate) rather than in DRAM, so
 /// the logic lives here beside the hierarchy that owns it. "Designing a
 /// second cache between the CPU/cache and main memory poses the same set
@@ -46,10 +46,15 @@ impl MidLevel {
 
 /// The downstream hierarchy: mid-levels from the L1 side down
 /// (`levels[0]` = L2, `levels[1]` = L3), then main memory.
+///
+/// The memory's busy-until cycle is not stored here: its owner keeps it
+/// (the direct engine in a field, the replay in its lane bank) and passes
+/// it to every call that may reach memory as `mem_free_at`, which is read
+/// and written in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Downstream {
     levels: Vec<MidLevel>,
-    mem: MemorySystem,
+    mem: MemoryUnit,
 }
 
 impl Downstream {
@@ -62,7 +67,7 @@ impl Downstream {
                 .chain(&timing.l3)
                 .map(MidLevel::new)
                 .collect(),
-            mem: MemorySystem::from_cycles(&timing.memory),
+            mem: MemoryUnit::from_cycles(&timing.memory),
         }
     }
 
@@ -81,6 +86,16 @@ impl Downstream {
         self.mem.stats()
     }
 
+    /// Whether L1 misses go straight to main memory (no L2 or L3).
+    pub(crate) fn is_memory_only(&self) -> bool {
+        self.levels.is_empty()
+    }
+
+    /// Whether main memory's write buffer holds any write.
+    pub(crate) fn mem_writes_pending(&self) -> bool {
+        self.mem.pending_writes() != 0
+    }
+
     /// Resets statistics (warm-start boundary) without touching state.
     pub(crate) fn reset_stats(&mut self) {
         for level in &mut self.levels {
@@ -94,6 +109,7 @@ impl Downstream {
     #[inline]
     pub(crate) fn fill_l1(
         &mut self,
+        mem_free_at: &mut u64,
         now: u64,
         pid: Pid,
         addr: WordAddr,
@@ -105,6 +121,7 @@ impl Downstream {
         // inlines into the per-miss hot loops.
         if self.levels.is_empty() {
             return self.mem.fill_grant(
+                mem_free_at,
                 now,
                 FillRequest {
                     pid,
@@ -114,7 +131,7 @@ impl Downstream {
                 },
             );
         }
-        self.fill_from(0, now, pid, addr, words, victim)
+        self.fill_from(mem_free_at, 0, now, pid, addr, words, victim)
     }
 
     /// Cycles to move `words` words into the L1 from whatever services its
@@ -131,8 +148,10 @@ impl Downstream {
     /// Services a fill request at hierarchy depth `idx` (`levels[idx]`, or
     /// main memory once the mid-levels are exhausted). Returns the cycle
     /// the requested words are fully delivered to the level above.
+    #[allow(clippy::too_many_arguments)]
     fn fill_from(
         &mut self,
+        mem_free_at: &mut u64,
         idx: usize,
         now: u64,
         pid: Pid,
@@ -142,6 +161,7 @@ impl Downstream {
     ) -> FillGrant {
         if idx >= self.levels.len() {
             return self.mem.fill_grant(
+                mem_free_at,
                 now,
                 FillRequest {
                     pid,
@@ -151,11 +171,11 @@ impl Downstream {
                 },
             );
         }
-        self.catch_up_level(idx, now);
+        self.catch_up_level(mem_free_at, idx, now);
         // Read-address match against pending writes into this level.
         if let Some(i) = self.levels[idx].wb.find_overlap(pid, addr, words) {
             for _ in 0..=i {
-                self.drain_one(idx, now);
+                self.drain_one(mem_free_at, idx, now);
             }
         }
 
@@ -195,6 +215,7 @@ impl Downstream {
                 // A mid-level array forwards upstream only once its own
                 // block is fully in place.
                 self.fill_from(
+                    mem_free_at,
                     idx + 1,
                     probe_done,
                     pid,
@@ -209,7 +230,7 @@ impl Downstream {
         // Rare: the buffer was full during a dirty miss; the victim waits
         // for a forced drain after the data returns.
         if let Some((vaddr, vwords)) = victim_pending {
-            let release = self.drain_one(idx, data_ready);
+            let release = self.drain_one(mem_free_at, idx, data_ready);
             let move_done = release + vwords as u64;
             self.levels[idx]
                 .wb
@@ -227,25 +248,24 @@ impl Downstream {
     /// Routes a downstream word write (write-around or write-through) into
     /// the first mid-level's write buffer or, without one, the memory's.
     #[inline]
-    pub(crate) fn write_word_down(&mut self, now: u64, pid: Pid, addr: WordAddr) -> u64 {
+    pub(crate) fn write_word_down(
+        &mut self,
+        mem_free_at: &mut u64,
+        now: u64,
+        pid: Pid,
+        addr: WordAddr,
+    ) -> u64 {
         if self.levels.is_empty() {
-            return self.mem.write_word(now, pid, addr);
+            return self.mem.write_word(mem_free_at, now, pid, addr);
         }
-        self.write_word_at(0, now, pid, addr)
-    }
-
-    fn write_word_at(&mut self, idx: usize, now: u64, pid: Pid, addr: WordAddr) -> u64 {
-        if idx >= self.levels.len() {
-            return self.mem.write_word(now, pid, addr);
-        }
-        self.catch_up_level(idx, now);
-        let level = &mut self.levels[idx];
+        self.catch_up_level(mem_free_at, 0, now);
+        let level = &mut self.levels[0];
         if level.wb.try_coalesce(pid, addr) {
             return now;
         }
         if level.wb.is_full() {
-            let release = self.drain_one(idx, now);
-            self.levels[idx].wb.push(WbEntry::word(pid, addr, release));
+            let release = self.drain_one(mem_free_at, 0, now);
+            self.levels[0].wb.push(WbEntry::word(pid, addr, release));
             return release;
         }
         level.wb.push(WbEntry::word(pid, addr, now));
@@ -256,6 +276,7 @@ impl Downstream {
     /// forwarded write-around block) to depth `idx`.
     fn write_block_down(
         &mut self,
+        mem_free_at: &mut u64,
         idx: usize,
         now: u64,
         pid: Pid,
@@ -263,11 +284,11 @@ impl Downstream {
         words: u32,
     ) -> u64 {
         if idx >= self.levels.len() {
-            return self.mem.write_block(now, pid, addr, words);
+            return self.mem.write_block(mem_free_at, now, pid, addr, words);
         }
-        self.catch_up_level(idx, now);
+        self.catch_up_level(mem_free_at, idx, now);
         if self.levels[idx].wb.is_full() {
-            let release = self.drain_one(idx, now);
+            let release = self.drain_one(mem_free_at, idx, now);
             self.levels[idx]
                 .wb
                 .push(WbEntry::block(pid, addr, words, release));
@@ -281,7 +302,7 @@ impl Downstream {
 
     /// Retires writes into `levels[idx]` that would have started while its
     /// port sat idle strictly before `now` (as at the memory level).
-    fn catch_up_level(&mut self, idx: usize, now: u64) {
+    fn catch_up_level(&mut self, mem_free_at: &mut u64, idx: usize, now: u64) {
         loop {
             let level = &self.levels[idx];
             let Some(front) = level.wb.front() else {
@@ -291,7 +312,7 @@ impl Downstream {
                 // Backdate to the true launch time (see the memory-level
                 // catch-up).
                 let ready = front.ready_at;
-                self.drain_one(idx, ready);
+                self.drain_one(mem_free_at, idx, ready);
             } else {
                 return;
             }
@@ -301,7 +322,7 @@ impl Downstream {
     /// Pops one write into `levels[idx]` and absorbs it (forwarding
     /// downstream on a miss without allocation). Returns the cycle the
     /// level's port frees up.
-    fn drain_one(&mut self, idx: usize, earliest: u64) -> u64 {
+    fn drain_one(&mut self, mem_free_at: &mut u64, idx: usize, earliest: u64) -> u64 {
         let (entry, start, write_cycles) = {
             let level = &mut self.levels[idx];
             let entry = level.wb.pop_front().expect("drain_one on empty buffer");
@@ -312,7 +333,16 @@ impl Downstream {
         let done = match entry.payload {
             WbPayload::Block { words } => {
                 let outcome = self.levels[idx].cache.write_range(addr, entry.pid, words);
-                self.absorb_outcome(idx, outcome, start, entry.pid, addr, words, write_cycles)
+                self.absorb_outcome(
+                    mem_free_at,
+                    idx,
+                    outcome,
+                    start,
+                    entry.pid,
+                    addr,
+                    words,
+                    write_cycles,
+                )
             }
             WbPayload::Words { mask } => {
                 // Each buffered word is one write access at this level;
@@ -322,7 +352,16 @@ impl Downstream {
                     if mask & (1u64 << bit) != 0 {
                         let waddr = WordAddr::new(entry.start + bit as u64);
                         let outcome = self.levels[idx].cache.write(waddr, entry.pid);
-                        t = self.absorb_outcome(idx, outcome, t, entry.pid, waddr, 1, write_cycles);
+                        t = self.absorb_outcome(
+                            mem_free_at,
+                            idx,
+                            outcome,
+                            t,
+                            entry.pid,
+                            waddr,
+                            1,
+                            write_cycles,
+                        );
                     }
                 }
                 t
@@ -336,6 +375,7 @@ impl Downstream {
     #[allow(clippy::too_many_arguments)]
     fn absorb_outcome(
         &mut self,
+        mem_free_at: &mut u64,
         idx: usize,
         outcome: WriteOutcome,
         start: u64,
@@ -347,13 +387,13 @@ impl Downstream {
         match outcome {
             WriteOutcome::Hit { through } | WriteOutcome::VictimHit { through } => {
                 if through {
-                    self.write_block_down(idx + 1, start, pid, addr, words);
+                    self.write_block_down(mem_free_at, idx + 1, start, pid, addr, words);
                 }
                 start + write_cycles
             }
             WriteOutcome::MissNoAllocate => {
                 // Write around this level toward the next one down.
-                let accepted = self.write_block_down(idx + 1, start, pid, addr, words);
+                let accepted = self.write_block_down(mem_free_at, idx + 1, start, pid, addr, words);
                 accepted.max(start + write_cycles)
             }
             WriteOutcome::MissAllocate {
@@ -365,10 +405,18 @@ impl Downstream {
                 let fetch_start = WordAddr::new(addr.value() & !(fill_words as u64 - 1));
                 let down_victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
                 let filled = self
-                    .fill_from(idx + 1, start, pid, fetch_start, fill_words, down_victim)
+                    .fill_from(
+                        mem_free_at,
+                        idx + 1,
+                        start,
+                        pid,
+                        fetch_start,
+                        fill_words,
+                        down_victim,
+                    )
                     .done;
                 if through {
-                    self.write_block_down(idx + 1, filled, pid, addr, words);
+                    self.write_block_down(mem_free_at, idx + 1, filled, pid, addr, words);
                 }
                 filled + write_cycles
             }

@@ -45,6 +45,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// A counter on the process-wide registry, looked up on first use and
+/// kept for the life of the process: a registry lookup takes its lock and
+/// allocates, while an add on the handle is one atomic. Each call site
+/// owns one handle, so the name and labels must be constant there.
+macro_rules! global_counter {
+    ($name:expr $(, $key:expr => $value:expr)*) => {{
+        static HANDLE: std::sync::OnceLock<std::sync::Arc<cachetime_obs::Counter>> =
+            std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| cachetime_obs::global().counter($name, &[$(($key, $value)),*]))
+    }};
+}
+
 pub mod codec;
 mod engine;
 mod hierarchy;

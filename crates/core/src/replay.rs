@@ -42,6 +42,7 @@ use crate::hierarchy::Downstream;
 use crate::result::{CoupletHistogram, SimResult};
 use crate::system::{CycleTiming, FillPolicy, OrgConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
+use cachetime_mem::clean_fill;
 use cachetime_mmu::{Mmu, MmuStats};
 use cachetime_trace::Trace;
 use cachetime_types::{
@@ -250,10 +251,10 @@ impl BehavioralSim {
 
         // Phase accounting: the span's duration histogram plus raw
         // totals give events/sec without touching the record hot loop
-        // (one lookup + a few atomic adds per *call*, not per ref).
+        // (a few atomic adds per *call*, not per ref).
         span.set_work(i as u64);
-        obs.counter("cachetime_record_refs_total", &[]).add(i as u64);
-        obs.counter("cachetime_record_ops_total", &[]).add(ops.len() as u64);
+        global_counter!("cachetime_record_refs_total").add(i as u64);
+        global_counter!("cachetime_record_ops_total").add(ops.len() as u64);
 
         EventTrace {
             org: self.org,
@@ -444,11 +445,12 @@ pub fn replay(events: &EventTrace, config: &SystemConfig) -> Result<SimResult, C
 /// the bulk of the working set for a long trace — stream through the
 /// cache hierarchy once instead of once per timing point, which is where
 /// most of a repricing sweep's wall time goes. Configurations are grouped
-/// by their [`CycleTiming`]: each distinct one drives its own independent
-/// downstream machine, and every configuration in a group receives that
-/// machine's result with its own cycle time. Equal `CycleTiming`s run the
-/// same machine cycle for cycle, so results are bit-identical to the
-/// one-at-a-time path.
+/// by their [`CycleTiming`]: each distinct one is a lane with its own
+/// independent downstream machine, and every configuration in a group
+/// receives that lane's result with its own cycle time. Lanes are priced
+/// side by side, the dominant clean read miss in one loop over them all.
+/// Equal `CycleTiming`s run the same machine cycle for cycle, so results
+/// are bit-identical to the one-at-a-time path.
 ///
 /// # Errors
 ///
@@ -471,111 +473,48 @@ pub fn replay_many(
     // the span's per-op time compares across grids with any class count.
     span.set_work(events.refs * configs.len() as u64);
     let (classes, class_of) = timing_classes(configs);
-    obs.counter("cachetime_replay_refs_total", &[])
-        .add(events.refs * configs.len() as u64);
-    obs.counter("cachetime_replay_configs_total", &[])
-        .add(configs.len() as u64);
-    obs.counter("cachetime_replay_classes_total", &[])
-        .add(classes.len() as u64);
-    let mut rs: Vec<Replayer> = classes.iter().map(Replayer::new).collect();
-    // On the sweeps this call exists for, only the *memory* quantization
-    // varies between configs — cache hits cost processor cycles, so every
-    // replayer prices a hit run identically. Resolve the per-class costs
-    // and histogram buckets once up front and reprice each run with one
-    // pass over the counts instead of one per replayer.
-    let shared_hits = rs.iter().all(|r| r.hit_costs == rs[0].hit_costs);
-    let hit_costs = rs.first().map(|r| r.hit_costs).unwrap_or_default();
-    let hit_buckets = hit_costs.map(CoupletHistogram::bucket_of);
+    global_counter!("cachetime_replay_refs_total").add(events.refs * configs.len() as u64);
+    global_counter!("cachetime_replay_configs_total").add(configs.len() as u64);
+    global_counter!("cachetime_replay_classes_total").add(classes.len() as u64);
+    let mut bank = LaneBank::new(&classes);
+    let lanes = classes.len() as u64;
+    // (event, lane) pairs priced by the clean-miss kernel; every other
+    // couplet is priced lane by lane on the general path.
+    let mut kernel_ops = 0u64;
+    let mut couplet_ops = 0u64;
     for op in &events.ops {
         match op {
-            EventOp::HitRun { counts } => {
-                if shared_hits {
-                    let mut d_now = 0u64;
-                    let mut n_total = 0u64;
-                    // At most `COUNT` distinct (bucket, count) pairs; with
-                    // 1–2-cycle hits usually just one.
-                    let mut pairs = [(0usize, 0u64); CoupletClass::COUNT];
-                    let mut np = 0;
-                    for i in 0..CoupletClass::COUNT {
-                        let n = counts[i] as u64;
-                        if n == 0 {
-                            continue;
-                        }
-                        d_now += hit_costs[i] * n;
-                        n_total += n;
-                        match pairs[..np].iter_mut().find(|p| p.0 == hit_buckets[i]) {
-                            Some(p) => p.1 += n,
-                            None => {
-                                pairs[np] = (hit_buckets[i], n);
-                                np += 1;
-                            }
-                        }
-                    }
-                    for r in &mut rs {
-                        r.now += d_now;
-                        r.couplets += n_total;
-                        for &(b, n) in &pairs[..np] {
-                            r.latency.add_to_bucket(b, n);
-                        }
-                    }
-                } else {
-                    for r in &mut rs {
-                        r.step_hit_run(counts);
-                    }
-                }
-            }
+            EventOp::HitRun { counts } => bank.hit_run(counts),
             EventOp::Couplet { iref, dref } => {
+                couplet_ops += 1;
+                bank.couplets += 1;
                 let (i, d) = (iref.as_ref(), dref.as_ref());
                 // Recorded couplets are overwhelmingly a lone, walk-free
-                // read miss (typically ~90%); decode that shape once here
-                // instead of once per replayer.
-                let lone = match (i, d) {
-                    (Some(e), None) | (None, Some(e)) => Some(e),
+                // read miss; decode that shape once here instead of once
+                // per lane.
+                let lone_miss = match (i, d) {
+                    (Some(e), None) | (None, Some(e)) if e.walk_cycles == 0 => ReadMiss::of(e),
                     _ => None,
                 };
-                match lone {
-                    Some(e) if e.walk_cycles == 0 => match e.access {
-                        AccessEvent::ReadMiss {
-                            fetch_start,
-                            fill_words,
-                            victim,
-                        } => {
-                            let victim = victim.map(|v| (v.addr, v.words));
-                            let offset = (e.addr.value() - fetch_start.value()) as u32;
-                            for r in &mut rs {
-                                r.step_lone_read_miss(
-                                    e.pid,
-                                    fetch_start,
-                                    fill_words,
-                                    victim,
-                                    offset,
-                                );
-                            }
-                        }
-                        _ => {
-                            for r in &mut rs {
-                                r.step_couplet(i, d);
-                            }
-                        }
-                    },
-                    _ => {
-                        for r in &mut rs {
-                            r.step_couplet(i, d);
+                match lone_miss {
+                    Some(miss) => kernel_ops += bank.lone_read_miss(&miss),
+                    None => {
+                        for k in 0..bank.lanes.len() {
+                            bank.step_couplet(k, i, d);
                         }
                     }
                 }
             }
-            EventOp::WarmBoundary => {
-                for r in &mut rs {
-                    r.warm_reset();
-                }
-            }
+            EventOp::WarmBoundary => bank.warm_reset(),
         }
     }
+    global_counter!("cachetime_replay_lane_ops_total", "path" => "kernel").add(kernel_ops);
+    global_counter!("cachetime_replay_lane_ops_total", "path" => "general")
+        .add(couplet_ops * lanes - kernel_ops);
     Ok(class_of
         .iter()
         .zip(configs)
-        .map(|(&k, config)| rs[k].result(events, config.cycle_time()))
+        .map(|(&k, config)| bank.result(k, events, config.cycle_time()))
         .collect())
 }
 
@@ -606,20 +545,105 @@ pub fn simulate_two_phase(config: &SystemConfig, trace: &Trace) -> SimResult {
     replay(&events, config).expect("organization matches by construction")
 }
 
-/// The replay-side timing state: the clock and everything below L1.
+/// A recorded read miss, decoded once for every lane it is priced on.
+struct ReadMiss {
+    pid: cachetime_types::Pid,
+    fetch_start: cachetime_types::WordAddr,
+    fill_words: u32,
+    victim: Option<(cachetime_types::WordAddr, u32)>,
+    /// The requested word's offset from `fetch_start`.
+    offset: u32,
+}
+
+impl ReadMiss {
+    /// The read miss `e` records, if it records one.
+    #[inline]
+    fn of(e: &RefEvent) -> Option<Self> {
+        match e.access {
+            AccessEvent::ReadMiss {
+                fetch_start,
+                fill_words,
+                victim,
+            } => Some(ReadMiss {
+                pid: e.pid,
+                fetch_start,
+                fill_words,
+                victim: victim.map(|v| (v.addr, v.words)),
+                offset: (e.addr.value() - fetch_start.value()) as u32,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// The replay-side timing state of every lane — one lane per distinct
+/// [`CycleTiming`] — laid out as a struct of arrays.
 ///
-/// The timing parameters are copied out of the [`CycleTiming`] once at
-/// construction — replay visits tens of ops per couplet-equivalent of
-/// work, so the hot loop should touch nothing but local state.
-struct Replayer {
-    down: Downstream,
-    now: u64,
+/// The arrays hold what the dominant event touches: a lone, walk-free
+/// read miss with no dirty victim. On a lane that is memory-only, waits
+/// for the whole block, and has an empty write buffer, that miss is one
+/// [`clean_fill`] — the memory's fast path — so
+/// [`lone_read_miss`](LaneBank::lone_read_miss) prices it for every such lane
+/// in one loop over these arrays. Everything else (victims, writes, walks,
+/// mid-level caches, the other fill policies, lanes with buffered writes)
+/// runs one lane at a time through the lane's own [`Downstream`], which
+/// reads and writes the lane's clock and memory busy-until cycle here, in
+/// place.
+struct LaneBank {
+    /// Each lane's clock.
+    now: Vec<u64>,
+    /// Each lane's main-memory busy-until cycle.
+    mem_free_at: Vec<u64>,
+    /// Each lane's fixed costs of a clean miss.
+    miss_cycles: Vec<MissCycles>,
+    /// The fill size [`MissCycles::transfer`] holds; 0 until the first
+    /// clean miss.
+    transfer_words: u32,
+    /// Whether the clean-miss kernel prices this lane's next clean miss:
+    /// [`Lane::kernel_capable`] and an empty memory write buffer.
+    kernel: Vec<bool>,
+    /// Each lane's couplet latencies, hit runs aside when `shared_hits`.
+    latency: Vec<CoupletHistogram>,
+    stall_cycles: Vec<u64>,
+    /// Clean lone misses, and the words they fetched, since the warm
+    /// boundary. The kernel books none of its reads in a memory's stats,
+    /// so a lane's kernel reads are these less `general_clean`.
+    clean_reads: u64,
+    clean_read_words: u64,
+    /// Per lane, the clean lone misses (and their words) the general path
+    /// priced, and so booked in the memory's stats, since the warm
+    /// boundary.
+    general_clean: Vec<(u64, u64)>,
+    /// Couplets so far: every lane sees every couplet.
     couplets: u64,
-    warm_cycle: u64,
     warm_couplets: u64,
-    stall_cycles: u64,
-    latency: CoupletHistogram,
+    /// When every lane prices a hit run alike (on every paper grid: hits
+    /// cost processor cycles, and only the memory quantization varies),
+    /// the per-class hit costs and their histogram buckets; hit runs then
+    /// land in `hit_latency` once for all lanes.
+    shared_hits: Option<([u64; CoupletClass::COUNT], [usize; CoupletClass::COUNT])>,
+    hit_latency: CoupletHistogram,
+    /// The state only the general path touches.
+    lanes: Vec<Lane>,
+}
+
+/// A lane's fixed costs of a clean lone read miss, side by side so the
+/// kernel reads one entry per lane.
+#[derive(Debug, Clone, Copy)]
+struct MissCycles {
+    /// Address plus latency cycles of the lane's memory.
+    read_lead: u64,
+    /// Cycles to move [`LaneBank::transfer_words`] words into the L1.
+    transfer: u64,
+    recovery: u64,
     read_hit: u64,
+}
+
+/// One lane's general-path state: the hierarchy below L1 and the timing
+/// parameters only the general path reads.
+struct Lane {
+    down: Downstream,
+    warm_cycle: u64,
     write_hit: u64,
     way_slow_hit: u64,
     victim_swap: u64,
@@ -627,9 +651,249 @@ struct Replayer {
     fill_policy: FillPolicy,
     /// Cycles per all-hit couplet, indexed by [`CoupletClass::index`].
     hit_costs: [u64; CoupletClass::COUNT],
+    /// Memory-only and [`FillPolicy::WaitWholeBlock`]: the lane's clean
+    /// misses are one [`clean_fill`] whenever its write buffer is empty.
+    kernel_capable: bool,
 }
 
-impl Replayer {
+impl LaneBank {
+    fn new(classes: &[CycleTiming]) -> Self {
+        let lanes: Vec<Lane> = classes.iter().map(Lane::new).collect();
+        let n = lanes.len();
+        let hit_costs = lanes.first().map(|l| l.hit_costs).unwrap_or_default();
+        LaneBank {
+            now: vec![0; n],
+            mem_free_at: vec![0; n],
+            miss_cycles: classes
+                .iter()
+                .map(|t| MissCycles {
+                    read_lead: t.memory.read_lead_cycles(),
+                    transfer: 0,
+                    recovery: t.memory.recovery_cycles(),
+                    read_hit: t.read_hit_cycles,
+                })
+                .collect(),
+            transfer_words: 0,
+            kernel: lanes.iter().map(|l| l.kernel_capable).collect(),
+            latency: vec![CoupletHistogram::default(); n],
+            stall_cycles: vec![0; n],
+            clean_reads: 0,
+            clean_read_words: 0,
+            general_clean: vec![(0, 0); n],
+            couplets: 0,
+            warm_couplets: 0,
+            shared_hits: lanes
+                .iter()
+                .all(|l| l.hit_costs == hit_costs)
+                .then(|| (hit_costs, hit_costs.map(CoupletHistogram::bucket_of))),
+            hit_latency: CoupletHistogram::default(),
+            lanes,
+        }
+    }
+
+    /// Assembles lane `k`'s [`SimResult`] at `cycle_time`, the one field
+    /// the cycle-level machine cannot know.
+    fn result(&self, k: usize, events: &EventTrace, cycle_time: CycleTime) -> SimResult {
+        let lane = &self.lanes[k];
+        let mut latency = self.latency[k];
+        latency += self.hit_latency;
+        let mut mem = *lane.down.mem_stats();
+        let (general_reads, general_words) = self.general_clean[k];
+        mem.reads += self.clean_reads - general_reads;
+        mem.read_words += self.clean_read_words - general_words;
+        SimResult {
+            cycle_time,
+            cycles: Cycles(self.now[k] - lane.warm_cycle),
+            refs: events.refs,
+            couplets: self.couplets - self.warm_couplets,
+            l1i: events.l1i,
+            l1d: events.l1d,
+            l2: lane.down.l2_stats(),
+            l3: lane.down.l3_stats(),
+            mem,
+            mmu: events.mmu,
+            latency,
+            stall_cycles: Cycles(self.stall_cycles[k]),
+        }
+    }
+
+    /// The warm-start boundary: mirror of the direct engine's
+    /// `reset_stats` (the behavioral counters were reset in Phase A).
+    fn warm_reset(&mut self) {
+        self.warm_couplets = self.couplets;
+        self.hit_latency = CoupletHistogram::default();
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            lane.warm_cycle = self.now[k];
+            lane.down.reset_stats();
+        }
+        self.latency.fill(CoupletHistogram::default());
+        self.stall_cycles.fill(0);
+        self.clean_reads = 0;
+        self.clean_read_words = 0;
+        self.general_clean.fill((0, 0));
+    }
+
+    /// Reprices a stretch of all-hit couplets in O(classes) per lane, or
+    /// O(classes) plus one add per lane clock when the hit costs are
+    /// shared. Hit-only couplets never touch downstream state and complete
+    /// in exactly their ideal time, so they advance the clock linearly
+    /// with zero stall — in any order, which is why per-class counts
+    /// suffice.
+    #[inline]
+    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+        // Branchless on purpose: absent classes contribute n = 0 to the
+        // histogram, clock, and couplet count, and the sparsity pattern of
+        // `counts` is unpredictable enough that testing for zero costs
+        // more than the five fused multiply-adds.
+        self.couplets += counts.iter().map(|&n| n as u64).sum::<u64>();
+        match &self.shared_hits {
+            Some((costs, buckets)) => {
+                let mut cycles = 0u64;
+                for i in 0..CoupletClass::COUNT {
+                    let n = counts[i] as u64;
+                    cycles += costs[i] * n;
+                    self.hit_latency.add_to_bucket(buckets[i], n);
+                }
+                for now in &mut self.now {
+                    *now += cycles;
+                }
+            }
+            None => {
+                for (k, lane) in self.lanes.iter().enumerate() {
+                    for (i, &count) in counts.iter().enumerate() {
+                        let cost = lane.hit_costs[i];
+                        let n = count as u64;
+                        self.latency[k].record_n(cost, n);
+                        self.now[k] += cost * n;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Prices a lone, walk-free read miss on every lane; returns how many
+    /// lanes the clean-miss kernel priced.
+    ///
+    /// Kernel lanes cost one [`clean_fill`] over the bank's arrays. The
+    /// rest — and every lane when the miss displaces a dirty victim — take
+    /// [`Lane::read_miss`], the general path.
+    #[inline]
+    fn lone_read_miss(&mut self, miss: &ReadMiss) -> u64 {
+        let n = self.lanes.len();
+        if miss.victim.is_some() {
+            for k in 0..n {
+                self.general_read_miss(k, miss);
+            }
+            return 0;
+        }
+        if miss.fill_words != self.transfer_words {
+            self.transfer_words = miss.fill_words;
+            for (c, lane) in self.miss_cycles.iter_mut().zip(&self.lanes) {
+                c.transfer = lane.down.upstream_transfer_cycles(miss.fill_words);
+            }
+        }
+        self.clean_reads += 1;
+        self.clean_read_words += miss.fill_words as u64;
+        let mut general = 0;
+        // Reslicing to one length lets the loop run check-free.
+        let (now, free_at) = (&mut self.now[..n], &mut self.mem_free_at[..n]);
+        let (latency, stall) = (&mut self.latency[..n], &mut self.stall_cycles[..n]);
+        for ((k, &kernel), c) in self.kernel[..n]
+            .iter()
+            .enumerate()
+            .zip(&self.miss_cycles[..n])
+        {
+            if !kernel {
+                general += 1;
+                continue;
+            }
+            // The miss is detected during the probe cycle; the fill
+            // request goes downstream the cycle after, and the CPU waits
+            // for the whole block.
+            let start = now[k];
+            let done = clean_fill(
+                &mut free_at[k],
+                start + 1,
+                c.read_lead,
+                c.transfer,
+                c.recovery,
+            )
+            .done;
+            latency[k].record(done - start);
+            stall[k] += (done - start).saturating_sub(c.read_hit);
+            now[k] = done;
+        }
+        if general != 0 {
+            for k in 0..n {
+                if !self.kernel[k] {
+                    self.general_clean[k].0 += 1;
+                    self.general_clean[k].1 += miss.fill_words as u64;
+                    self.general_read_miss(k, miss);
+                }
+            }
+        }
+        (n - general) as u64
+    }
+
+    /// Prices a lone read miss on lane `k` through the general path.
+    fn general_read_miss(&mut self, k: usize, miss: &ReadMiss) {
+        let start = self.now[k];
+        let done = self.lanes[k].read_miss(&mut self.mem_free_at[k], start, miss);
+        self.finish_general(k, start, done, self.miss_cycles[k].read_hit);
+    }
+
+    /// Reprices one recorded couplet on lane `k`: the timing mirror of the
+    /// direct engine's `step_couplet`, with cache outcomes read from the
+    /// events instead of the cache.
+    fn step_couplet(&mut self, k: usize, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
+        let lane = &mut self.lanes[k];
+        let mem_free_at = &mut self.mem_free_at[k];
+        let read_hit = self.miss_cycles[k].read_hit;
+        let now = self.now[k];
+        let mut done = now;
+        let mut ideal = 0u64;
+        if let Some(e) = iref {
+            ideal = ideal.max(read_hit);
+            done = done.max(lane.complete_read(mem_free_at, read_hit, e, now + e.walk_cycles));
+        }
+        if let Some(e) = dref {
+            let issue = if lane.dual_issue { now } else { done };
+            let (c, this_ideal) = if e.access.is_write() {
+                (
+                    lane.complete_write(mem_free_at, e, issue + e.walk_cycles),
+                    lane.write_hit,
+                )
+            } else {
+                (
+                    lane.complete_read(mem_free_at, read_hit, e, issue + e.walk_cycles),
+                    read_hit,
+                )
+            };
+            ideal = if lane.dual_issue {
+                ideal.max(this_ideal)
+            } else {
+                ideal + this_ideal
+            };
+            done = done.max(c);
+        }
+        self.finish_general(k, now, done, ideal);
+    }
+
+    /// Books a couplet the general path priced on lane `k` (issued at
+    /// `start`, complete at `done`, ideally `ideal` cycles long), and
+    /// re-decides whether the lane's next clean miss takes the kernel.
+    #[inline]
+    fn finish_general(&mut self, k: usize, start: u64, done: u64, ideal: u64) {
+        debug_assert!(done > start, "a couplet must consume at least one cycle");
+        self.latency[k].record(done - start);
+        self.stall_cycles[k] += (done - start).saturating_sub(ideal);
+        self.now[k] = done;
+        let lane = &self.lanes[k];
+        self.kernel[k] = lane.kernel_capable && !lane.down.mem_writes_pending();
+    }
+}
+
+impl Lane {
     fn new(timing: &CycleTiming) -> Self {
         let rh = timing.read_hit_cycles;
         let wh = timing.write_hit_cycles;
@@ -655,15 +919,12 @@ impl Replayer {
                 }
             };
         }
-        Replayer {
-            down: Downstream::new(timing),
-            now: 0,
-            couplets: 0,
+        let down = Downstream::new(timing);
+        Lane {
+            kernel_capable: down.is_memory_only()
+                && timing.fill_policy == FillPolicy::WaitWholeBlock,
+            down,
             warm_cycle: 0,
-            warm_couplets: 0,
-            stall_cycles: 0,
-            latency: CoupletHistogram::default(),
-            read_hit: rh,
             write_hit: wh,
             way_slow_hit: timing.way_slow_hit_cycles,
             victim_swap: timing.victim_swap_cycles,
@@ -673,157 +934,58 @@ impl Replayer {
         }
     }
 
-    /// Assembles the [`SimResult`] of a finished replay at `cycle_time`,
-    /// the one field the cycle-level machine cannot know.
-    fn result(&self, events: &EventTrace, cycle_time: CycleTime) -> SimResult {
-        SimResult {
-            cycle_time,
-            cycles: Cycles(self.now - self.warm_cycle),
-            refs: events.refs,
-            couplets: self.couplets - self.warm_couplets,
-            l1i: events.l1i,
-            l1d: events.l1d,
-            l2: self.down.l2_stats(),
-            l3: self.down.l3_stats(),
-            mem: *self.down.mem_stats(),
-            mmu: events.mmu,
-            latency: self.latency,
-            stall_cycles: Cycles(self.stall_cycles),
-        }
-    }
-
-    /// The warm-start boundary: mirror of the direct engine's
-    /// `reset_stats` (the behavioral counters were reset in Phase A).
-    fn warm_reset(&mut self) {
-        self.warm_cycle = self.now;
-        self.warm_couplets = self.couplets;
-        self.down.reset_stats();
-        self.latency = CoupletHistogram::default();
-        self.stall_cycles = 0;
-    }
-
-    /// Reprices a stretch of all-hit couplets in O(classes). Hit-only
-    /// couplets never touch downstream state and complete in exactly their
-    /// ideal time, so they advance the clock linearly with zero stall — in
-    /// any order, which is why per-class counts suffice.
+    /// Timing of a read miss issued at `now`; returns its completion cycle.
     #[inline]
-    fn step_hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
-        // Branchless on purpose: absent classes contribute n = 0 to the
-        // histogram, clock, and couplet count, and the sparsity pattern of
-        // `counts` is unpredictable enough that testing for zero costs
-        // more than the five fused multiply-adds.
-        for (i, &count) in counts.iter().enumerate() {
-            let cost = self.hit_costs[i];
-            let n = count as u64;
-            self.latency.record_n(cost, n);
-            self.now += cost * n;
-            self.couplets += n;
-        }
-    }
-
-    /// [`step_couplet`](Self::step_couplet) specialized for the dominant
-    /// couplet shape: a single half, no TLB walk, read miss. Same
-    /// arithmetic — whichever side the half was on, its issue time is
-    /// `now` and its ideal time is one read hit — but the event is
-    /// decoded by the caller, once for all replayers.
-    #[inline]
-    fn step_lone_read_miss(
-        &mut self,
-        pid: cachetime_types::Pid,
-        fetch_start: cachetime_types::WordAddr,
-        fill_words: u32,
-        victim: Option<(cachetime_types::WordAddr, u32)>,
-        offset: u32,
-    ) {
-        let now = self.now;
-        let grant = self.down.fill_l1(now + 1, pid, fetch_start, fill_words, victim);
+    fn read_miss(&mut self, mem_free_at: &mut u64, now: u64, miss: &ReadMiss) -> u64 {
+        // The miss is detected during the probe cycle; the fill request
+        // goes downstream the cycle after.
+        let grant = self.down.fill_l1(
+            mem_free_at,
+            now + 1,
+            miss.pid,
+            miss.fetch_start,
+            miss.fill_words,
+            miss.victim,
+        );
         let completion = match self.fill_policy {
             FillPolicy::WaitWholeBlock => grant.done,
             FillPolicy::EarlyContinuation => {
-                grant.ready + self.down.upstream_transfer_cycles(offset + 1)
+                grant.ready + self.down.upstream_transfer_cycles(miss.offset + 1)
             }
             FillPolicy::LoadForward => grant.ready + self.down.upstream_transfer_cycles(1),
         };
-        let done = completion.clamp(now + 1, grant.done);
-        self.latency.record(done - now);
-        self.stall_cycles += (done - now).saturating_sub(self.read_hit);
-        self.now = done;
-        self.couplets += 1;
-    }
-
-    /// Reprices one recorded couplet: the timing mirror of the direct
-    /// engine's `step_couplet`, with cache outcomes read from the events
-    /// instead of the cache.
-    fn step_couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
-        let now = self.now;
-        let mut done = now;
-        let mut ideal = 0u64;
-        if let Some(e) = iref {
-            ideal = ideal.max(self.read_hit);
-            done = done.max(self.complete_read(e, now + e.walk_cycles));
-        }
-        if let Some(e) = dref {
-            let issue = if self.dual_issue { now } else { done };
-            let (c, this_ideal) = if e.access.is_write() {
-                (self.complete_write(e, issue + e.walk_cycles), self.write_hit)
-            } else {
-                (self.complete_read(e, issue + e.walk_cycles), self.read_hit)
-            };
-            ideal = if self.dual_issue {
-                ideal.max(this_ideal)
-            } else {
-                ideal + this_ideal
-            };
-            done = done.max(c);
-        }
-        debug_assert!(done > now, "a couplet must consume at least one cycle");
-        self.latency.record(done - now);
-        self.stall_cycles += (done - now).saturating_sub(ideal);
-        self.now = done;
-        self.couplets += 1;
+        completion.clamp(now + 1, grant.done)
     }
 
     /// Timing of a recorded load/ifetch; returns its completion cycle.
-    fn complete_read(&mut self, e: &RefEvent, now: u64) -> u64 {
+    fn complete_read(
+        &mut self,
+        mem_free_at: &mut u64,
+        read_hit: u64,
+        e: &RefEvent,
+        now: u64,
+    ) -> u64 {
         match e.access {
-            AccessEvent::ReadHit => now + self.read_hit,
-            AccessEvent::ReadSlowHit => now + self.read_hit + self.way_slow_hit,
-            AccessEvent::ReadVictimHit => now + self.read_hit + self.victim_swap,
-            AccessEvent::ReadMiss {
-                fetch_start,
-                fill_words,
-                victim,
-            } => {
-                let victim = victim.map(|v| (v.addr, v.words));
-                // The miss is detected during the probe cycle; the fill
-                // request goes downstream the cycle after.
-                let grant = self
-                    .down
-                    .fill_l1(now + 1, e.pid, fetch_start, fill_words, victim);
-                let completion = match self.fill_policy {
-                    FillPolicy::WaitWholeBlock => grant.done,
-                    FillPolicy::EarlyContinuation => {
-                        let offset = (e.addr.value() - fetch_start.value()) as u32;
-                        grant.ready + self.down.upstream_transfer_cycles(offset + 1)
-                    }
-                    FillPolicy::LoadForward => {
-                        grant.ready + self.down.upstream_transfer_cycles(1)
-                    }
-                };
-                completion.clamp(now + 1, grant.done)
-            }
-            _ => unreachable!("read completion on a write event"),
+            AccessEvent::ReadHit => now + read_hit,
+            AccessEvent::ReadSlowHit => now + read_hit + self.way_slow_hit,
+            AccessEvent::ReadVictimHit => now + read_hit + self.victim_swap,
+            _ => match ReadMiss::of(e) {
+                Some(miss) => self.read_miss(mem_free_at, now, &miss),
+                None => unreachable!("read completion on a write event"),
+            },
         }
     }
 
     /// Timing of a recorded store; returns its completion cycle.
-    fn complete_write(&mut self, e: &RefEvent, now: u64) -> u64 {
+    fn complete_write(&mut self, mem_free_at: &mut u64, e: &RefEvent, now: u64) -> u64 {
         let whc = self.write_hit;
         match e.access {
             AccessEvent::WriteHit { through } => {
                 let mut done = now + whc;
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, e.pid, e.addr);
+                    let accepted = self
+                        .down
+                        .write_word_down(mem_free_at, now + 1, e.pid, e.addr);
                     done = done.max(accepted + 1);
                 }
                 done
@@ -831,13 +993,17 @@ impl Replayer {
             AccessEvent::WriteVictimHit { through } => {
                 let mut done = now + whc + self.victim_swap;
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, e.pid, e.addr);
+                    let accepted = self
+                        .down
+                        .write_word_down(mem_free_at, now + 1, e.pid, e.addr);
                     done = done.max(accepted + 1);
                 }
                 done
             }
             AccessEvent::WriteMissAround => {
-                let accepted = self.down.write_word_down(now + 1, e.pid, e.addr);
+                let accepted = self
+                    .down
+                    .write_word_down(mem_free_at, now + 1, e.pid, e.addr);
                 (now + whc).max(accepted + 1)
             }
             AccessEvent::WriteMissAllocate {
@@ -849,11 +1015,13 @@ impl Replayer {
                 let victim = victim.map(|v| (v.addr, v.words));
                 let filled = self
                     .down
-                    .fill_l1(now + 1, e.pid, fetch_start, fill_words, victim)
+                    .fill_l1(mem_free_at, now + 1, e.pid, fetch_start, fill_words, victim)
                     .done;
                 let mut done = filled + 1; // the write itself
                 if through {
-                    let accepted = self.down.write_word_down(now + 1, e.pid, e.addr);
+                    let accepted = self
+                        .down
+                        .write_word_down(mem_free_at, now + 1, e.pid, e.addr);
                     done = done.max(accepted + 1);
                 }
                 done

@@ -199,6 +199,14 @@ impl CoupletHistogram {
     }
 }
 
+impl std::ops::AddAssign for CoupletHistogram {
+    fn add_assign(&mut self, rhs: CoupletHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(rhs.buckets) {
+            *a += b;
+        }
+    }
+}
+
 impl fmt::Display for CoupletHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "couplet cycles:")?;

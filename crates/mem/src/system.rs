@@ -36,6 +36,245 @@ pub struct FillGrant {
     pub done: u64,
 }
 
+/// The grant of a clean fill: one that finds nothing to drain, match or
+/// park (no dirty victim, an empty write buffer).
+///
+/// The read starts once the memory is free (`free_at`), spends `lead`
+/// cycles on the address and the DRAM latency
+/// ([`MemoryCycles::read_lead_cycles`]), then `transfer` cycles on the
+/// backplane, and leaves the memory busy for `recovery` more. This is the
+/// one definition of that arithmetic: [`MemoryUnit::fill_grant`] prices
+/// every fill's read with it, and a timing replay that prices many
+/// memories at once calls it per memory on its own copies of the cycle
+/// counts.
+#[inline(always)]
+pub fn clean_fill(
+    free_at: &mut u64,
+    now: u64,
+    lead: u64,
+    transfer: u64,
+    recovery: u64,
+) -> FillGrant {
+    let ready = now.max(*free_at) + lead;
+    let done = ready + transfer;
+    *free_at = done + recovery;
+    FillGrant { ready, done }
+}
+
+/// Main memory as a single functional unit behind a write buffer, minus
+/// the one cycle its owner keeps: when the unit is next free.
+///
+/// Every method takes that busy-until cycle as `free_at` and reads and
+/// writes it in place, so an owner that keeps many memories' clocks side
+/// by side (a timing replay's lanes) needs no copy of it here.
+/// [`MemorySystem`] is this unit with its own `free_at`.
+#[derive(Debug, Clone)]
+pub struct MemoryUnit {
+    cycles: MemoryCycles,
+    wb: WriteBuffer,
+    stats: MemStats,
+}
+
+impl MemoryUnit {
+    /// Creates an idle unit from its cycle-level description (its owner
+    /// starts `free_at` at 0).
+    pub fn from_cycles(cycles: &MemoryCycles) -> Self {
+        MemoryUnit {
+            cycles: *cycles,
+            wb: WriteBuffer::new(cycles.wb_depth),
+            stats: MemStats::default(),
+        }
+    }
+
+    /// Returns the cycle arithmetic in force.
+    pub fn cycles(&self) -> &MemoryCycles {
+        &self.cycles
+    }
+
+    /// Returns the accumulated statistics.
+    pub fn stats(&self) -> &MemStats {
+        &self.stats
+    }
+
+    /// Resets statistics (warm-start boundary) without touching state.
+    pub fn reset_stats(&mut self) {
+        self.stats = MemStats::default();
+    }
+
+    /// Number of writes currently buffered.
+    pub fn pending_writes(&self) -> usize {
+        self.wb.len()
+    }
+
+    /// See [`MemorySystem::fill_grant`].
+    #[inline]
+    pub fn fill_grant(&mut self, free_at: &mut u64, now: u64, req: FillRequest) -> FillGrant {
+        self.stats.reads += 1;
+        self.stats.read_words += req.words as u64;
+        // Clean-miss fast path: with nothing buffered and no victim there
+        // is nothing to drain, match, or park — `fill_behind_writes`
+        // reduces to exactly this arithmetic (for any buffer capacity).
+        if req.victim.is_none() && self.wb.is_empty() {
+            let lead = self.cycles.read_lead_cycles();
+            let transfer = self.cycles.transfer_cycles(req.words);
+            return clean_fill(free_at, now, lead, transfer, self.cycles.recovery_cycles());
+        }
+        self.fill_behind_writes(free_at, now, req)
+    }
+
+    /// The rest of [`fill_grant`](Self::fill_grant), out of line so the
+    /// fast path inlines into its callers: drain or match buffered writes,
+    /// then read, parking the dirty victim (if any) in the buffer.
+    #[inline(never)]
+    fn fill_behind_writes(&mut self, free_at: &mut u64, now: u64, req: FillRequest) -> FillGrant {
+        let lead = self.cycles.read_lead_cycles();
+        let transfer = self.cycles.transfer_cycles(req.words);
+        let recovery = self.cycles.recovery_cycles();
+        self.catch_up(free_at, now);
+        if !self.cycles.read_priority {
+            while !self.wb.is_empty() {
+                self.drain_one(free_at, now);
+            }
+        } else if let Some(i) = self.wb.find_overlap(req.pid, req.addr, req.words) {
+            self.stats.read_match_stalls += 1;
+            for _ in 0..=i {
+                self.drain_one(free_at, now);
+            }
+        }
+
+        // Unbuffered system: there is nowhere to park the victim, so the
+        // classic penalty applies — write the dirty block back *before*
+        // starting the fetch. (This serialization is exactly what the
+        // write buffer exists to hide.)
+        if let Some((_, vwords)) = req.victim.filter(|_| self.wb.capacity() == 0) {
+            self.synchronous_write(free_at, now, vwords);
+        }
+
+        let grant = clean_fill(free_at, now, lead, transfer, recovery);
+        // Victim already written back synchronously above, or none.
+        let Some((vaddr, vwords)) = req.victim.filter(|_| self.wb.capacity() != 0) else {
+            return grant;
+        };
+        // The victim moves cache -> write buffer one word per cycle during
+        // the latency period; the incoming transfer cannot enter the cache
+        // array until the move completes.
+        let move_start = if self.wb.is_full() {
+            // Rare with the paper's 4-deep buffer: wait for the read to
+            // finish, then force the head out to make room.
+            self.stats.full_stalls += 1;
+            let after_read = *free_at;
+            self.drain_one(free_at, after_read)
+        } else {
+            grant.ready - lead
+        };
+        let move_done = move_start + vwords as u64;
+        self.wb
+            .push(WbEntry::block(req.pid, vaddr, vwords, move_done));
+        let ready = grant.ready.max(move_done);
+        FillGrant {
+            ready,
+            done: ready + transfer,
+        }
+    }
+
+    /// See [`MemorySystem::write_word`].
+    #[inline]
+    pub fn write_word(&mut self, free_at: &mut u64, now: u64, pid: Pid, addr: WordAddr) -> u64 {
+        self.catch_up(free_at, now);
+        if self.wb.capacity() == 0 {
+            return self.synchronous_write(free_at, now, 1);
+        }
+        if self.cycles.wb_coalesce && self.wb.try_coalesce(pid, addr) {
+            self.stats.coalesced_writes += 1;
+            return now;
+        }
+        let ready = if self.wb.is_full() {
+            self.stats.full_stalls += 1;
+            self.drain_one(free_at, now)
+        } else {
+            now
+        };
+        self.wb.push(WbEntry::word(pid, addr, ready));
+        ready
+    }
+
+    /// See [`MemorySystem::write_block`].
+    pub fn write_block(
+        &mut self,
+        free_at: &mut u64,
+        now: u64,
+        pid: Pid,
+        addr: WordAddr,
+        words: u32,
+    ) -> u64 {
+        self.catch_up(free_at, now);
+        if self.wb.capacity() == 0 {
+            return self.synchronous_write(free_at, now, words);
+        }
+        let ready = if self.wb.is_full() {
+            self.stats.full_stalls += 1;
+            self.drain_one(free_at, now)
+        } else {
+            now
+        };
+        self.wb.push(WbEntry::block(pid, addr, words, ready));
+        ready
+    }
+
+    /// See [`MemorySystem::drain_all`].
+    pub(crate) fn drain_all(&mut self, free_at: &mut u64, now: u64) -> u64 {
+        while !self.wb.is_empty() {
+            self.drain_one(free_at, now);
+        }
+        *free_at
+    }
+
+    /// Retires buffered writes that would have started strictly before
+    /// `now`: the controller launches a write once the memory is idle and
+    /// the entry has aged past the drain delay (the aging window is what
+    /// lets later stores coalesce into it). A read arriving at the same
+    /// cycle as a launchable write still wins (read priority), but a write
+    /// already in flight is not preempted.
+    #[inline]
+    fn catch_up(&mut self, free_at: &mut u64, now: u64) {
+        while let Some(e) = self.wb.front() {
+            let eligible = e.ready_at + self.cycles.wb_drain_delay;
+            if eligible.max(*free_at) < now {
+                // Backdate the launch to when it actually would have
+                // started; passing `now` would wrongly stretch the busy
+                // window into the present.
+                self.drain_one(free_at, eligible);
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Performs an unbuffered write: the requester waits for the bus
+    /// release. Used when the write-buffer depth is zero.
+    fn synchronous_write(&mut self, free_at: &mut u64, now: u64, words: u32) -> u64 {
+        let start = now.max(*free_at);
+        let bus_release = start + self.cycles.write_bus_time(words);
+        *free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
+        self.stats.writes += 1;
+        self.stats.write_words += words as u64;
+        bus_release
+    }
+
+    /// Pops and retires the oldest write; returns its bus-release cycle.
+    #[inline]
+    fn drain_one(&mut self, free_at: &mut u64, earliest: u64) -> u64 {
+        let e = self.wb.pop_front().expect("drain_one on empty buffer");
+        let start = earliest.max(e.ready_at).max(*free_at);
+        let words = e.words();
+        let bus_release = start + self.cycles.write_bus_time(words);
+        *free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
+        self.stats.writes += 1;
+        self.stats.write_words += words as u64;
+        bus_release
+    }
+}
+
 /// Main memory modeled as a single functional unit behind a write buffer.
 ///
 /// The object is driven event-style: each public method takes the current
@@ -63,11 +302,9 @@ pub struct FillGrant {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
-    cycles: MemoryCycles,
-    wb: WriteBuffer,
+    unit: MemoryUnit,
     /// Cycle at which the memory unit can start its next operation.
     free_at: u64,
-    stats: MemStats,
 }
 
 impl MemorySystem {
@@ -79,31 +316,29 @@ impl MemorySystem {
     /// Creates an idle memory system from its cycle-level description.
     pub fn from_cycles(cycles: &MemoryCycles) -> Self {
         MemorySystem {
-            cycles: *cycles,
-            wb: WriteBuffer::new(cycles.wb_depth),
+            unit: MemoryUnit::from_cycles(cycles),
             free_at: 0,
-            stats: MemStats::default(),
         }
     }
 
     /// Returns the cycle arithmetic in force.
     pub fn cycles(&self) -> &MemoryCycles {
-        &self.cycles
+        self.unit.cycles()
     }
 
     /// Returns the accumulated statistics.
     pub fn stats(&self) -> &MemStats {
-        &self.stats
+        self.unit.stats()
     }
 
     /// Resets statistics (warm-start boundary) without touching state.
     pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
+        self.unit.reset_stats();
     }
 
     /// Number of writes currently buffered (for tests and ablations).
     pub fn pending_writes(&self) -> usize {
-        self.wb.len()
+        self.unit.pending_writes()
     }
 
     /// Performs a block read for a cache fill.
@@ -120,78 +355,7 @@ impl MemorySystem {
     /// completion cycles (see [`FillGrant`]).
     #[inline]
     pub fn fill_grant(&mut self, now: u64, req: FillRequest) -> FillGrant {
-        // Clean-miss fast path: with nothing buffered and no victim there
-        // is nothing to drain, match, or park — the general path below
-        // reduces to exactly this arithmetic (for any buffer capacity).
-        if req.victim.is_none() && self.wb.is_empty() {
-            let start = now.max(self.free_at);
-            let data_start =
-                start + self.cycles.addr_cycles() + self.cycles.latency_cycles();
-            let transfer = self.cycles.transfer_cycles(req.words);
-            self.free_at = data_start + transfer + self.cycles.recovery_cycles();
-            self.stats.reads += 1;
-            self.stats.read_words += req.words as u64;
-            return FillGrant {
-                ready: data_start,
-                done: data_start + transfer,
-            };
-        }
-        self.catch_up(now);
-        if !self.cycles.read_priority {
-            while !self.wb.is_empty() {
-                self.drain_one(now);
-            }
-        } else if let Some(i) = self.wb.find_overlap(req.pid, req.addr, req.words) {
-            self.stats.read_match_stalls += 1;
-            for _ in 0..=i {
-                self.drain_one(now);
-            }
-        }
-
-        // Unbuffered system: there is nowhere to park the victim, so the
-        // classic penalty applies — write the dirty block back *before*
-        // starting the fetch. (This serialization is exactly what the
-        // write buffer exists to hide.)
-        if let Some((_, vwords)) = req.victim.filter(|_| self.wb.capacity() == 0) {
-            self.synchronous_write(now, vwords);
-        }
-
-        let start = now.max(self.free_at);
-        let data_start = start + self.cycles.addr_cycles() + self.cycles.latency_cycles();
-        let transfer = self.cycles.transfer_cycles(req.words);
-        self.free_at = data_start + transfer + self.cycles.recovery_cycles();
-        self.stats.reads += 1;
-        self.stats.read_words += req.words as u64;
-
-        // The victim moves cache -> write buffer one word per cycle during
-        // the latency period; the incoming transfer cannot enter the cache
-        // array until the move completes.
-        let mut fill_gate = data_start;
-        if self.wb.capacity() == 0 {
-            // Victim already written back synchronously above.
-            return FillGrant {
-                ready: data_start,
-                done: data_start + transfer,
-            };
-        }
-        if let Some((vaddr, vwords)) = req.victim {
-            let move_start = if self.wb.is_full() {
-                // Rare with the paper's 4-deep buffer: wait for the read to
-                // finish, then force the head out to make room.
-                self.stats.full_stalls += 1;
-                self.drain_one(self.free_at)
-            } else {
-                start
-            };
-            let move_done = move_start + vwords as u64;
-            self.wb
-                .push(WbEntry::block(req.pid, vaddr, vwords, move_done));
-            fill_gate = fill_gate.max(move_done);
-        }
-        FillGrant {
-            ready: fill_gate,
-            done: fill_gate + transfer,
-        }
+        self.unit.fill_grant(&mut self.free_at, now, req)
     }
 
     /// Accepts a downstream word write (write-through or write-around).
@@ -200,94 +364,21 @@ impl MemorySystem {
     /// proceed — `now` unless the buffer was full.
     #[inline]
     pub fn write_word(&mut self, now: u64, pid: Pid, addr: WordAddr) -> u64 {
-        self.catch_up(now);
-        if self.wb.capacity() == 0 {
-            return self.synchronous_write(now, 1);
-        }
-        if self.cycles.wb_coalesce && self.wb.try_coalesce(pid, addr) {
-            self.stats.coalesced_writes += 1;
-            return now;
-        }
-        let ready = if self.wb.is_full() {
-            self.stats.full_stalls += 1;
-            self.drain_one(now)
-        } else {
-            now
-        };
-        self.wb.push(WbEntry::word(pid, addr, ready));
-        ready
+        self.unit.write_word(&mut self.free_at, now, pid, addr)
     }
 
     /// Accepts a whole-block downstream write that is *not* overlapped with
     /// a fill (e.g. an explicit flush, or a mid-level victim in a two-level
     /// hierarchy whose move is accounted upstream).
     pub fn write_block(&mut self, now: u64, pid: Pid, addr: WordAddr, words: u32) -> u64 {
-        self.catch_up(now);
-        if self.wb.capacity() == 0 {
-            return self.synchronous_write(now, words);
-        }
-        let ready = if self.wb.is_full() {
-            self.stats.full_stalls += 1;
-            self.drain_one(now)
-        } else {
-            now
-        };
-        self.wb.push(WbEntry::block(pid, addr, words, ready));
-        ready
+        self.unit
+            .write_block(&mut self.free_at, now, pid, addr, words)
     }
 
     /// Retires every buffered write and returns the cycle the last one
     /// completed (including its recovery).
     pub fn drain_all(&mut self, now: u64) -> u64 {
-        while !self.wb.is_empty() {
-            self.drain_one(now);
-        }
-        self.free_at
-    }
-
-    /// Retires buffered writes that would have started strictly before
-    /// `now`: the controller launches a write once the memory is idle and
-    /// the entry has aged past the drain delay (the aging window is what
-    /// lets later stores coalesce into it). A read arriving at the same
-    /// cycle as a launchable write still wins (read priority), but a write
-    /// already in flight is not preempted.
-    #[inline]
-    fn catch_up(&mut self, now: u64) {
-        while let Some(e) = self.wb.front() {
-            let eligible = e.ready_at + self.cycles.wb_drain_delay;
-            if eligible.max(self.free_at) < now {
-                // Backdate the launch to when it actually would have
-                // started; passing `now` would wrongly stretch the busy
-                // window into the present.
-                self.drain_one(eligible);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Performs an unbuffered write: the requester waits for the bus
-    /// release. Used when the write-buffer depth is zero.
-    fn synchronous_write(&mut self, now: u64, words: u32) -> u64 {
-        let start = now.max(self.free_at);
-        let bus_release = start + self.cycles.write_bus_time(words);
-        self.free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
-        self.stats.writes += 1;
-        self.stats.write_words += words as u64;
-        bus_release
-    }
-
-    /// Pops and retires the oldest write; returns its bus-release cycle.
-    #[inline]
-    fn drain_one(&mut self, earliest: u64) -> u64 {
-        let e = self.wb.pop_front().expect("drain_one on empty buffer");
-        let start = earliest.max(e.ready_at).max(self.free_at);
-        let words = e.words();
-        let bus_release = start + self.cycles.write_bus_time(words);
-        self.free_at = bus_release + self.cycles.write_op_cycles() + self.cycles.recovery_cycles();
-        self.stats.writes += 1;
-        self.stats.write_words += words as u64;
-        bus_release
+        self.unit.drain_all(&mut self.free_at, now)
     }
 }
 

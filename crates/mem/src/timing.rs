@@ -170,6 +170,13 @@ impl MemoryCycles {
         self.recovery_cycles
     }
 
+    /// Cycles from the start of a read to its first data word: the
+    /// address phase plus the DRAM latency.
+    #[inline]
+    pub const fn read_lead_cycles(&self) -> u64 {
+        self.addr_cycles + self.latency_cycles
+    }
+
     /// Cycles to transfer `words` words over the backplane.
     #[inline]
     pub const fn transfer_cycles(&self, words: u32) -> u64 {
@@ -183,7 +190,7 @@ impl MemoryCycles {
     /// Total cycles for a read of `words` words: address + latency +
     /// transfer.
     pub const fn read_time(&self, words: u32) -> u64 {
-        self.addr_cycles + self.latency_cycles + self.transfer_cycles(words)
+        self.read_lead_cycles() + self.transfer_cycles(words)
     }
 
     /// Total cycles a write of `words` words occupies the memory before

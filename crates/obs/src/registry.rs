@@ -103,10 +103,18 @@ impl Registry {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
         let key = label_key(labels);
         let mut families = self.families.lock().unwrap();
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            kind,
-            series: BTreeMap::new(),
-        });
+        // Look the family up by `&str` first: only its first registration
+        // allocates the name.
+        if !families.contains_key(name) {
+            families.insert(
+                name.to_string(),
+                Family {
+                    kind,
+                    series: BTreeMap::new(),
+                },
+            );
+        }
+        let family = families.get_mut(name).expect("inserted above");
         assert!(
             family.kind == kind,
             "metric {name:?} registered as {} and again as {}",

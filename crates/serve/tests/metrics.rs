@@ -387,6 +387,65 @@ fn replay_class_counter_renders_on_the_process_wide_registry() {
     handle.join();
 }
 
+/// After a replay, `/v1/metrics` on the process-wide registry shows how
+/// many (event, timing class) pairs the clean-miss kernel priced and how
+/// many the general path did.
+#[test]
+fn replay_lane_ops_render_by_path_after_a_replay() {
+    let app = Arc::new(App::with_registry(
+        64 * 1024 * 1024,
+        Arc::clone(cachetime_obs::global()),
+    ));
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        },
+        Arc::clone(&app),
+    )
+    .expect("bind an ephemeral port");
+    let addr = handle.local_addr().to_string();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, body) = client
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "savec", "scale": 0.004}}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let key = Json::parse(&body)
+        .unwrap()
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [20, 40, 80]}}"#);
+    let (status, body) = client.post("/v1/replay", &replay_body).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (status, text) = client
+        .get("/v1/metrics?family=cachetime_replay_lane_ops_total")
+        .unwrap();
+    assert_eq!(status, 200, "{text}");
+    assert!(
+        text.contains("# TYPE cachetime_replay_lane_ops_total counter"),
+        "{text}"
+    );
+    // The paper's default machine is memory-only and waits for whole
+    // blocks, so its clean misses take the kernel, while store misses and
+    // paired misses take the general path. Other tests in this process
+    // replay too, so the counts only grow.
+    for path in ["kernel", "general"] {
+        let series = format!("cachetime_replay_lane_ops_total{{path=\"{path}\"}}");
+        assert!(prom(&text, &series) >= 1, "{text}");
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// An upload is timed as the `trace_import` span, so `/v1/metrics` on
 /// the process-wide registry shows its parse time per upload.
 #[test]

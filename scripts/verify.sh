@@ -8,7 +8,9 @@
 # 3. Offline-build guard: the workspace must build with no registry
 #    access at all (zero external dependencies is a hard invariant).
 # 4. Two-phase equivalence cross-check: direct simulation vs the
-#    record/replay pipeline must be bit-identical per grid cell.
+#    record/replay pipeline must be bit-identical per grid cell, also when
+#    one batched replay groups timing points into classes and when its
+#    lanes mix the clean-miss kernel with the general path.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -70,7 +72,8 @@ echo "==> cargo build --offline --workspace (zero-dependency guard)"
 cargo build --offline --workspace
 
 echo "==> two-phase equivalence cross-check (direct vs record/replay)"
-cargo test --release -q -p cachetime --test two_phase --test two_phase_prop
+cargo test --release -q -p cachetime --test two_phase --test two_phase_prop \
+  --test replay_classes_prop --test replay_lanes_prop
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
 cargo run --release -q -p cachetime-bench -- sweep "${BENCH_SCALE:-0.05}"
@@ -114,6 +117,7 @@ for family in \
   cachetime_record_refs_total \
   cachetime_replay_refs_total \
   cachetime_replay_classes_total \
+  cachetime_replay_lane_ops_total \
   cachetime_span_duration_us \
   cachetime_disk_spills_total \
   cachetime_disk_spill_bytes_total \
