@@ -1,13 +1,12 @@
 //! The cache model: tag lookup, fills, evictions, and write handling.
 
-use crate::block::{BlockState, DirtyMask};
+use crate::block::{count_words, has_word, set_words, Frames};
 use crate::config::{CacheConfig, WriteAllocate, WritePolicy};
 use crate::features::WayPrediction;
 use crate::mapping::AddressMap;
 use crate::replacement::Replacer;
 use crate::stats::CacheStats;
 use cachetime_types::{BlockAddr, Pid, WordAddr};
-use std::collections::VecDeque;
 
 /// A block displaced from the cache that must be written to the next level.
 ///
@@ -109,28 +108,75 @@ impl WriteOutcome {
 pub struct Cache {
     config: CacheConfig,
     map: AddressMap,
-    frames: Vec<BlockState>,
+    frames: Frames,
     replacer: Replacer,
     stats: CacheStats,
     victim: Option<VictimBuf>,
     pred: Option<WayPred>,
 }
 
-/// One full block parked in the victim buffer. Victim caching requires
-/// whole-block fetch, so every word is valid; only the dirty mask needs
-/// to travel with the block.
-#[derive(Debug, Clone, Copy)]
-struct VictimEntry {
-    block: BlockAddr,
-    owner: Pid,
-    dirty_words: DirtyMask,
-}
-
-/// A small fully-associative FIFO buffer of recently evicted blocks.
+/// A small fully-associative FIFO buffer of recently evicted blocks,
+/// oldest first. Victim caching requires whole-block fetch, so every word
+/// of a parked block is valid; only its dirty limbs travel with it, in
+/// the frame store's limb form: `limbs` per entry in `dirty`, in entry
+/// order.
 #[derive(Debug, Clone)]
 struct VictimBuf {
     cap: usize,
-    entries: VecDeque<VictimEntry>,
+    limbs: usize,
+    entries: Vec<(BlockAddr, Pid)>,
+    dirty: Vec<u64>,
+}
+
+impl VictimBuf {
+    fn new(cap: usize, limbs: usize) -> Self {
+        VictimBuf {
+            cap,
+            limbs,
+            entries: Vec::with_capacity(cap + 1),
+            dirty: Vec::with_capacity((cap + 1) * limbs),
+        }
+    }
+
+    fn position(&self, block: BlockAddr, pid: Pid, virtual_tags: bool) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|&(b, owner)| b == block && (!virtual_tags || owner == pid))
+    }
+
+    /// Parks a block at the young end.
+    fn push(&mut self, block: BlockAddr, owner: Pid, dirty: &[u64]) {
+        self.entries.push((block, owner));
+        self.dirty.extend_from_slice(dirty);
+    }
+
+    /// Removes entry `pos`, copying its dirty limbs into `dirty`.
+    fn take(&mut self, pos: usize, dirty: &mut [u64]) {
+        let at = pos * self.limbs;
+        dirty.copy_from_slice(&self.dirty[at..at + self.limbs]);
+        self.dirty.drain(at..at + self.limbs);
+        self.entries.remove(pos);
+    }
+
+    /// Cleans entry `i`, returning how many of its words were dirty.
+    fn take_dirty(&mut self, i: usize) -> u32 {
+        let dirty = &mut self.dirty[i * self.limbs..(i + 1) * self.limbs];
+        let count = count_words(dirty);
+        dirty.fill(0);
+        count
+    }
+
+    /// Drops the oldest entry, returning its block and dirty-word count.
+    fn pop_oldest(&mut self) -> (BlockAddr, u32) {
+        let dirty = count_words(&self.dirty[..self.limbs]);
+        self.dirty.drain(..self.limbs);
+        (self.entries.remove(0).0, dirty)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.dirty.clear();
+    }
 }
 
 /// Per-set way-prediction state. MRU keeps one predicted way per set;
@@ -195,10 +241,11 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let ways = config.assoc().ways();
-        let victim = config.features().victim_cache().map(|v| VictimBuf {
-            cap: v.entries() as usize,
-            entries: VecDeque::with_capacity(v.entries() as usize + 1),
-        });
+        let frames = Frames::new((sets * ways as u64) as usize, config.block().words());
+        let victim = config
+            .features()
+            .victim_cache()
+            .map(|v| VictimBuf::new(v.entries() as usize, frames.limbs()));
         let pred = config
             .features()
             .way_prediction()
@@ -206,7 +253,7 @@ impl Cache {
         Cache {
             config,
             map: AddressMap::new(sets, config.block().words()),
-            frames: vec![BlockState::INVALID; (sets * ways as u64) as usize],
+            frames,
             replacer: Replacer::new(config.replacement(), sets, ways, config.rng_seed()),
             stats: CacheStats::default(),
             victim,
@@ -283,67 +330,7 @@ impl Cache {
     /// validates the word: the CPU supplies the whole word, so no fetch is
     /// needed.
     pub fn write(&mut self, addr: WordAddr, pid: Pid) -> WriteOutcome {
-        self.stats.writes += 1;
-        let through = self.config.write_policy() == WritePolicy::WriteThrough;
-        let set = self.map.set_index(addr);
-        if let Some(way) = self.find_tag(addr, pid) {
-            let offset = addr.offset_in_block(self.config.block().words());
-            let frame = self.frame_mut(set, way);
-            frame.valid_words.set(offset);
-            if !through {
-                frame.dirty_words.set(offset);
-            }
-            let tag = self.map.tag(addr);
-            self.touch(set, way, tag);
-            if through {
-                self.stats.word_writes_downstream += 1;
-            }
-            return WriteOutcome::Hit { through };
-        }
-        self.stats.write_misses += 1;
-        // The victim buffer may hold a (possibly dirty) copy of this
-        // block; writing around it would leave that copy stale, so all
-        // write misses probe the buffer regardless of allocation policy.
-        if self.victim_swap(addr, pid) {
-            let way = self
-                .find_tag(addr, pid)
-                .expect("victim swap installed the block");
-            let offset = addr.offset_in_block(self.config.block().words());
-            let frame = self.frame_mut(set, way);
-            if !through {
-                frame.dirty_words.set(offset);
-            }
-            if through {
-                self.stats.word_writes_downstream += 1;
-            }
-            return WriteOutcome::VictimHit { through };
-        }
-        match self.config.write_allocate() {
-            WriteAllocate::NoAllocate => {
-                self.stats.word_writes_downstream += 1;
-                WriteOutcome::MissNoAllocate
-            }
-            WriteAllocate::Allocate => {
-                let (fill_words, victim) = self.fill(addr, pid);
-                let way = self
-                    .find_tag(addr, pid)
-                    .expect("fill just installed the block");
-                let offset = addr.offset_in_block(self.config.block().words());
-                let frame = self.frame_mut(set, way);
-                frame.valid_words.set(offset);
-                if !through {
-                    frame.dirty_words.set(offset);
-                }
-                if through {
-                    self.stats.word_writes_downstream += 1;
-                }
-                WriteOutcome::MissAllocate {
-                    fill_words,
-                    victim,
-                    through,
-                }
-            }
-        }
+        self.store(addr, pid, 1)
     }
 
     /// Performs one write access covering `words` consecutive words
@@ -358,77 +345,20 @@ impl Cache {
     /// Panics if the range crosses a block boundary.
     pub fn write_range(&mut self, addr: WordAddr, pid: Pid, words: u32) -> WriteOutcome {
         let block_words = self.config.block().words();
-        let offset = addr.offset_in_block(block_words);
         assert!(
-            offset + words <= block_words,
+            addr.offset_in_block(block_words) + words <= block_words,
             "write_range crosses a block boundary"
         );
-        self.stats.writes += 1;
-        let through = self.config.write_policy() == WritePolicy::WriteThrough;
-        let set = self.map.set_index(addr);
-        if let Some(way) = self.find_tag(addr, pid) {
-            let frame = self.frame_mut(set, way);
-            frame.valid_words.set_range(offset, words);
-            if !through {
-                frame.dirty_words.set_range(offset, words);
-            }
-            let tag = self.map.tag(addr);
-            self.touch(set, way, tag);
-            if through {
-                self.stats.word_writes_downstream += words as u64;
-            }
-            return WriteOutcome::Hit { through };
-        }
-        self.stats.write_misses += 1;
-        if self.victim_swap(addr, pid) {
-            let way = self
-                .find_tag(addr, pid)
-                .expect("victim swap installed the block");
-            let frame = self.frame_mut(set, way);
-            if !through {
-                frame.dirty_words.set_range(offset, words);
-            }
-            if through {
-                self.stats.word_writes_downstream += words as u64;
-            }
-            return WriteOutcome::VictimHit { through };
-        }
-        match self.config.write_allocate() {
-            WriteAllocate::NoAllocate => {
-                self.stats.word_writes_downstream += words as u64;
-                WriteOutcome::MissNoAllocate
-            }
-            WriteAllocate::Allocate => {
-                let (fill_words, victim) = self.fill(addr, pid);
-                let way = self
-                    .find_tag(addr, pid)
-                    .expect("fill just installed the block");
-                let frame = self.frame_mut(set, way);
-                frame.valid_words.set_range(offset, words);
-                if !through {
-                    frame.dirty_words.set_range(offset, words);
-                }
-                if through {
-                    self.stats.word_writes_downstream += words as u64;
-                }
-                WriteOutcome::MissAllocate {
-                    fill_words,
-                    victim,
-                    through,
-                }
-            }
-        }
+        self.store(addr, pid, words)
     }
 
     /// Invalidates every block, discarding dirty data (used between
     /// independent experiment runs). Also empties the victim buffer and
     /// resets way-prediction state.
     pub fn invalidate_all(&mut self) {
-        for frame in &mut self.frames {
-            *frame = BlockState::INVALID;
-        }
+        self.frames.invalidate_all();
         if let Some(buf) = &mut self.victim {
-            buf.entries.clear();
+            buf.clear();
         }
         if let Some(p) = &mut self.pred {
             p.reset();
@@ -439,32 +369,30 @@ impl Cache {
     /// set order. Blocks stay valid.
     pub fn flush_dirty(&mut self) -> Vec<Eviction> {
         let block_words = self.config.block().words();
-        let sets = self.config.sets();
         let ways = self.config.assoc().ways() as u64;
+        let frames = self.config.sets() * ways;
         let mut out = Vec::new();
-        for set in 0..sets {
-            for way in 0..ways {
-                let map = self.map;
-                let frame = &mut self.frames[(set * ways + way) as usize];
-                if frame.valid && frame.is_dirty() {
-                    out.push(Eviction {
-                        addr: map.reconstruct(set, frame.tag),
-                        words: block_words,
-                        dirty_words: frame.dirty_words.count(),
-                    });
-                    frame.dirty_words.clear();
-                }
+        for f in 0..frames {
+            // Invalid frames are always clean.
+            let dirty_words = self.frames.take_dirty(f as usize);
+            if dirty_words > 0 {
+                let tag = self.frames.line(f as usize).tag;
+                out.push(Eviction {
+                    addr: self.map.reconstruct(f / ways, tag),
+                    words: block_words,
+                    dirty_words,
+                });
             }
         }
         if let Some(buf) = &mut self.victim {
-            for entry in &mut buf.entries {
-                if !entry.dirty_words.is_empty() {
+            for i in 0..buf.entries.len() {
+                let dirty_words = buf.take_dirty(i);
+                if dirty_words > 0 {
                     out.push(Eviction {
-                        addr: entry.block,
+                        addr: buf.entries[i].0,
                         words: block_words,
-                        dirty_words: entry.dirty_words.count(),
+                        dirty_words,
                     });
-                    entry.dirty_words.clear();
                 }
             }
         }
@@ -474,13 +402,13 @@ impl Cache {
     /// Counts the blocks currently valid (for occupancy assertions in
     /// tests).
     pub fn valid_blocks(&self) -> u64 {
-        self.frames.iter().filter(|f| f.valid).count() as u64
+        self.frames.valid_count()
     }
 
+    /// The frame-store index of `way` in `set`.
     #[inline]
-    fn frame_mut(&mut self, set: u64, way: u32) -> &mut BlockState {
-        let ways = self.config.assoc().ways() as u64;
-        &mut self.frames[(set * ways + way as u64) as usize]
+    fn frame(&self, set: u64, way: u32) -> usize {
+        (set * self.config.assoc().ways() as u64 + way as u64) as usize
     }
 
     /// Refreshes replacement recency *and* way-prediction state for one
@@ -494,63 +422,112 @@ impl Cache {
         }
     }
 
+    /// The way a block entering `set` takes: an invalid one if available,
+    /// otherwise the replacement victim.
+    #[inline]
+    fn way_for_fill(&mut self, set: u64) -> u32 {
+        let ways = self.config.assoc().ways();
+        let lines = self.frames.lines(self.frame(set, 0), ways as usize);
+        match lines.iter().position(|l| !l.valid) {
+            Some(w) => w as u32,
+            None => self.replacer.victim(set),
+        }
+    }
+
+    /// One write access of `words` words at `addr` (see
+    /// [`write_range`](Self::write_range), which checks the span).
+    #[inline]
+    fn store(&mut self, addr: WordAddr, pid: Pid, words: u32) -> WriteOutcome {
+        self.stats.writes += 1;
+        let through = self.config.write_policy() == WritePolicy::WriteThrough;
+        if let Some(way) = self.find_tag(addr, pid) {
+            self.mark_stored(addr, way, words, through);
+            let set = self.map.set_index(addr);
+            let tag = self.map.tag(addr);
+            self.touch(set, way, tag);
+            return WriteOutcome::Hit { through };
+        }
+        self.stats.write_misses += 1;
+        // The victim buffer may hold a (possibly dirty) copy of this
+        // block; writing around it would leave that copy stale, so all
+        // write misses probe the buffer regardless of allocation policy.
+        if self.victim_swap(addr, pid) {
+            let way = self
+                .find_tag(addr, pid)
+                .expect("victim swap installed the block");
+            self.mark_stored(addr, way, words, through);
+            return WriteOutcome::VictimHit { through };
+        }
+        match self.config.write_allocate() {
+            WriteAllocate::NoAllocate => {
+                self.stats.word_writes_downstream += words as u64;
+                WriteOutcome::MissNoAllocate
+            }
+            WriteAllocate::Allocate => {
+                let (fill_words, victim) = self.fill(addr, pid);
+                let way = self
+                    .find_tag(addr, pid)
+                    .expect("fill just installed the block");
+                self.mark_stored(addr, way, words, through);
+                WriteOutcome::MissAllocate {
+                    fill_words,
+                    victim,
+                    through,
+                }
+            }
+        }
+    }
+
+    /// Applies a store of `words` words at `addr` to the resident block in
+    /// `way`: the words become valid (sub-block caches keep valid words)
+    /// and, in a write-back cache, dirty; in a write-through cache they
+    /// also travel downstream.
+    #[inline]
+    fn mark_stored(&mut self, addr: WordAddr, way: u32, words: u32, through: bool) {
+        let f = self.frame(self.map.set_index(addr), way);
+        let offset = addr.offset_in_block(self.config.block().words());
+        if self.config.is_sub_block() {
+            set_words(self.frames.valid_words_mut(f), offset, words);
+        }
+        if through {
+            self.stats.word_writes_downstream += words as u64;
+        } else {
+            set_words(self.frames.dirty_words_mut(f), offset, words);
+        }
+    }
+
     /// Probes the victim buffer for `addr`'s block. On a hit the entry
     /// swaps places with a resident block of the set (which drops into
-    /// the buffer — room is guaranteed by the removal) and the method
-    /// returns `true`; the caller then treats the access as a hit.
+    /// the buffer) and the method returns `true`; the caller then treats
+    /// the access as a hit.
     fn victim_swap(&mut self, addr: WordAddr, pid: Pid) -> bool {
-        let block_words = self.config.block().words();
+        let block = addr.block(self.config.block().words());
         let virtual_tags = self.config.virtual_tags();
-        let block = addr.block(block_words);
-        let pos = match &self.victim {
-            Some(buf) => buf
-                .entries
-                .iter()
-                .position(|e| e.block == block && (!virtual_tags || e.owner == pid)),
-            None => return false,
-        };
-        let Some(pos) = pos else {
+        let Some(pos) = self
+            .victim
+            .as_ref()
+            .and_then(|buf| buf.position(block, pid, virtual_tags))
+        else {
             return false;
         };
-        let entry = self
-            .victim
-            .as_mut()
-            .expect("probed above")
-            .entries
-            .remove(pos)
-            .expect("position is in range");
 
         let set = self.map.set_index(addr);
         let tag = self.map.tag(addr);
-        let ways = self.config.assoc().ways();
-        let base = (set * ways as u64) as usize;
-        let way = match self.frames[base..base + ways as usize]
-            .iter()
-            .position(|f| !f.valid)
-        {
-            Some(w) => w as u32,
-            None => self.replacer.victim(set),
-        };
-
-        let displaced = self.frames[base + way as usize];
+        let way = self.way_for_fill(set);
+        let f = self.frame(set, way);
+        let displaced = self.frames.line(f);
+        let buf = self.victim.as_mut().expect("probed above");
+        let owner = buf.entries[pos].1;
         if displaced.valid {
             self.stats.evictions += 1;
+            // Parking the displaced block at the young end leaves `pos`
+            // in place, and once the entry is taken the buffer holds what
+            // taking it first and parking second would have left.
             let displaced_block = self.map.reconstruct(set, displaced.tag);
-            let buf = self.victim.as_mut().expect("probed above");
-            buf.entries.push_back(VictimEntry {
-                block: displaced_block,
-                owner: displaced.owner,
-                dirty_words: displaced.dirty_words,
-            });
+            buf.push(displaced_block, displaced.owner, self.frames.dirty_words(f));
         }
-
-        let frame = self.frame_mut(set, way);
-        *frame = BlockState::INVALID;
-        frame.valid = true;
-        frame.tag = tag;
-        frame.owner = entry.owner;
-        frame.valid_words.set_range(0, block_words);
-        frame.dirty_words = entry.dirty_words;
+        self.frames.install(f, tag, owner);
+        buf.take(pos, self.frames.dirty_words_mut(f));
         self.stats.victim_hits += 1;
         self.touch(set, way, tag);
         true
@@ -561,11 +538,9 @@ impl Cache {
     fn find(&self, addr: WordAddr, pid: Pid) -> Option<u32> {
         let way = self.find_tag(addr, pid)?;
         if self.config.is_sub_block() {
-            let set = self.map.set_index(addr);
-            let ways = self.config.assoc().ways() as u64;
-            let frame = &self.frames[(set * ways + way as u64) as usize];
+            let f = self.frame(self.map.set_index(addr), way);
             let offset = addr.offset_in_block(self.config.block().words());
-            if !frame.valid_words.get(offset) {
+            if !has_word(self.frames.valid_words(f), offset) {
                 return None;
             }
         }
@@ -578,12 +553,12 @@ impl Cache {
     fn find_tag(&self, addr: WordAddr, pid: Pid) -> Option<u32> {
         let set = self.map.set_index(addr);
         let tag = self.map.tag(addr);
-        let ways = self.config.assoc().ways();
-        let base = (set * ways as u64) as usize;
+        let ways = self.config.assoc().ways() as usize;
         let virtual_tags = self.config.virtual_tags();
-        self.frames[base..base + ways as usize]
+        self.frames
+            .lines(self.frame(set, 0), ways)
             .iter()
-            .position(|f| f.valid && f.tag == tag && (!virtual_tags || f.owner == pid))
+            .position(|l| l.valid && l.tag == tag && (!virtual_tags || l.owner == pid))
             .map(|w| w as u32)
     }
 
@@ -595,65 +570,41 @@ impl Cache {
         let fetch_words = self.config.fetch().words();
         let set = self.map.set_index(addr);
         let tag = self.map.tag(addr);
-        let ways = self.config.assoc().ways();
         let offset = addr.offset_in_block(block_words);
         let fetch_start = offset & !(fetch_words - 1);
-        let map = self.map;
+        self.stats.fills += 1;
+        self.stats.fill_words += fetch_words as u64;
 
         // Sub-block partial fill: the tag already matches, only words arrive.
         if let Some(way) = self.find_tag(addr, pid) {
-            self.stats.fills += 1;
-            self.stats.fill_words += fetch_words as u64;
-            let frame = self.frame_mut(set, way);
-            frame.valid_words.set_range(fetch_start, fetch_words);
+            let f = self.frame(set, way);
+            set_words(self.frames.valid_words_mut(f), fetch_start, fetch_words);
             self.touch(set, way, tag);
             return (fetch_words, None);
         }
 
-        // Pick a frame: an invalid one if available, otherwise a victim.
-        let base = (set * ways as u64) as usize;
-        let way = match self.frames[base..base + ways as usize]
-            .iter()
-            .position(|f| !f.valid)
-        {
-            Some(w) => w as u32,
-            None => self.replacer.victim(set),
-        };
-
+        let way = self.way_for_fill(set);
+        let f = self.frame(set, way);
         let mut eviction = None;
-        let displaced = self.frames[base + way as usize];
+        let displaced = self.frames.line(f);
         if displaced.valid {
             self.stats.evictions += 1;
-            if self.victim.is_some() {
+            let displaced_block = self.map.reconstruct(set, displaced.tag);
+            let written_back = match &mut self.victim {
                 // With a victim buffer, every displaced block (clean or
                 // dirty) parks there; the write-back, if any, happens
                 // only when a dirty block ages out of the buffer.
-                let displaced_block = map.reconstruct(set, displaced.tag);
-                let buf = self.victim.as_mut().expect("checked above");
-                buf.entries.push_back(VictimEntry {
-                    block: displaced_block,
-                    owner: displaced.owner,
-                    dirty_words: displaced.dirty_words,
-                });
-                if buf.entries.len() > buf.cap {
-                    let aged = buf.entries.pop_front().expect("over capacity");
-                    if !aged.dirty_words.is_empty() {
-                        let ev = Eviction {
-                            addr: aged.block,
-                            words: block_words,
-                            dirty_words: aged.dirty_words.count(),
-                        };
-                        self.stats.dirty_evictions += 1;
-                        self.stats.write_back_words += ev.words as u64;
-                        self.stats.dirty_words_written_back += ev.dirty_words as u64;
-                        eviction = Some(ev);
-                    }
+                Some(buf) => {
+                    buf.push(displaced_block, displaced.owner, self.frames.dirty_words(f));
+                    (buf.entries.len() > buf.cap).then(|| buf.pop_oldest())
                 }
-            } else if displaced.is_dirty() {
+                None => Some((displaced_block, count_words(self.frames.dirty_words(f)))),
+            };
+            if let Some((addr, dirty_words @ 1..)) = written_back {
                 let ev = Eviction {
-                    addr: map.reconstruct(set, displaced.tag),
+                    addr,
                     words: block_words,
-                    dirty_words: displaced.dirty_words.count(),
+                    dirty_words,
                 };
                 self.stats.dirty_evictions += 1;
                 self.stats.write_back_words += ev.words as u64;
@@ -662,14 +613,10 @@ impl Cache {
             }
         }
 
-        self.stats.fills += 1;
-        self.stats.fill_words += fetch_words as u64;
-        let frame = self.frame_mut(set, way);
-        *frame = BlockState::INVALID;
-        frame.valid = true;
-        frame.tag = tag;
-        frame.owner = pid;
-        frame.valid_words.set_range(fetch_start, fetch_words);
+        self.frames.install(f, tag, pid);
+        if self.config.is_sub_block() {
+            set_words(self.frames.valid_words_mut(f), fetch_start, fetch_words);
+        }
         self.touch(set, way, tag);
         (fetch_words, eviction)
     }
@@ -854,6 +801,31 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(c.read(WordAddr::new(7), Pid(0)).is_hit());
+    }
+
+    #[test]
+    fn sub_block_valid_and_dirty_words_stay_apart() {
+        let config = CacheConfig::builder(CacheSize::from_bytes(128).unwrap())
+            .block(BlockWords::new(8).unwrap())
+            .fetch(BlockWords::new(4).unwrap())
+            .build()
+            .unwrap();
+        let mut c = Cache::new(config);
+        // Words 0..4 arrive; a store to an absent word of the resident
+        // block validates it.
+        c.read(WordAddr::new(0), Pid(0));
+        assert_eq!(
+            c.write(WordAddr::new(5), Pid(0)),
+            WriteOutcome::Hit { through: false }
+        );
+        assert!(c.probe(WordAddr::new(5), Pid(0)));
+        assert!(!c.probe(WordAddr::new(6), Pid(0)));
+        // Filling the neighbouring frame leaves this one's words alone.
+        c.read(WordAddr::new(8), Pid(0));
+        let evs = c.flush_dirty();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].dirty_words, 1, "only the stored word is dirty");
+        assert!(c.probe(WordAddr::new(1), Pid(0)), "flush keeps words valid");
     }
 
     #[test]
@@ -1073,6 +1045,64 @@ mod tests {
             ReadOutcome::Miss { .. } => {}
             other => panic!("buffer must be empty after invalidate, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn victim_swap_round_trips_dirty_words_across_limbs() {
+        // 128-word blocks (two limbs per mask), direct-mapped, two sets.
+        let config = CacheConfig::builder(CacheSize::from_kib(1).unwrap())
+            .block(BlockWords::new(128).unwrap())
+            .victim_cache(crate::features::VictimCacheConfig::new(4).unwrap())
+            .build()
+            .unwrap();
+        let mut c = Cache::new(config);
+        let block = |n: u64, w: u64| WordAddr::new(n * 128 + w);
+        // Blocks 0, 2 and 4 share set 0; block 1 sits in set 1.
+        c.read(block(0, 0), Pid(0));
+        for w in [63, 64, 127] {
+            c.write(block(0, w), Pid(0));
+        }
+        c.read(block(2, 0), Pid(0)); // block 0 parks, 3 dirty words
+        for w in [0, 65] {
+            c.write(block(2, w), Pid(0));
+        }
+        // Filling the neighbouring frame must leave set 0's words alone.
+        c.read(block(1, 0), Pid(0));
+        c.write(block(1, 64), Pid(0));
+        // Block 2 parks behind block 0; taking the buffer's second entry
+        // back parks clean block 4 in its place.
+        c.read(block(4, 0), Pid(0));
+        assert_eq!(c.read(block(2, 1), Pid(0)), ReadOutcome::VictimHit);
+        let evs: Vec<_> = c
+            .flush_dirty()
+            .iter()
+            .map(|e| (e.addr, e.dirty_words))
+            .collect();
+        let addr = |n: u64| block(n, 0).block(128);
+        assert_eq!(evs, [(addr(2), 2), (addr(1), 1), (addr(0), 3)]);
+        assert!(c.flush_dirty().is_empty());
+    }
+
+    #[test]
+    fn frame_state_is_compact_and_sized_to_the_block() {
+        // 2 MiB direct-mapped, 4-word blocks: 131,072 frames. The parent
+        // layout kept 80 bytes per frame, both masks inline at full width.
+        let config = CacheConfig::builder(CacheSize::from_kib(2048).unwrap())
+            .build()
+            .unwrap();
+        let c = Cache::new(config);
+        let frames = config.sets() as usize;
+        assert_eq!(frames, 131_072);
+        assert_eq!(c.frames.limbs(), 1);
+        let bytes = c.frames.heap_bytes();
+        assert!(bytes <= 32 * frames, "{bytes} bytes");
+
+        let config = CacheConfig::builder(CacheSize::from_kib(64).unwrap())
+            .block(BlockWords::new(crate::MAX_BLOCK_WORDS).unwrap())
+            .build()
+            .unwrap();
+        let c = Cache::new(config);
+        assert_eq!(c.frames.limbs(), 4, "one limb per 64 words");
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod replacement;
 mod stats;
 
 pub use crate::cache::{Cache, Eviction, ReadOutcome, WriteOutcome};
-pub use block::{DirtyMask, MAX_BLOCK_WORDS};
+pub use block::MAX_BLOCK_WORDS;
 pub use config::{CacheConfig, CacheConfigBuilder, WriteAllocate, WritePolicy};
 pub use features::{OrgFeatures, VictimCacheConfig, WayPrediction, MAX_VICTIM_ENTRIES};
 pub use mapping::AddressMap;

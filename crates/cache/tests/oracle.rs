@@ -123,14 +123,24 @@ struct Scenario {
 
 fn gen_scenario(rng: &mut SplitMix64) -> Scenario {
     let n = rng.gen_range(1usize..500);
+    // Blocks of 1..256 words cover every dirty-mask limb count (1..4) and
+    // the 64-word limb boundaries between them.
+    let block_log = rng.gen_range(0u32..9);
+    // 1..4 ways, and 1..32 sets of 4-byte words: every geometry is valid.
+    let ways_log = rng.gen_range(0u32..3);
+    let size_log = block_log + 2 + ways_log + rng.gen_range(0u32..6);
+    // At least 16 distinct blocks, so large blocks still conflict, and
+    // few enough that a resident large block takes stores on both sides
+    // of a limb boundary.
+    let words = (16u64 << block_log).max(512);
     Scenario {
-        size_log: rng.gen_range(6u32..11),  // 64B..1KB
-        block_log: rng.gen_range(0u32..4),  // 1..8 words
-        ways_log: rng.gen_range(0u32..3),   // 1..4 ways
+        size_log,
+        block_log,
+        ways_log,
         accesses: (0..n)
             .map(|_| {
                 (
-                    rng.gen_range(0u64..512),
+                    rng.gen_range(0u64..words),
                     rng.gen_bool(0.5),
                     rng.gen_range(0u16..3),
                 )
@@ -173,9 +183,9 @@ fn check_against_reference(s: &Scenario) -> Result<(), String> {
         let size = 1u64 << size_log;
         let block_words = 1u32 << block_log;
         let ways = 1u32 << ways_log;
-        let Some(config) = lru_config(size, block_words, ways) else {
-            return Ok(()); // cache smaller than one set: skip
-        };
+        let config = lru_config(size, block_words, ways).ok_or_else(|| {
+            format!("invalid geometry: {size} B, {block_words} words, {ways} ways")
+        })?;
         let mut cache = Cache::new(config);
         let mut oracle = RefCache::new(
             config.sets(),

@@ -48,6 +48,8 @@ pub struct Simulator {
     couplets: u64,
     stall_cycles: u64,
     latency: crate::result::CoupletHistogram,
+    /// Whether a run has used this machine since it was built.
+    spent: bool,
 }
 
 impl Simulator {
@@ -64,6 +66,7 @@ impl Simulator {
             couplets: 0,
             stall_cycles: 0,
             latency: crate::result::CoupletHistogram::default(),
+            spent: false,
         }
     }
 
@@ -74,7 +77,8 @@ impl Simulator {
 
     /// Runs the trace from power-on and returns warm-window statistics.
     ///
-    /// The machine is reset first, so repeated `run` calls are independent.
+    /// A machine that has already run is rebuilt first, so repeated `run`
+    /// calls are independent; a fresh one is used as built.
     pub fn run(&mut self, trace: &Trace) -> SimResult {
         self.run_refs(trace.refs().iter().copied(), trace.warm_start())
     }
@@ -89,7 +93,10 @@ impl Simulator {
     ) -> SimResult {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_simulate");
-        *self = Simulator::new(&self.config);
+        if self.spent {
+            *self = Simulator::new(&self.config);
+        }
+        self.spent = true;
         let split = self.config.is_split();
         let mut refs = refs.into_iter().peekable();
 

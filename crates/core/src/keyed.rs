@@ -131,8 +131,7 @@ pub fn upload_trace_key(org: &OrgConfig, digest: u64) -> u64 {
 /// [`upload_digest`]; the caller already holds it from ingestion, so it
 /// is taken rather than recomputed (a linear pass over the refs).
 pub fn record_upload(org: &OrgConfig, digest: u64, trace: &Trace) -> (u64, EventTrace) {
-    let events = BehavioralSim::new(org).record(trace);
-    (upload_trace_key(org, digest), events)
+    (upload_trace_key(org, digest), record_to_keep(org, trace))
 }
 
 /// Generates `workload`'s trace and records its behavioral events under
@@ -143,8 +142,15 @@ pub fn record_upload(org: &OrgConfig, digest: u64, trace: &Trace) -> (u64, Event
 /// compute [`trace_key`] first and only fall back to this on a miss.
 pub fn record(org: &OrgConfig, workload: &WorkloadSpec) -> (u64, EventTrace) {
     let trace = workload.generate();
-    let events = BehavioralSim::new(org).record(&trace);
-    (trace_key(org, workload), events)
+    (trace_key(org, workload), record_to_keep(org, &trace))
+}
+
+/// Records `trace` for a store to keep: trimmed to its ops, so a byte
+/// budget charged with [`EventTrace::approx_bytes`] pays for no slack.
+fn record_to_keep(org: &OrgConfig, trace: &Trace) -> EventTrace {
+    let mut events = BehavioralSim::new(org).record(trace);
+    events.shrink_to_fit();
+    events
 }
 
 /// Reprices a recorded trace under each timing half, reusing the trace's
@@ -300,6 +306,17 @@ mod tests {
         assert_eq!(key, upload_trace_key(&config.organization(), digest));
         let results = replay_timings(&events, &[config.timing()]).unwrap();
         assert_eq!(results[0], crate::Simulator::new(&config).run(&trace));
+    }
+
+    #[test]
+    fn kept_recordings_hold_no_spare_capacity() {
+        let config = SystemConfig::paper_default().unwrap();
+        let (_, events) = record(&config.organization(), &catalog::savec(0.01));
+        assert!(!events.ops().is_empty());
+        assert_eq!(
+            events.approx_bytes(),
+            std::mem::size_of::<EventTrace>() + std::mem::size_of_val(events.ops())
+        );
     }
 
     #[test]

@@ -132,6 +132,14 @@ impl EventTrace {
         self.mmu.as_ref()
     }
 
+    /// Drops the op vector's spare capacity, so
+    /// [`approx_bytes`](Self::approx_bytes) is the header plus exactly the
+    /// recorded ops. Meant for a recording a store keeps: for one priced
+    /// and dropped at once, the reallocation costs more than the slack.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+    }
+
     /// Reassembles a trace from its decoded parts ([`crate::codec`] only).
     ///
     /// Callers must provide parts that came out of `encode`; the codec's
@@ -169,6 +177,8 @@ pub struct BehavioralSim {
     l1i: Cache,
     l1d: Cache,
     mmu: Option<Mmu>,
+    /// Whether a recording has used this machine since it was built.
+    spent: bool,
 }
 
 impl BehavioralSim {
@@ -179,13 +189,14 @@ impl BehavioralSim {
             l1i: Cache::new(*org.l1i()),
             l1d: Cache::new(*org.l1d()),
             mmu: org.translation().map(|t| Mmu::new(*t)),
+            spent: false,
         }
     }
 
     /// Records the behavioral events of `trace` from power-on state.
     ///
-    /// The machine is reset first, so repeated `record` calls are
-    /// independent.
+    /// A machine that has already recorded is rebuilt first, so repeated
+    /// `record` calls are independent; a fresh one is used as built.
     pub fn record(&mut self, trace: &Trace) -> EventTrace {
         self.record_refs(trace.refs().iter().copied(), trace.warm_start())
     }
@@ -200,12 +211,17 @@ impl BehavioralSim {
     ) -> EventTrace {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_record");
-        *self = BehavioralSim::new(&self.org);
+        if self.spent {
+            *self = BehavioralSim::new(&self.org);
+        }
+        self.spent = true;
         let split = self.org.is_split();
         let mut refs = refs.into_iter().peekable();
-        // Hit runs collapse most couplets, so ops land well under one per
-        // four references on realistic traces; start there to keep the
-        // push path off the reallocation slow path.
+        // Hit runs collapse most couplets, so ops land near one per three
+        // references (0.34-0.37 for the catalog traces on the speed-size
+        // grid). Starting at one per four, the vector grows about once;
+        // a recording a store keeps has its slack trimmed by
+        // `keyed::record`.
         let mut ops: Vec<EventOp> = Vec::with_capacity(refs.size_hint().0 / 4);
 
         let mut i = 0usize;
@@ -1182,6 +1198,21 @@ mod tests {
         // 40 and 44 ns: one machine, two clocks.
         assert_eq!(batched[5].cycles, batched[6].cycles);
         assert_ne!(batched[5].exec_time(), batched[6].exec_time());
+    }
+
+    #[test]
+    fn behavioral_machine_reuse_matches_fresh_instance() {
+        let config = SystemConfig::paper_default().unwrap();
+        let first = cachetime_trace::catalog::savec(0.01).generate();
+        let second = cachetime_trace::catalog::mu3(0.01).generate();
+        let mut sim = BehavioralSim::new(&config.organization());
+        sim.record(&first);
+        let reused = sim.record(&second);
+        assert_eq!(
+            reused,
+            BehavioralSim::new(&config.organization()).record(&second)
+        );
+        assert_eq!(sim.record(&second), reused, "a third call starts cold too");
     }
 
     #[test]

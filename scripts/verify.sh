@@ -10,7 +10,10 @@
 # 4. Two-phase equivalence cross-check: direct simulation vs the
 #    record/replay pipeline must be bit-identical per grid cell, also when
 #    one batched replay groups timing points into classes and when its
-#    lanes mix the clean-miss kernel with the general path.
+#    lanes mix the clean-miss kernel with the general path. The cache
+#    oracle (`cachetime-cache --test oracle`) runs beside it in release:
+#    the frame store against a naive model for blocks of 1-256 words,
+#    across every dirty-mask limb boundary.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -74,6 +77,7 @@ cargo build --offline --workspace
 echo "==> two-phase equivalence cross-check (direct vs record/replay)"
 cargo test --release -q -p cachetime --test two_phase --test two_phase_prop \
   --test replay_classes_prop --test replay_lanes_prop
+cargo test --release -q -p cachetime-cache --test oracle
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
 cargo run --release -q -p cachetime-bench -- sweep "${BENCH_SCALE:-0.05}"
