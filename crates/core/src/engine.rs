@@ -1,4 +1,4 @@
-//! The trace-driven timing engine (the *direct*, single-pass path).
+//! The trace-driven timing engine: one run of one machine over a trace.
 //!
 //! The engine advances a cycle clock per CPU *couplet* (a paired
 //! instruction + data reference; "these couplets are issued at the same
@@ -8,27 +8,19 @@
 //! max/add operations — the property that lets full paper-scale sweeps run
 //! on one core.
 //!
-//! Everything below the first level lives in the shared
-//! [`Downstream`](crate::hierarchy::Downstream) hierarchy, which the
-//! two-phase path ([`crate::replay`]) drives with the exact same calls —
-//! that is what makes repriced grids bit-identical to direct simulation.
-//! This direct path remains the reference implementation (and the oracle
-//! the equivalence tests check the two-phase pipeline against).
+//! A run is the two-phase pipeline ([`crate::replay`]) fused into one
+//! stream: the behavioral walk of [`BehavioralSim`] forms and classifies
+//! each couplet, and each op it emits goes straight into a one-lane
+//! replay bank instead of a stored [`EventTrace`](crate::EventTrace). So
+//! there is one pricing engine, and a repriced recording is bit-identical
+//! to a direct run by construction. The independent check of that engine
+//! is the naive timing oracle in `tests/reference_engine.rs`.
 
-use crate::hierarchy::Downstream;
+use crate::replay::{BehavioralSim, LaneBank};
 use crate::result::SimResult;
-use crate::system::{FillPolicy, SystemConfig};
-use cachetime_cache::{Cache, ReadOutcome, WriteOutcome};
-use cachetime_mmu::Mmu;
+use crate::system::SystemConfig;
 use cachetime_trace::Trace;
-use cachetime_types::{Cycles, MemRef, WordAddr};
-
-/// Which first-level cache a reference targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Instruction,
-    Data,
-}
+use cachetime_types::MemRef;
 
 /// The simulator: a configured machine that can be run over traces.
 ///
@@ -38,18 +30,9 @@ enum Side {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SystemConfig,
-    l1i: Cache,
-    l1d: Cache,
-    down: Downstream,
-    /// Main memory's busy-until cycle (see [`Downstream`]).
-    mem_free_at: u64,
-    mmu: Option<Mmu>,
-    now: u64,
-    couplets: u64,
-    stall_cycles: u64,
-    latency: crate::result::CoupletHistogram,
-    /// Whether a run has used this machine since it was built.
-    spent: bool,
+    /// The first-level caches and MMU; the timing half lives in the
+    /// replay bank each run builds.
+    machine: BehavioralSim,
 }
 
 impl Simulator {
@@ -57,16 +40,7 @@ impl Simulator {
     pub fn new(config: &SystemConfig) -> Self {
         Simulator {
             config: *config,
-            l1i: Cache::new(*config.l1i()),
-            l1d: Cache::new(*config.l1d()),
-            down: Downstream::new(&config.cycle_timing()),
-            mem_free_at: 0,
-            mmu: config.translation().map(|t| Mmu::new(*t)),
-            now: 0,
-            couplets: 0,
-            stall_cycles: 0,
-            latency: crate::result::CoupletHistogram::default(),
-            spent: false,
+            machine: BehavioralSim::new(&config.organization()),
         }
     }
 
@@ -93,259 +67,13 @@ impl Simulator {
     ) -> SimResult {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_simulate");
-        if self.spent {
-            *self = Simulator::new(&self.config);
-        }
-        self.spent = true;
-        let split = self.config.is_split();
-        let mut refs = refs.into_iter().peekable();
-
-        let mut i = 0usize;
-        let mut warm_cycle = 0u64;
-        let mut warm_couplets = 0u64;
-        let mut warmed = warm_start == 0;
-        while let Some(a) = refs.next() {
-            if !warmed && i >= warm_start {
-                warmed = true;
-                warm_cycle = self.now;
-                warm_couplets = self.couplets;
-                self.reset_stats();
-            }
-            // Pair an ifetch with the immediately following data reference
-            // of the same process — "instruction and data references in
-            // the trace paired up without reordering any of the
-            // references".
-            let pairable = split
-                && a.kind == cachetime_types::AccessKind::IFetch
-                && refs
-                    .peek()
-                    .is_some_and(|d| d.kind.is_data() && d.pid == a.pid);
-            if pairable {
-                let d = refs.next().expect("peeked");
-                self.step_couplet(Some(a), Some(d));
-                i += 2;
-            } else if a.kind.is_data() {
-                self.step_couplet(None, Some(a));
-                i += 1;
-            } else {
-                self.step_couplet(Some(a), None);
-                i += 1;
-            }
-        }
-
-        span.set_work(i as u64);
-        global_counter!("cachetime_simulate_refs_total").add(i as u64);
-        SimResult {
-            cycle_time: self.config.cycle_time(),
-            cycles: Cycles(self.now - warm_cycle),
-            refs: (i - warm_start.min(i)) as u64,
-            couplets: self.couplets - warm_couplets,
-            l1i: *self.l1i.stats(),
-            l1d: *self.l1d.stats(),
-            l2: self.down.l2_stats(),
-            l3: self.down.l3_stats(),
-            mem: *self.down.mem_stats(),
-            mmu: self.mmu.as_ref().map(|m| *m.stats()),
-            latency: self.latency,
-            stall_cycles: Cycles(self.stall_cycles),
-        }
+        let timing = self.config.cycle_timing();
+        let mut bank = LaneBank::new(std::slice::from_ref(&timing));
+        let (walked, behavior) = self.machine.walk(refs, warm_start, |op| bank.apply(&op));
+        span.set_work(walked);
+        global_counter!("cachetime_simulate_refs_total").add(walked);
+        bank.result(0, &behavior, self.config.cycle_time())
     }
-
-    fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        self.down.reset_stats();
-        if let Some(mmu) = &mut self.mmu {
-            mmu.reset_stats();
-        }
-        self.latency = crate::result::CoupletHistogram::default();
-        self.stall_cycles = 0;
-    }
-
-    /// Runs a reference through the MMU if the hierarchy is physically
-    /// addressed: returns the (possibly translated) address and the cycles
-    /// the translation added (a TLB miss costs the walk penalty).
-    fn translate(&mut self, r: MemRef) -> (MemRef, u64) {
-        match &mut self.mmu {
-            None => (r, 0),
-            Some(mmu) => {
-                let (phys, hit) = mmu.translate(r.addr, r.pid);
-                let penalty = if hit { 0 } else { mmu.miss_penalty() };
-                (MemRef::new(phys, r.kind, r.pid), penalty)
-            }
-        }
-    }
-
-    /// Issues one couplet at the current cycle; both halves must complete
-    /// before the clock advances.
-    fn step_couplet(&mut self, iref: Option<MemRef>, dref: Option<MemRef>) {
-        let now = self.now;
-        let mut done = now;
-        // The couplet's cost on an ideal (always-hitting, walk-free)
-        // machine, for the stall-cycle decomposition.
-        let mut ideal = 0u64;
-        if let Some(r) = iref {
-            let (r, walk) = self.translate(r);
-            let side = if self.config.is_split() {
-                Side::Instruction
-            } else {
-                Side::Data
-            };
-            ideal = ideal.max(self.config.read_hit_cycles());
-            done = done.max(self.do_read(side, r, now + walk));
-        }
-        if let Some(r) = dref {
-            // A single-issue CPU starts the data reference only after the
-            // instruction fetch completes.
-            let issue = if self.config.dual_issue() { now } else { done };
-            let (r, walk) = self.translate(r);
-            let (c, this_ideal) = if r.kind == cachetime_types::AccessKind::Store {
-                (
-                    self.do_write(r, issue + walk),
-                    self.config.write_hit_cycles(),
-                )
-            } else {
-                (
-                    self.do_read(Side::Data, r, issue + walk),
-                    self.config.read_hit_cycles(),
-                )
-            };
-            ideal = if self.config.dual_issue() {
-                ideal.max(this_ideal)
-            } else {
-                ideal + this_ideal
-            };
-            done = done.max(c);
-        }
-        debug_assert!(done > now, "a couplet must consume at least one cycle");
-        self.latency.record(done - now);
-        self.stall_cycles += (done - now).saturating_sub(ideal);
-        self.now = done;
-        self.couplets += 1;
-    }
-
-    /// A load or instruction fetch; returns its completion cycle.
-    fn do_read(&mut self, side: Side, r: MemRef, now: u64) -> u64 {
-        let (outcome, block_words, fetch_words) = {
-            let cache = match side {
-                Side::Instruction => &mut self.l1i,
-                Side::Data => &mut self.l1d,
-            };
-            (
-                cache.read(r.addr, r.pid),
-                cache.config().block().words(),
-                cache.config().fetch().words(),
-            )
-        };
-        match outcome {
-            ReadOutcome::Hit => now + self.config.read_hit_cycles(),
-            ReadOutcome::SlowHit => {
-                // A second probe round finds the block in another way.
-                now + self.config.read_hit_cycles() + self.config.way_slow_hit_cycles()
-            }
-            ReadOutcome::VictimHit => {
-                // The block swaps back from the victim buffer; nothing
-                // goes downstream.
-                now + self.config.read_hit_cycles() + self.config.victim_swap_cycles()
-            }
-            ReadOutcome::Miss { fill_words, victim } => {
-                let fetch_start = WordAddr::new(r.addr.value() & !(fetch_words as u64 - 1));
-                let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
-                // The miss is detected during the probe cycle; the fill
-                // request goes downstream the cycle after.
-                let grant = self.down.fill_l1(
-                    &mut self.mem_free_at,
-                    now + 1,
-                    r.pid,
-                    fetch_start,
-                    fill_words,
-                    victim,
-                );
-                let completion = match self.config.fill_policy() {
-                    FillPolicy::WaitWholeBlock => grant.done,
-                    FillPolicy::EarlyContinuation => {
-                        // Resume when the requested word arrives; the
-                        // fetch still starts at the region's first word.
-                        let offset = (r.addr.value() - fetch_start.value()) as u32;
-                        grant.ready + self.down.upstream_transfer_cycles(offset + 1)
-                    }
-                    FillPolicy::LoadForward => {
-                        // Wrap-around fill: the requested word comes first.
-                        grant.ready + self.down.upstream_transfer_cycles(1)
-                    }
-                };
-                completion.clamp(now + 1, grant.done)
-            }
-        }
-    }
-
-    /// A store; returns its completion cycle.
-    fn do_write(&mut self, r: MemRef, now: u64) -> u64 {
-        let whc = self.config.write_hit_cycles();
-        let (outcome, block_words) = (
-            self.l1d.write(r.addr, r.pid),
-            self.l1d.config().block().words(),
-        );
-        match outcome {
-            WriteOutcome::Hit { through } => {
-                let mut done = now + whc;
-                if through {
-                    let accepted =
-                        self.down
-                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-            WriteOutcome::VictimHit { through } => {
-                // Swap the block back from the victim buffer, then write
-                // into it as a hit.
-                let mut done = now + whc + self.config.victim_swap_cycles();
-                if through {
-                    let accepted =
-                        self.down
-                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-            WriteOutcome::MissNoAllocate => {
-                // The word goes around the cache into the write buffer.
-                let accepted =
-                    self.down
-                        .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
-                (now + whc).max(accepted + 1)
-            }
-            WriteOutcome::MissAllocate {
-                fill_words,
-                victim,
-                through,
-            } => {
-                let fetch_start = WordAddr::new(r.addr.value() & !(fill_words as u64 - 1));
-                let victim = victim.map(|ev| (ev.addr.first_word(block_words), ev.words));
-                let filled = self
-                    .down
-                    .fill_l1(
-                        &mut self.mem_free_at,
-                        now + 1,
-                        r.pid,
-                        fetch_start,
-                        fill_words,
-                        victim,
-                    )
-                    .done;
-                let mut done = filled + 1; // the write itself
-                if through {
-                    let accepted =
-                        self.down
-                            .write_word_down(&mut self.mem_free_at, now + 1, r.pid, r.addr);
-                    done = done.max(accepted + 1);
-                }
-                done
-            }
-        }
-    }
-
 }
 
 #[cfg(test)]
@@ -353,8 +81,7 @@ mod tests {
     use super::*;
     use crate::system::SystemConfig;
     use cachetime_cache::CacheConfig;
-    use cachetime_trace::Trace;
-    use cachetime_types::{CacheSize, Pid};
+    use cachetime_types::{CacheSize, Pid, WordAddr};
 
     fn trace_of(refs: Vec<MemRef>) -> Trace {
         Trace::new("t", refs, 0)
@@ -454,6 +181,87 @@ mod tests {
         // Miss (11) then hit in the same (unified) cache (1).
         assert_eq!(r.cycles.0, 12);
         assert_eq!(r.l1i.reads, 0, "nothing reaches the unused I cache");
+    }
+
+    #[test]
+    fn way_predicted_slow_hit_pays_the_second_probe() {
+        // 64 KB 2-way: each way spans 8192 words, so a and b share a set.
+        let l1 = CacheConfig::builder(CacheSize::from_kib(64).unwrap())
+            .assoc(cachetime_types::Assoc::new(2).unwrap())
+            .replacement(cachetime_cache::ReplacementPolicy::Lru)
+            .way_prediction(cachetime_cache::WayPrediction::Mru)
+            .build()
+            .unwrap();
+        let config = SystemConfig::builder()
+            .l1_both(l1)
+            .way_slow_hit_cycles(3)
+            .build()
+            .unwrap();
+        let a = WordAddr::new(0x100);
+        let b = WordAddr::new(0x100 + 8192);
+        let refs = vec![
+            MemRef::load(a, Pid(1)), // miss: 11
+            MemRef::load(b, Pid(1)), // miss into the other way; MRU is b's
+            MemRef::load(a, Pid(1)), // hit, but not in the predicted way
+        ];
+        let r = Simulator::new(&config).run(&Trace::new("t", refs, 2));
+        // Measured: 1 read-hit cycle + 3 cycles for the second probe round.
+        assert_eq!(r.cycles.0, 4);
+        assert_eq!(r.stall_cycles.0, 3);
+        assert_eq!(r.l1d.way_slow_hits, 1);
+    }
+
+    #[test]
+    fn victim_buffer_hits_pay_the_swap() {
+        // Direct-mapped 64 KB (16K words): a and c conflict, and each
+        // eviction parks the displaced block in the one-entry buffer.
+        let l1 = CacheConfig::builder(CacheSize::from_kib(64).unwrap())
+            .victim_cache(cachetime_cache::VictimCacheConfig::new(1).unwrap())
+            .build()
+            .unwrap();
+        let config = SystemConfig::builder()
+            .l1_both(l1)
+            .victim_swap_cycles(3)
+            .build()
+            .unwrap();
+        let a = WordAddr::new(0x100);
+        let c = WordAddr::new(0x100 + 16384);
+        let refs = vec![
+            MemRef::load(a, Pid(1)),  // miss: 11
+            MemRef::load(c, Pid(1)),  // miss: a moves to the buffer
+            MemRef::load(a, Pid(1)),  // read victim hit: a swaps with c
+            MemRef::store(c, Pid(1)), // write victim hit: c swaps back
+        ];
+        let r = Simulator::new(&config).run(&Trace::new("t", refs, 2));
+        // Measured: the read costs 1 hit + 3 swap = 4 cycles, the store
+        // 2 write + 3 swap = 5; nothing goes to memory.
+        assert_eq!(r.cycles.0, 9);
+        assert_eq!(r.stall_cycles.0, 6);
+        assert_eq!(r.l1d.victim_hits, 2);
+        assert_eq!(r.mem.reads, 0);
+    }
+
+    #[test]
+    fn single_issue_starts_the_data_half_after_the_fetch() {
+        let config = SystemConfig::builder().dual_issue(false).build().unwrap();
+        let i = WordAddr::new(0x1000);
+        let d = WordAddr::new(0x2000);
+        let r = Simulator::new(&config).run(&trace_of(vec![
+            MemRef::load(d, Pid(1)),
+            MemRef::ifetch(i, Pid(1)),
+            MemRef::load(d, Pid(1)),
+            MemRef::ifetch(i, Pid(1)),
+            MemRef::load(d, Pid(1)),
+        ]));
+        assert_eq!(r.couplets, 3);
+        // Load miss: 0..11, memory busy until 14. Couplet two: the fetch
+        // misses, its fill request at 12 waits for recovery, data arrives
+        // 20..24; only then does the load issue and hit, done at 25 (dual
+        // issue would finish at 24). Couplet three: two hits back to back,
+        // 2 cycles. Total 27.
+        assert_eq!(r.cycles.0, 27);
+        // Stall over the ideal 1 + 1 per couplet: 10 + 12 + 0.
+        assert_eq!(r.stall_cycles.0, 22);
     }
 
     #[test]

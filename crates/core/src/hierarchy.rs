@@ -1,13 +1,11 @@
 //! Everything below the first-level caches: mid-level caches with their
 //! write buffers and ports, and main memory.
 //!
-//! This is the *timing* half of the machine, factored out so that the
-//! direct engine ([`Simulator`](crate::Simulator)) and the event-trace
-//! replayer ([`replay`](crate::replay)) drive bit-for-bit the same
-//! accounting. Both present the same inputs — fill requests and downstream
-//! word writes stamped with the current cycle — and both receive the same
-//! busy-until timestamps back, so a repriced run cannot drift from a
-//! direct one.
+//! This is the *timing* half of the machine below the first level. Each
+//! lane of the replay's lane bank owns one: it presents fill requests and
+//! downstream word writes stamped with the lane's current cycle and gets
+//! busy-until timestamps back. A direct run ([`Simulator`](crate::Simulator))
+//! is a one-lane bank, so it drives exactly this accounting too.
 
 use crate::system::{CycleTiming, LevelTwoConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
@@ -47,10 +45,9 @@ impl MidLevel {
 /// The downstream hierarchy: mid-levels from the L1 side down
 /// (`levels[0]` = L2, `levels[1]` = L3), then main memory.
 ///
-/// The memory's busy-until cycle is not stored here: its owner keeps it
-/// (the direct engine in a field, the replay in its lane bank) and passes
-/// it to every call that may reach memory as `mem_free_at`, which is read
-/// and written in place.
+/// The memory's busy-until cycle is not stored here: the lane bank keeps
+/// it beside every lane's clock and passes it to every call that may
+/// reach memory as `mem_free_at`, which is read and written in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Downstream {
     levels: Vec<MidLevel>,

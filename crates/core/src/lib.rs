@@ -67,7 +67,7 @@ pub mod sweep;
 mod system;
 
 pub use engine::Simulator;
-pub use replay::{replay, replay_many, simulate_two_phase, BehavioralSim, EventTrace};
+pub use replay::{replay, replay_many, BehavioralSim, EventTrace};
 pub use result::{CoupletHistogram, SimResult};
 pub use system::{
     CycleTiming, FillPolicy, LevelTwoConfig, OrgConfig, SystemConfig, SystemConfigBuilder,

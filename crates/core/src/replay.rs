@@ -15,10 +15,15 @@
 //!   into counters, so the trace length is proportional to the *miss and
 //!   store-downstream traffic*, not the reference count.
 //! * **Phase B** ([`replay`]): walk the events under a concrete
-//!   [`SystemConfig`], driving the exact same downstream hierarchy
-//!   (write buffers, mid-level caches, main memory) the direct engine
-//!   uses. The result is bit-identical to [`Simulator::run`] — asserted
-//!   in-tree by the equivalence and property tests.
+//!   [`SystemConfig`] through a lane bank, one lane per distinct timing,
+//!   each driving its own downstream hierarchy (write buffers, mid-level
+//!   caches, main memory).
+//!
+//! [`Simulator::run`](crate::Simulator::run) is the same two phases
+//! fused: the Phase A walk hands each op straight to a one-lane bank
+//! instead of storing it, so a repriced recording is bit-identical to a
+//! direct run by construction. The independent check of this one engine
+//! is the naive timing oracle in `tests/reference_engine.rs`.
 //!
 //! ```
 //! use cachetime::{replay, simulate, BehavioralSim, SystemConfig};
@@ -64,6 +69,14 @@ use std::collections::HashMap;
 pub struct EventTrace {
     org: OrgConfig,
     ops: Vec<EventOp>,
+    behavior: Behavior,
+}
+
+/// What a behavioral walk observed that no timing can change: the
+/// reference and couplet counts and the first-level cache and MMU
+/// counters. A replay copies these into every result it prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Behavior {
     /// References in the measured (post-warm-start) window.
     refs: u64,
     /// Total couplets over the whole trace.
@@ -87,22 +100,22 @@ impl EventTrace {
 
     /// References in the measured window.
     pub fn refs(&self) -> u64 {
-        self.refs
+        self.behavior.refs
     }
 
     /// Total couplets over the whole trace (warm-up included).
     pub fn couplets(&self) -> u64 {
-        self.couplets
+        self.behavior.couplets
     }
 
     /// First-level instruction-cache statistics of the measured window.
     pub fn l1i_stats(&self) -> &CacheStats {
-        &self.l1i
+        &self.behavior.l1i
     }
 
     /// First-level data-cache statistics of the measured window.
     pub fn l1d_stats(&self) -> &CacheStats {
-        &self.l1d
+        &self.behavior.l1d
     }
 
     /// Approximate heap-plus-inline size of this trace in bytes.
@@ -119,17 +132,17 @@ impl EventTrace {
     /// couplet (1.0 = nothing collapsed; paper-like hit ratios give a few
     /// percent).
     pub fn ops_per_couplet(&self) -> f64 {
-        if self.couplets == 0 {
+        if self.behavior.couplets == 0 {
             0.0
         } else {
-            self.ops.len() as f64 / self.couplets as f64
+            self.ops.len() as f64 / self.behavior.couplets as f64
         }
     }
 
     /// MMU statistics of the measured window, if the organization has a
     /// translation layer.
     pub fn mmu_stats(&self) -> Option<&MmuStats> {
-        self.mmu.as_ref()
+        self.behavior.mmu.as_ref()
     }
 
     /// Drops the op vector's spare capacity, so
@@ -157,11 +170,13 @@ impl EventTrace {
         EventTrace {
             org,
             ops,
-            refs,
-            couplets,
-            l1i,
-            l1d,
-            mmu,
+            behavior: Behavior {
+                refs,
+                couplets,
+                l1i,
+                l1d,
+                mmu,
+            },
         }
     }
 }
@@ -169,15 +184,17 @@ impl EventTrace {
 /// Phase A: the timing-free behavioral simulator.
 ///
 /// Runs the first-level caches and the (optional) MMU over a trace in
-/// couplet order — the same state machines, touched in the same order, as
-/// the direct engine — and records what happened instead of when.
+/// couplet order and records what happened instead of when. This walk is
+/// the front half of every priced run: [`record`](Self::record) stores its
+/// ops for later repricing, and [`Simulator::run`](crate::Simulator::run)
+/// streams them straight into a one-lane replay.
 #[derive(Debug, Clone)]
 pub struct BehavioralSim {
     org: OrgConfig,
     l1i: Cache,
     l1d: Cache,
     mmu: Option<Mmu>,
-    /// Whether a recording has used this machine since it was built.
+    /// Whether a walk has used this machine since it was built.
     spent: bool,
 }
 
@@ -211,40 +228,70 @@ impl BehavioralSim {
     ) -> EventTrace {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_record");
-        if self.spent {
-            *self = BehavioralSim::new(&self.org);
-        }
-        self.spent = true;
-        let split = self.org.is_split();
-        let mut refs = refs.into_iter().peekable();
+        let refs = refs.into_iter();
         // Hit runs collapse most couplets, so ops land near one per three
         // references (0.34-0.37 for the catalog traces on the speed-size
         // grid). Starting at one per four, the vector grows about once;
         // a recording a store keeps has its slack trimmed by
         // `keyed::record`.
         let mut ops: Vec<EventOp> = Vec::with_capacity(refs.size_hint().0 / 4);
+        let (walked, behavior) = self.walk(refs, warm_start, |op| ops.push(op));
+
+        // Phase accounting: the span's duration histogram plus raw
+        // totals give events/sec without touching the record hot loop
+        // (a few atomic adds per *call*, not per ref).
+        span.set_work(walked);
+        global_counter!("cachetime_record_refs_total").add(walked);
+        global_counter!("cachetime_record_ops_total").add(ops.len() as u64);
+
+        EventTrace {
+            org: self.org,
+            ops,
+            behavior,
+        }
+    }
+
+    /// Walks `refs` from power-on state and hands each op to `emit`, in
+    /// order: the one place couplets are formed, translated and turned
+    /// into events. Returns the references walked and the behavioral
+    /// statistics of the measured window.
+    ///
+    /// A machine that has already walked is rebuilt first.
+    pub(crate) fn walk(
+        &mut self,
+        refs: impl IntoIterator<Item = MemRef>,
+        warm_start: usize,
+        mut emit: impl FnMut(EventOp),
+    ) -> (u64, Behavior) {
+        if self.spent {
+            *self = BehavioralSim::new(&self.org);
+        }
+        self.spent = true;
+        let split = self.org.is_split();
+        let mut refs = refs.into_iter().peekable();
 
         let mut i = 0usize;
         let mut couplets = 0u64;
         let mut warmed = warm_start == 0;
         // The open hit run accumulates in a register-resident array and is
-        // flushed into `ops` only when a non-trivial couplet (or the warm
-        // boundary) ends the stretch — all-hit couplets never touch the
-        // ops vector at all.
+        // emitted only when a non-trivial couplet (or the warm boundary)
+        // ends the stretch — all-hit couplets never reach `emit` alone.
         let mut pending = [0u32; CoupletClass::COUNT];
-        // This loop must mirror `Simulator::run_refs` exactly: same warm
-        // check, same pairing rule, same per-couplet access order.
         while let Some(a) = refs.next() {
             if !warmed && i >= warm_start {
                 warmed = true;
-                Self::flush_hits(&mut ops, &mut pending);
-                ops.push(EventOp::WarmBoundary);
+                flush_hits(&mut emit, &mut pending);
+                emit(EventOp::WarmBoundary);
                 self.l1i.reset_stats();
                 self.l1d.reset_stats();
                 if let Some(mmu) = &mut self.mmu {
                     mmu.reset_stats();
                 }
             }
+            // Pair an ifetch with the immediately following data reference
+            // of the same process — "instruction and data references in
+            // the trace paired up without reordering any of the
+            // references". A unified cache pairs nothing.
             let pairable = split
                 && a.kind == cachetime_types::AccessKind::IFetch
                 && refs
@@ -252,51 +299,34 @@ impl BehavioralSim {
                     .is_some_and(|d| d.kind.is_data() && d.pid == a.pid);
             if pairable {
                 let d = refs.next().expect("peeked");
-                self.record_couplet(&mut ops, &mut pending, Some(a), Some(d));
+                self.couplet(&mut emit, &mut pending, Some(a), Some(d));
                 i += 2;
             } else if a.kind.is_data() {
-                self.record_couplet(&mut ops, &mut pending, None, Some(a));
+                self.couplet(&mut emit, &mut pending, None, Some(a));
                 i += 1;
             } else {
-                self.record_couplet(&mut ops, &mut pending, Some(a), None);
+                self.couplet(&mut emit, &mut pending, Some(a), None);
                 i += 1;
             }
             couplets += 1;
         }
-        Self::flush_hits(&mut ops, &mut pending);
+        flush_hits(&mut emit, &mut pending);
 
-        // Phase accounting: the span's duration histogram plus raw
-        // totals give events/sec without touching the record hot loop
-        // (a few atomic adds per *call*, not per ref).
-        span.set_work(i as u64);
-        global_counter!("cachetime_record_refs_total").add(i as u64);
-        global_counter!("cachetime_record_ops_total").add(ops.len() as u64);
-
-        EventTrace {
-            org: self.org,
-            ops,
+        let behavior = Behavior {
             refs: (i - warm_start.min(i)) as u64,
             couplets,
             l1i: *self.l1i.stats(),
             l1d: *self.l1d.stats(),
             mmu: self.mmu.as_ref().map(|m| *m.stats()),
-        }
+        };
+        (i as u64, behavior)
     }
 
-    /// Closes the open hit run, if any, by appending it to `ops`.
-    #[inline]
-    fn flush_hits(ops: &mut Vec<EventOp>, pending: &mut [u32; CoupletClass::COUNT]) {
-        if pending.iter().any(|&c| c != 0) {
-            ops.push(EventOp::HitRun { counts: *pending });
-            *pending = [0u32; CoupletClass::COUNT];
-        }
-    }
-
-    /// Runs one couplet through the behavioral state machines and appends
-    /// the resulting op (extending the open hit run where possible).
-    fn record_couplet(
+    /// Runs one couplet through the behavioral state machines and emits
+    /// the resulting op (or extends the open hit run).
+    fn couplet(
         &mut self,
-        ops: &mut Vec<EventOp>,
+        emit: &mut impl FnMut(EventOp),
         pending: &mut [u32; CoupletClass::COUNT],
         iref: Option<MemRef>,
         dref: Option<MemRef>,
@@ -334,21 +364,20 @@ impl BehavioralSim {
             Some(class) => {
                 let i = class.index();
                 if pending[i] == u32::MAX {
-                    Self::flush_hits(ops, pending);
+                    flush_hits(emit, pending);
                 }
                 pending[i] += 1;
             }
             None => {
-                Self::flush_hits(ops, pending);
-                ops.push(EventOp::Couplet {
-                    iref: ie,
-                    dref: de,
-                });
+                flush_hits(emit, pending);
+                emit(EventOp::Couplet { iref: ie, dref: de });
             }
         }
     }
 
-    /// MMU front end: identical to the direct engine's.
+    /// Runs a reference through the MMU if the hierarchy is physically
+    /// addressed: returns the (possibly translated) reference and the
+    /// cycles the translation adds (a TLB miss costs the walk penalty).
     fn translate(&mut self, r: MemRef) -> (MemRef, u64) {
         match &mut self.mmu {
             None => (r, 0),
@@ -361,19 +390,17 @@ impl BehavioralSim {
     }
 
     fn read_event(cache: &mut Cache, r: MemRef) -> AccessEvent {
-        let fetch_words = cache.config().fetch().words();
-        let block_words = cache.config().block().words();
         match cache.read(r.addr, r.pid) {
             ReadOutcome::Hit => AccessEvent::ReadHit,
             ReadOutcome::SlowHit => AccessEvent::ReadSlowHit,
             ReadOutcome::VictimHit => AccessEvent::ReadVictimHit,
             ReadOutcome::Miss { fill_words, victim } => AccessEvent::ReadMiss {
                 fetch_start: cachetime_types::WordAddr::new(
-                    r.addr.value() & !(fetch_words as u64 - 1),
+                    r.addr.value() & !(cache.config().fetch().words() as u64 - 1),
                 ),
                 fill_words,
                 victim: victim.map(|ev| VictimBlock {
-                    addr: ev.addr.first_word(block_words),
+                    addr: ev.addr.first_word(cache.config().block().words()),
                     words: ev.words,
                 }),
             },
@@ -381,7 +408,6 @@ impl BehavioralSim {
     }
 
     fn write_event(cache: &mut Cache, r: MemRef) -> AccessEvent {
-        let block_words = cache.config().block().words();
         match cache.write(r.addr, r.pid) {
             WriteOutcome::Hit { through } => AccessEvent::WriteHit { through },
             WriteOutcome::VictimHit { through } => AccessEvent::WriteVictimHit { through },
@@ -396,12 +422,21 @@ impl BehavioralSim {
                 ),
                 fill_words,
                 victim: victim.map(|ev| VictimBlock {
-                    addr: ev.addr.first_word(block_words),
+                    addr: ev.addr.first_word(cache.config().block().words()),
                     words: ev.words,
                 }),
                 through,
             },
         }
+    }
+}
+
+/// Closes the open hit run, if any, by emitting it.
+#[inline]
+fn flush_hits(emit: &mut impl FnMut(EventOp), pending: &mut [u32; CoupletClass::COUNT]) {
+    if pending.iter().any(|&c| c != 0) {
+        emit(EventOp::HitRun { counts: *pending });
+        *pending = [0u32; CoupletClass::COUNT];
     }
 }
 
@@ -487,50 +522,23 @@ pub fn replay_many(
     let mut span = obs.span("core_replay");
     // Work stays one unit per priced (reference, configuration) cell, so
     // the span's per-op time compares across grids with any class count.
-    span.set_work(events.refs * configs.len() as u64);
+    span.set_work(events.refs() * configs.len() as u64);
     let (classes, class_of) = timing_classes(configs);
-    global_counter!("cachetime_replay_refs_total").add(events.refs * configs.len() as u64);
+    global_counter!("cachetime_replay_refs_total").add(events.refs() * configs.len() as u64);
     global_counter!("cachetime_replay_configs_total").add(configs.len() as u64);
     global_counter!("cachetime_replay_classes_total").add(classes.len() as u64);
     let mut bank = LaneBank::new(&classes);
-    let lanes = classes.len() as u64;
-    // (event, lane) pairs priced by the clean-miss kernel; every other
-    // couplet is priced lane by lane on the general path.
-    let mut kernel_ops = 0u64;
-    let mut couplet_ops = 0u64;
     for op in &events.ops {
-        match op {
-            EventOp::HitRun { counts } => bank.hit_run(counts),
-            EventOp::Couplet { iref, dref } => {
-                couplet_ops += 1;
-                bank.couplets += 1;
-                let (i, d) = (iref.as_ref(), dref.as_ref());
-                // Recorded couplets are overwhelmingly a lone, walk-free
-                // read miss; decode that shape once here instead of once
-                // per lane.
-                let lone_miss = match (i, d) {
-                    (Some(e), None) | (None, Some(e)) if e.walk_cycles == 0 => ReadMiss::of(e),
-                    _ => None,
-                };
-                match lone_miss {
-                    Some(miss) => kernel_ops += bank.lone_read_miss(&miss),
-                    None => {
-                        for k in 0..bank.lanes.len() {
-                            bank.step_couplet(k, i, d);
-                        }
-                    }
-                }
-            }
-            EventOp::WarmBoundary => bank.warm_reset(),
-        }
+        bank.apply(op);
     }
-    global_counter!("cachetime_replay_lane_ops_total", "path" => "kernel").add(kernel_ops);
+    let lane_ops = bank.couplets * classes.len() as u64;
+    global_counter!("cachetime_replay_lane_ops_total", "path" => "kernel").add(bank.kernel_ops);
     global_counter!("cachetime_replay_lane_ops_total", "path" => "general")
-        .add(couplet_ops * lanes - kernel_ops);
+        .add(lane_ops - bank.kernel_ops);
     Ok(class_of
         .iter()
         .zip(configs)
-        .map(|(&k, config)| bank.result(k, events, config.cycle_time()))
+        .map(|(&k, config)| bank.result(k, &events.behavior, config.cycle_time()))
         .collect())
 }
 
@@ -550,15 +558,6 @@ fn timing_classes(configs: &[SystemConfig]) -> (Vec<CycleTiming>, Vec<usize>) {
         })
         .collect();
     (classes, class_of)
-}
-
-/// Convenience: Phase A + Phase B in one call. Equivalent to
-/// [`simulate`](crate::simulate) but through the two-phase pipeline; the
-/// payoff comes from calling [`BehavioralSim::record`] once and
-/// [`replay`] many times instead.
-pub fn simulate_two_phase(config: &SystemConfig, trace: &Trace) -> SimResult {
-    let events = BehavioralSim::new(&config.organization()).record(trace);
-    replay(&events, config).expect("organization matches by construction")
 }
 
 /// A recorded read miss, decoded once for every lane it is priced on.
@@ -605,7 +604,12 @@ impl ReadMiss {
 /// runs one lane at a time through the lane's own [`Downstream`], which
 /// reads and writes the lane's clock and memory busy-until cycle here, in
 /// place.
-struct LaneBank {
+///
+/// Ops reach the bank through [`apply`](LaneBank::apply), whether they
+/// come out of a stored [`EventTrace`] or straight from a
+/// [`BehavioralSim`] walk, so a stored and a streamed run are priced by
+/// the same code.
+pub(crate) struct LaneBank {
     /// Each lane's clock.
     now: Vec<u64>,
     /// Each lane's main-memory busy-until cycle.
@@ -630,15 +634,22 @@ struct LaneBank {
     /// priced, and so booked in the memory's stats, since the warm
     /// boundary.
     general_clean: Vec<(u64, u64)>,
-    /// Couplets so far: every lane sees every couplet.
+    /// Recorded couplets so far, and at the warm boundary: every lane
+    /// sees every couplet.
     couplets: u64,
     warm_couplets: u64,
+    /// The (recorded couplet, lane) pairs the clean-miss kernel priced;
+    /// the general path priced the rest.
+    kernel_ops: u64,
+    /// Hit-run couplets per class since the warm boundary: every lane
+    /// sees every one.
+    hit_counts: [u64; CoupletClass::COUNT],
     /// When every lane prices a hit run alike (on every paper grid: hits
     /// cost processor cycles, and only the memory quantization varies),
-    /// the per-class hit costs and their histogram buckets; hit runs then
-    /// land in `hit_latency` once for all lanes.
-    shared_hits: Option<([u64; CoupletClass::COUNT], [usize; CoupletClass::COUNT])>,
-    hit_latency: CoupletHistogram,
+    /// the per-class hit costs: a hit run then costs one add per lane
+    /// clock, and its latencies are booked from `hit_counts` when a
+    /// result is assembled.
+    shared_hits: Option<[u64; CoupletClass::COUNT]>,
     /// The state only the general path touches.
     lanes: Vec<Lane>,
 }
@@ -673,7 +684,8 @@ struct Lane {
 }
 
 impl LaneBank {
-    fn new(classes: &[CycleTiming]) -> Self {
+    /// A cold bank with one lane per timing class.
+    pub(crate) fn new(classes: &[CycleTiming]) -> Self {
         let lanes: Vec<Lane> = classes.iter().map(Lane::new).collect();
         let n = lanes.len();
         let hit_costs = lanes.first().map(|l| l.hit_costs).unwrap_or_default();
@@ -698,21 +710,61 @@ impl LaneBank {
             general_clean: vec![(0, 0); n],
             couplets: 0,
             warm_couplets: 0,
+            kernel_ops: 0,
+            hit_counts: [0; CoupletClass::COUNT],
             shared_hits: lanes
                 .iter()
                 .all(|l| l.hit_costs == hit_costs)
-                .then(|| (hit_costs, hit_costs.map(CoupletHistogram::bucket_of))),
-            hit_latency: CoupletHistogram::default(),
+                .then_some(hit_costs),
             lanes,
         }
     }
 
-    /// Assembles lane `k`'s [`SimResult`] at `cycle_time`, the one field
-    /// the cycle-level machine cannot know.
-    fn result(&self, k: usize, events: &EventTrace, cycle_time: CycleTime) -> SimResult {
+    /// Prices one op on every lane.
+    ///
+    /// Always inlined: in a streamed run the op's kind is then known at
+    /// each place the walk emits one, and no call is left per hit run.
+    /// The rare paths it reaches (`warm_reset`, `hit_run_per_lane`) stay
+    /// out of line to keep it small.
+    #[inline(always)]
+    pub(crate) fn apply(&mut self, op: &EventOp) {
+        match op {
+            EventOp::HitRun { counts } => self.hit_run(counts),
+            EventOp::Couplet { iref, dref } => self.couplet(iref.as_ref(), dref.as_ref()),
+            EventOp::WarmBoundary => self.warm_reset(),
+        }
+    }
+
+    /// Prices one recorded couplet on every lane.
+    #[inline]
+    fn couplet(&mut self, i: Option<&RefEvent>, d: Option<&RefEvent>) {
+        self.couplets += 1;
+        // Recorded couplets are overwhelmingly a lone, walk-free read
+        // miss; decode that shape once here instead of once per lane.
+        let lone_miss = match (i, d) {
+            (Some(e), None) | (None, Some(e)) if e.walk_cycles == 0 => ReadMiss::of(e),
+            _ => None,
+        };
+        match lone_miss {
+            Some(miss) => self.kernel_ops += self.lone_read_miss(&miss),
+            None => {
+                for k in 0..self.lanes.len() {
+                    self.step_couplet(k, i, d);
+                }
+            }
+        }
+    }
+
+    /// Assembles lane `k`'s [`SimResult`] from the walk's `behavior` at
+    /// `cycle_time`, the one field the cycle-level machine cannot know.
+    pub(crate) fn result(&self, k: usize, behavior: &Behavior, cycle_time: CycleTime) -> SimResult {
         let lane = &self.lanes[k];
         let mut latency = self.latency[k];
-        latency += self.hit_latency;
+        if let Some(costs) = &self.shared_hits {
+            for (&cost, &n) in costs.iter().zip(&self.hit_counts) {
+                latency.record_n(cost, n);
+            }
+        }
         let mut mem = *lane.down.mem_stats();
         let (general_reads, general_words) = self.general_clean[k];
         mem.reads += self.clean_reads - general_reads;
@@ -720,24 +772,25 @@ impl LaneBank {
         SimResult {
             cycle_time,
             cycles: Cycles(self.now[k] - lane.warm_cycle),
-            refs: events.refs,
-            couplets: self.couplets - self.warm_couplets,
-            l1i: events.l1i,
-            l1d: events.l1d,
+            refs: behavior.refs,
+            couplets: self.couplets - self.warm_couplets + self.hit_counts.iter().sum::<u64>(),
+            l1i: behavior.l1i,
+            l1d: behavior.l1d,
             l2: lane.down.l2_stats(),
             l3: lane.down.l3_stats(),
             mem,
-            mmu: events.mmu,
+            mmu: behavior.mmu,
             latency,
             stall_cycles: Cycles(self.stall_cycles[k]),
         }
     }
 
-    /// The warm-start boundary: mirror of the direct engine's
-    /// `reset_stats` (the behavioral counters were reset in Phase A).
+    /// The warm-start boundary: restarts every lane's timing statistics
+    /// (the behavioral counters were reset in Phase A).
+    #[inline(never)]
     fn warm_reset(&mut self) {
         self.warm_couplets = self.couplets;
-        self.hit_latency = CoupletHistogram::default();
+        self.hit_counts = [0; CoupletClass::COUNT];
         for (k, lane) in self.lanes.iter_mut().enumerate() {
             lane.warm_cycle = self.now[k];
             lane.down.reset_stats();
@@ -758,31 +811,33 @@ impl LaneBank {
     #[inline]
     fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
         // Branchless on purpose: absent classes contribute n = 0 to the
-        // histogram, clock, and couplet count, and the sparsity pattern of
-        // `counts` is unpredictable enough that testing for zero costs
-        // more than the five fused multiply-adds.
-        self.couplets += counts.iter().map(|&n| n as u64).sum::<u64>();
+        // counts and the clock, and the sparsity pattern of `counts` is
+        // unpredictable enough that testing for zero costs more than the
+        // five fused multiply-adds.
+        for (total, &n) in self.hit_counts.iter_mut().zip(counts) {
+            *total += n as u64;
+        }
         match &self.shared_hits {
-            Some((costs, buckets)) => {
-                let mut cycles = 0u64;
-                for i in 0..CoupletClass::COUNT {
-                    let n = counts[i] as u64;
-                    cycles += costs[i] * n;
-                    self.hit_latency.add_to_bucket(buckets[i], n);
-                }
+            Some(costs) => {
+                let cycles: u64 = costs.iter().zip(counts).map(|(&c, &n)| c * n as u64).sum();
                 for now in &mut self.now {
                     *now += cycles;
                 }
             }
-            None => {
-                for (k, lane) in self.lanes.iter().enumerate() {
-                    for (i, &count) in counts.iter().enumerate() {
-                        let cost = lane.hit_costs[i];
-                        let n = count as u64;
-                        self.latency[k].record_n(cost, n);
-                        self.now[k] += cost * n;
-                    }
-                }
+            None => self.hit_run_per_lane(counts),
+        }
+    }
+
+    /// [`hit_run`](Self::hit_run) when lanes price hits differently: each
+    /// lane books the run in its own histogram and clock.
+    #[inline(never)]
+    fn hit_run_per_lane(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+        for (k, lane) in self.lanes.iter().enumerate() {
+            for (i, &count) in counts.iter().enumerate() {
+                let cost = lane.hit_costs[i];
+                let n = count as u64;
+                self.latency[k].record_n(cost, n);
+                self.now[k] += cost * n;
             }
         }
     }
@@ -858,9 +913,10 @@ impl LaneBank {
         self.finish_general(k, start, done, self.miss_cycles[k].read_hit);
     }
 
-    /// Reprices one recorded couplet on lane `k`: the timing mirror of the
-    /// direct engine's `step_couplet`, with cache outcomes read from the
-    /// events instead of the cache.
+    /// Prices one recorded couplet on lane `k`. Both halves issue at the
+    /// lane's clock (a single-issue CPU starts the data half when the
+    /// fetch completes), each delayed by its TLB walk, and the couplet
+    /// ends when both are done.
     fn step_couplet(&mut self, k: usize, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
         let lane = &mut self.lanes[k];
         let mem_free_at = &mut self.mem_free_at[k];
@@ -1100,7 +1156,8 @@ mod tests {
         ];
         let t = Trace::new("t", refs, 2);
         let direct = crate::Simulator::new(&config).run(&t);
-        assert_eq!(simulate_two_phase(&config, &t), direct);
+        let events = BehavioralSim::new(&config.organization()).record(&t);
+        assert_eq!(replay(&events, &config).unwrap(), direct);
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl CoupletHistogram {
         (63 - cycles.max(1).leading_zeros() as usize).min(15)
     }
 
-    /// Adds `n` couplets directly to bucket `index` (see
-    /// [`bucket_of`](Self::bucket_of)) — for callers that have already
-    /// resolved the bucket of a repeated duration.
-    #[inline]
-    pub fn add_to_bucket(&mut self, index: usize, n: u64) {
-        self.buckets[index] += n;
-    }
-
     /// Total couplets recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

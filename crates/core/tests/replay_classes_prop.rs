@@ -3,8 +3,8 @@
 //!
 //! `replay_many` runs one replay per distinct `CycleTiming` and hands its
 //! result to every configuration in the class. Here each batch is checked
-//! against the direct engine (`Simulator::run`, not `replay`) one
-//! configuration at a time. The generator makes collisions common:
+//! one configuration at a time against `Simulator::run` (not `replay`),
+//! which streams the ops into a one-lane bank of its own. The generator makes collisions common:
 //! repeated halves, cycle-time pairs that quantize alike (76 and 80 ns at
 //! a 420 ns uniform memory), and halves that differ only in the L2, the
 //! fill policy, dual issue or the write buffer.
@@ -176,7 +176,7 @@ fn gen_halves(rng: &mut SplitMix64) -> Vec<TimingConfig> {
     halves
 }
 
-/// One batched replay equals the direct engine per configuration, and
+/// One batched replay equals a direct run per configuration, and
 /// members of one class differ only in their cycle time.
 #[test]
 fn replay_many_equals_direct_per_config() {

@@ -17,7 +17,11 @@
 //!   between misses;
 //! * a warm boundary mid-trace.
 //!
-//! Every result is checked against the direct engine (`Simulator::run`).
+//! Every result is checked against `Simulator::run`, which streams the
+//! same ops into a one-lane bank: what differs between the two is only
+//! the batching (lanes, timing classes, the stored trace). Couplet
+//! pricing itself is checked by the independent oracle in
+//! `tests/reference_engine.rs`.
 //! Runs on the hermetic testkit runner; rerun a failing case with
 //! `TESTKIT_SEED=<seed> cargo test -p cachetime --test replay_lanes_prop`.
 
@@ -181,7 +185,7 @@ fn lane_ops(path: &str) -> u64 {
         .get()
 }
 
-/// One batched replay over a lane-mixing grid equals the direct engine
+/// One batched replay over a lane-mixing grid equals a direct run
 /// per configuration.
 #[test]
 fn mixed_lanes_equal_direct_per_config() {

@@ -1,13 +1,12 @@
-//! Equivalence cross-check: the two-phase pipeline (behavioral record +
-//! timing replay) must produce `SimResult`s bit-identical to the direct
-//! single-pass engine on every cell of down-scaled paper grids, and on a
-//! battery of targeted machine variants.
-//!
-//! The direct path stays callable on purpose — it is the oracle here.
+//! Equivalence cross-check: a stored recording repriced by `replay` must
+//! produce `SimResult`s bit-identical to `simulate`, which streams the
+//! same behavioral ops into a one-lane bank without storing them, on
+//! every cell of down-scaled paper grids and on a battery of targeted
+//! machine variants. This checks the storage and batching around the one
+//! pricing engine; the engine's arithmetic is checked by the independent
+//! oracle in `tests/reference_engine.rs`.
 
-use cachetime::{
-    replay, simulate, simulate_two_phase, BehavioralSim, FillPolicy, LevelTwoConfig, SystemConfig,
-};
+use cachetime::{replay, simulate, BehavioralSim, FillPolicy, LevelTwoConfig, SystemConfig};
 use cachetime_cache::{
     CacheConfig, VictimCacheConfig, WayPrediction, WriteAllocate, WritePolicy,
 };
@@ -221,8 +220,9 @@ fn targeted_variants_replay_bit_identically() {
 
     for trace in &traces() {
         for (what, config) in &variants {
+            let events = BehavioralSim::new(&config.organization()).record(trace);
             assert_eq!(
-                simulate_two_phase(config, trace),
+                replay(&events, config).unwrap(),
                 simulate(config, trace),
                 "{what} on {}",
                 trace.name()

@@ -1,11 +1,12 @@
-//! Property test: for *any* valid machine and any small trace, the
-//! two-phase pipeline is bit-identical to the direct engine.
+//! Property test: for *any* valid machine and any small trace, a stored
+//! recording repriced by `replay` is bit-identical to `Simulator::run`,
+//! which streams the same ops into a one-lane bank without storing them.
 //!
 //! Runs on the hermetic testkit runner: failures shrink to a minimal
 //! (config, trace) pair and print a replay seed; rerun a specific case
 //! with `TESTKIT_SEED=<seed> cargo test -p cachetime --test two_phase_prop`.
 
-use cachetime::{simulate_two_phase, LevelTwoConfig, Simulator, SystemConfig};
+use cachetime::{replay, BehavioralSim, LevelTwoConfig, Simulator, SystemConfig};
 use cachetime_cache::{CacheConfig, VictimCacheConfig, WayPrediction, WriteAllocate, WritePolicy};
 use cachetime_mem::MemoryConfig;
 use cachetime_mmu::TranslationConfig;
@@ -105,7 +106,8 @@ fn two_phase_equals_direct() {
             // as a trace loader would.
             let trace = Trace::new("prop", refs.clone(), (*warm_start).min(refs.len()));
             let direct = Simulator::new(config).run(&trace);
-            let two_phase = simulate_two_phase(config, &trace);
+            let events = BehavioralSim::new(&config.organization()).record(&trace);
+            let two_phase = replay(&events, config).expect("same organization");
             prop_assert_eq!(two_phase, direct);
             Ok(())
         },

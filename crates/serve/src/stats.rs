@@ -273,6 +273,7 @@ impl ServerStats {
                 json_object([
                     ("simulate", latency(&self.simulate)),
                     ("replay", latency(&self.replay)),
+                    ("ingest", latency(&self.ingest)),
                     ("stats", latency(&self.stats)),
                     ("other", latency(&self.other)),
                 ]),

@@ -481,6 +481,32 @@ fn trace_import_span_renders_after_an_upload() {
         "both halves of the unaligned modify: {body}"
     );
 
+    // `/v1/stats` reports the upload's latency as `/v1/metrics` does.
+    // The transport books it before sending the response, and nothing
+    // else in this process uploads.
+    let (status, stats_body) = client.get("/v1/stats").unwrap();
+    assert_eq!(status, 200, "{stats_body}");
+    let ingest_count = Json::parse(&stats_body)
+        .unwrap()
+        .get("latency")
+        .and_then(|l| l.get("ingest"))
+        .and_then(|i| i.get("count"))
+        .and_then(Json::as_u64)
+        .expect("latency.ingest.count in /v1/stats");
+    assert!(ingest_count >= 1, "{stats_body}");
+    let (status, durations) = client
+        .get("/v1/metrics?family=cachetime_request_duration_us")
+        .unwrap();
+    assert_eq!(status, 200, "{durations}");
+    assert_eq!(
+        prom(
+            &durations,
+            "cachetime_request_duration_us_count{endpoint=\"ingest\"}"
+        ),
+        ingest_count as i64,
+        "{durations}"
+    );
+
     let (status, text) = client
         .get("/v1/metrics?family=cachetime_span_duration_us")
         .unwrap();

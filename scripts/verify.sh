@@ -7,13 +7,18 @@
 # 2. Full test suite (unit + property + integration).
 # 3. Offline-build guard: the workspace must build with no registry
 #    access at all (zero external dependencies is a hard invariant).
-# 4. Two-phase equivalence cross-check: direct simulation vs the
-#    record/replay pipeline must be bit-identical per grid cell, also when
-#    one batched replay groups timing points into classes and when its
-#    lanes mix the clean-miss kernel with the general path. The cache
-#    oracle (`cachetime-cache --test oracle`) runs beside it in release:
-#    the frame store against a naive model for blocks of 1-256 words,
-#    across every dirty-mask limb boundary.
+# 4. Pricing cross-check, in release. The independent timing oracle
+#    (`cachetime --test reference_engine`) re-derives cycles, stalls and
+#    memory traffic from the machine description and checks both
+#    `simulate` and `replay_many` against it over random timing axes.
+#    Beside it, batch-vs-stream equivalence: a stored recording repriced
+#    by `replay`/`replay_many` must be bit-identical per grid cell to the
+#    streamed one-lane `simulate`, also when one batched replay groups
+#    timing points into classes and when its lanes mix the clean-miss
+#    kernel with the general path. The cache oracle (`cachetime-cache
+#    --test oracle`) runs there too: the frame store against a naive
+#    model for blocks of 1-256 words, across every dirty-mask limb
+#    boundary.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -74,9 +79,9 @@ cargo test --workspace -q
 echo "==> cargo build --offline --workspace (zero-dependency guard)"
 cargo build --offline --workspace
 
-echo "==> two-phase equivalence cross-check (direct vs record/replay)"
-cargo test --release -q -p cachetime --test two_phase --test two_phase_prop \
-  --test replay_classes_prop --test replay_lanes_prop
+echo "==> pricing cross-check (timing oracle; stored vs streamed pricing)"
+cargo test --release -q -p cachetime --test reference_engine --test two_phase \
+  --test two_phase_prop --test replay_classes_prop --test replay_lanes_prop
 cargo test --release -q -p cachetime-cache --test oracle
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
