@@ -16,11 +16,13 @@
 //! * **Quarantine recovery.** The startup [`SegmentStore::scan`]
 //!   validates magic, version, key, length, and checksum before decoding
 //!   anything; files failing any step move to `quarantine/` (kept as
-//!   evidence, never deleted) and valid segments stream into the
-//!   caller's in-memory store. Corruption is absorbed, never fatal.
-//! * **Budgeted.** `budget_bytes` caps the directory; oldest-mtime
-//!   segments are evicted first, mirroring the in-memory LRU discipline
-//!   one level down.
+//!   evidence, oldest deleted first over `quarantine_cap_bytes`) and
+//!   valid segments stream into the caller's in-memory store.
+//!   Corruption is absorbed, never fatal.
+//! * **Budgeted.** `budget_bytes` caps the directory; the
+//!   oldest-written segments are evicted first (in file-mtime order
+//!   across restarts), by the same `BudgetLru` the in-memory store uses
+//!   one level up.
 //! * **Fault-injectable.** A [`fault::FaultHook`] lets tests tear,
 //!   bit-flip, or fail individual I/Os deterministically; the server
 //!   adapts its seeded `FaultPlan` into one for restart-chaos tests.

@@ -1,5 +1,4 @@
-//! `cachetime_disk_*` metric handles, mirroring the server's
-//! registry-or-standalone pattern: `/v1/metrics` and `/v1/stats` read
+//! `cachetime_disk_*` metric handles: `/v1/metrics` and `/v1/stats` read
 //! literally the same atomics the store increments.
 
 use cachetime_obs::{Counter, Gauge, Registry};
@@ -7,8 +6,8 @@ use std::sync::Arc;
 
 /// The disk store's counters and gauges.
 ///
-/// Built either inside a [`Registry`] (so the families render on
-/// `/v1/metrics`) or standalone for embedded/test stores.
+/// Built inside a [`Registry`], so the families render on `/v1/metrics`;
+/// an embedded or test store passes a registry of its own.
 #[derive(Clone)]
 pub struct DiskMetrics {
     /// `cachetime_disk_spills_total`: segments durably written.
@@ -69,28 +68,6 @@ impl DiskMetrics {
             bytes: registry.gauge("cachetime_disk_bytes", &[]),
             quarantine_files: registry.gauge("cachetime_disk_quarantine_files", &[]),
             quarantine_bytes: registry.gauge("cachetime_disk_quarantine_bytes", &[]),
-        }
-    }
-
-    /// Unregistered handles (embedded and test stores).
-    pub fn standalone() -> Self {
-        DiskMetrics {
-            spills: Arc::new(Counter::new()),
-            spill_bytes: Arc::new(Counter::new()),
-            spill_errors: Arc::new(Counter::new()),
-            loads: Arc::new(Counter::new()),
-            load_misses: Arc::new(Counter::new()),
-            load_errors: Arc::new(Counter::new()),
-            recovered: Arc::new(Counter::new()),
-            quarantined: Arc::new(Counter::new()),
-            evicted: Arc::new(Counter::new()),
-            adopted: Arc::new(Counter::new()),
-            dropped: Arc::new(Counter::new()),
-            quarantine_evicted: Arc::new(Counter::new()),
-            segments: Arc::new(Gauge::new()),
-            bytes: Arc::new(Gauge::new()),
-            quarantine_files: Arc::new(Gauge::new()),
-            quarantine_bytes: Arc::new(Gauge::new()),
         }
     }
 

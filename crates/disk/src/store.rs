@@ -1,11 +1,16 @@
 //! The durable segment store: one file per trace key, atomic spills,
-//! quarantine-on-corruption recovery, oldest-first eviction.
+//! quarantine-on-corruption recovery, oldest-written-first eviction.
+//!
+//! The live index is a [`BudgetLru`] weighted by segment length that
+//! reads never touch, so it evicts in write order. A startup scan refills
+//! it in file-mtime order, which carries that order across restarts.
 
 use crate::fault::{mangle, DiskFault, DiskOp, FaultHook};
 use crate::metrics::DiskMetrics;
 use crate::segment;
 use cachetime::{codec, EventTrace};
-use std::collections::HashMap;
+use cachetime_obs::Registry;
+use cachetime_types::BudgetLru;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -79,8 +84,9 @@ pub struct DiskConfig {
     /// `quarantine/` subdirectory).
     pub root: PathBuf,
     /// Byte budget for live segments; `0` means unlimited. When a spill
-    /// pushes the total over budget, oldest-mtime segments are deleted
-    /// until it fits.
+    /// pushes the total over budget, the oldest-written segments are
+    /// deleted until it fits (never the one just written). Across
+    /// restarts, "oldest-written" is file-mtime order.
     pub budget_bytes: u64,
     /// Byte cap for the `quarantine/` directory; `0` means unlimited.
     /// Oldest-mtime quarantined files are deleted once the directory
@@ -89,16 +95,8 @@ pub struct DiskConfig {
     pub quarantine_cap_bytes: u64,
 }
 
-struct SegmentInfo {
-    len: u64,
-    mtime: SystemTime,
-}
-
-#[derive(Default)]
-struct Index {
-    segments: HashMap<u64, SegmentInfo>,
-    bytes: u64,
-}
+/// Live segments in write order, each weighted by its sealed length.
+type Index = BudgetLru<u64, ()>;
 
 /// A crash-safe, content-addressed segment store.
 ///
@@ -113,7 +111,6 @@ struct Index {
 pub struct SegmentStore {
     root: PathBuf,
     quarantine: PathBuf,
-    budget_bytes: u64,
     quarantine_cap_bytes: u64,
     metrics: DiskMetrics,
     fault: Option<FaultHook>,
@@ -122,9 +119,9 @@ pub struct SegmentStore {
 
 impl SegmentStore {
     /// Opens (creating if needed) the store rooted at `config.root`, with
-    /// metrics registered standalone (not in any registry).
+    /// metrics in a registry of their own.
     pub fn open(config: DiskConfig) -> io::Result<Self> {
-        Self::open_with_metrics(config, DiskMetrics::standalone())
+        Self::open_with_metrics(config, DiskMetrics::in_registry(&Registry::new()))
     }
 
     /// Opens the store with externally built metrics handles (typically
@@ -132,14 +129,17 @@ impl SegmentStore {
     pub fn open_with_metrics(config: DiskConfig, metrics: DiskMetrics) -> io::Result<Self> {
         let quarantine = config.root.join(QUARANTINE_DIR);
         fs::create_dir_all(&quarantine)?;
+        let budget = match config.budget_bytes {
+            0 => usize::MAX,
+            b => usize::try_from(b).unwrap_or(usize::MAX),
+        };
         let store = SegmentStore {
             root: config.root,
             quarantine,
-            budget_bytes: config.budget_bytes,
             quarantine_cap_bytes: config.quarantine_cap_bytes,
             metrics,
             fault: None,
-            index: Mutex::new(Index::default()),
+            index: Mutex::new(Index::new(budget)),
         };
         // Account (and bound) whatever a previous process left behind.
         store.bound_quarantine();
@@ -164,17 +164,17 @@ impl SegmentStore {
 
     /// Number of live (indexed) segments.
     pub fn segments(&self) -> u64 {
-        self.index.lock().unwrap().segments.len() as u64
+        self.index.lock().unwrap().len() as u64
     }
 
     /// Bytes of live segments.
     pub fn bytes(&self) -> u64 {
-        self.index.lock().unwrap().bytes
+        self.index.lock().unwrap().bytes() as u64
     }
 
     /// Whether a live segment exists for `key`.
     pub fn contains(&self, key: u64) -> bool {
-        self.index.lock().unwrap().segments.contains_key(&key)
+        self.index.lock().unwrap().contains(&key)
     }
 
     fn seg_path(&self, key: u64) -> PathBuf {
@@ -218,11 +218,9 @@ impl SegmentStore {
             self.metrics.spill_errors.inc();
             return Err(e);
         }
-        let len = sealed.len() as u64;
-        self.index_insert(key, len, SystemTime::now());
         self.metrics.spills.inc();
-        self.metrics.spill_bytes.add(len);
-        self.evict_over_budget(key);
+        self.metrics.spill_bytes.add(sealed.len() as u64);
+        self.index_insert(key, sealed.len());
         Ok(SpillResult::Written)
     }
 
@@ -257,7 +255,7 @@ impl SegmentStore {
     /// The keys of every live segment, in unspecified order. This is what
     /// a rebalancing peer asks for to decide what to pull.
     pub fn keys(&self) -> Vec<u64> {
-        self.index.lock().unwrap().segments.keys().copied().collect()
+        self.index.lock().unwrap().keys().copied().collect()
     }
 
     /// Reads the raw sealed container bytes for `key`, verifying the
@@ -316,9 +314,8 @@ impl SegmentStore {
             }
         };
         self.write_sealed_atomic(key, sealed)?;
-        self.index_insert(key, sealed.len() as u64, SystemTime::now());
         self.metrics.adopted.inc();
-        self.evict_over_budget(key);
+        self.index_insert(key, sealed.len());
         Ok(AdoptOutcome::Installed(trace))
     }
 
@@ -378,7 +375,8 @@ impl SegmentStore {
     /// Startup recovery: validates every segment in the directory,
     /// streams the intact ones (in unspecified order) into `sink`,
     /// quarantines the rest, and removes abandoned temp files. Rebuilds
-    /// the in-memory index; call once, before serving.
+    /// the in-memory index in `(mtime, key)` order, then evicts the
+    /// oldest segments over the budget; call once, before serving.
     ///
     /// # Errors
     ///
@@ -387,7 +385,7 @@ impl SegmentStore {
     /// exists to absorb.
     pub fn scan(&self, mut sink: impl FnMut(u64, EventTrace)) -> io::Result<ScanReport> {
         let mut report = ScanReport::default();
-        let mut recovered: Vec<(u64, u64, SystemTime)> = Vec::new();
+        let mut recovered: Vec<(SystemTime, u64, usize)> = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let Ok(entry) = entry else { continue };
             let path = entry.path();
@@ -429,7 +427,7 @@ impl SegmentStore {
                         .metadata()
                         .and_then(|m| m.modified())
                         .unwrap_or(SystemTime::UNIX_EPOCH);
-                    recovered.push((key, len, mtime));
+                    recovered.push((mtime, key, len as usize));
                     report.recovered += 1;
                     report.bytes += len;
                     sink(key, trace);
@@ -440,66 +438,54 @@ impl SegmentStore {
                 }
             }
         }
-        {
+        recovered.sort_unstable();
+        let victims: Vec<_> = {
             let mut index = self.index.lock().unwrap();
-            index.segments.clear();
-            index.bytes = 0;
-            for (key, len, mtime) in recovered {
-                index.segments.insert(key, SegmentInfo { len, mtime });
-                index.bytes += len;
-            }
-            self.metrics.segments.set(index.segments.len() as i64);
-            self.metrics.bytes.set(index.bytes as i64);
-        }
+            *index = Index::new(index.budget());
+            let victims = recovered
+                .into_iter()
+                .flat_map(|(_, key, len)| index.insert(key, (), len))
+                .collect();
+            self.publish(&index);
+            victims
+        };
         self.metrics.recovered.add(report.recovered);
-        self.evict_over_budget(0);
+        self.delete_evicted(&victims);
         Ok(report)
     }
 
-    fn index_insert(&self, key: u64, len: u64, mtime: SystemTime) {
-        let mut index = self.index.lock().unwrap();
-        if let Some(old) = index.segments.insert(key, SegmentInfo { len, mtime }) {
-            index.bytes -= old.len;
-        }
-        index.bytes += len;
-        self.metrics.segments.set(index.segments.len() as i64);
-        self.metrics.bytes.set(index.bytes as i64);
+    /// Indexes a freshly written segment as the newest, popping the
+    /// oldest-written ones over the budget under the same lock (so each
+    /// victim is evicted and counted exactly once however many spills
+    /// race), then deletes their files after the lock drops.
+    fn index_insert(&self, key: u64, len: usize) {
+        let victims = {
+            let mut index = self.index.lock().unwrap();
+            let victims = index.insert(key, (), len);
+            self.publish(&index);
+            victims
+        };
+        self.delete_evicted(&victims);
     }
 
     fn index_remove(&self, key: u64) {
         let mut index = self.index.lock().unwrap();
-        if let Some(info) = index.segments.remove(&key) {
-            index.bytes -= info.len;
-        }
-        self.metrics.segments.set(index.segments.len() as i64);
-        self.metrics.bytes.set(index.bytes as i64);
+        index.remove(&key);
+        self.publish(&index);
     }
 
-    /// Deletes oldest-mtime segments until the byte budget holds. The
-    /// just-written `keep` key survives unless it is the only segment
-    /// left (a budget smaller than one segment still converges).
-    fn evict_over_budget(&self, keep: u64) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        loop {
-            let victim = {
-                let index = self.index.lock().unwrap();
-                if index.bytes <= self.budget_bytes || index.segments.len() <= 1 {
-                    break;
-                }
-                index
-                    .segments
-                    .iter()
-                    .filter(|(k, _)| **k != keep)
-                    .min_by_key(|(k, info)| (info.mtime, **k))
-                    .map(|(k, _)| *k)
-            };
-            let Some(victim) = victim else { break };
+    /// Mirrors the index into the live-segment gauges; call under its lock.
+    fn publish(&self, index: &Index) {
+        self.metrics.segments.set(index.len() as i64);
+        self.metrics.bytes.set(index.bytes() as i64);
+    }
+
+    /// Deletes the files of segments the budget evicted from the index.
+    fn delete_evicted(&self, victims: &[(u64, ())]) {
+        for &(victim, ()) in victims {
             let _ = fs::remove_file(self.seg_path(victim));
-            self.index_remove(victim);
-            self.metrics.evicted.inc();
         }
+        self.metrics.evicted.add(victims.len() as u64);
     }
 
     /// Moves a corrupt file into `quarantine/`, keeping its name (with a

@@ -127,6 +127,51 @@ fn budget_evicts_oldest_first() {
 }
 
 #[test]
+fn racing_spills_evict_each_victim_exactly_once() {
+    // Regression: the evictor used to pick its victim under the index
+    // lock but delete and count it after dropping the lock, so two
+    // spills racing over the budget could evict one segment twice.
+    const THREADS: u64 = 4;
+    const SPILLS: u64 = 12;
+    let root = scratch("race");
+    let (_, trace) = sample_trace(0);
+    // Every key seals the same payload, so every segment is one length.
+    let one_len = segment::seal(0, &cachetime::codec::encode(&trace)).len() as u64;
+    let store = open(root.clone(), one_len * 2 + one_len / 2);
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (store, trace, start) = (&store, &trace, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..SPILLS {
+                    let key = (t + 1) << 32 | i;
+                    assert_eq!(store.store(key, trace).unwrap(), SpillResult::Written);
+                }
+            });
+        }
+    });
+    let m = store.metrics();
+    assert_eq!(m.spills(), THREADS * SPILLS);
+    assert_eq!(m.spills(), store.segments() + m.evicted(), "each victim counted once");
+    assert_eq!(store.segments(), 2);
+    assert_eq!(m.segments(), 2);
+    let files: Vec<u64> = std::fs::read_dir(&root)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            let hex = name.strip_suffix(".seg")?;
+            Some(u64::from_str_radix(hex, 16).unwrap())
+        })
+        .collect();
+    assert_eq!(files.len() as u64, store.segments(), "one file per live segment: {files:x?}");
+    for key in files {
+        assert!(store.contains(key), "file {key:016x} outlived its eviction");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn torn_write_fault_leaves_a_quarantinable_crash_image() {
     let root = scratch("torn-write");
     let (key, trace) = sample_trace(0);

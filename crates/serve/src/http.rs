@@ -45,7 +45,7 @@
 use crate::conn::{Connection, ReadEvent, WriteEvent};
 use crate::fault::FaultAction;
 use crate::poll::{Interest, Poller};
-use crate::{App, Limits, Response};
+use crate::{App, Deferred, Limits, Response};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -342,10 +342,12 @@ fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
 
-/// A blocking job handed to the handler pool.
+/// A blocking job handed to the handler pool: the request, plus what
+/// the loop already decoded from it.
 struct Job {
     token: u64,
     req: Request,
+    work: Deferred,
     deadline: Instant,
 }
 
@@ -550,7 +552,7 @@ fn worker_loop(shared: &Shared, app: &App) {
         };
         app.stats.in_flight.add(1);
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            app.handle_blocking(&job.req, job.deadline)
+            app.handle_blocking(&job.req, job.work, job.deadline)
         }))
         .unwrap_or_else(|_| {
             // The handler unwound. The store's in-flight guards have
@@ -881,9 +883,8 @@ impl EventLoop {
             deadline,
         };
         self.app.stats.in_flight.add(1);
-        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.app.try_handle(&req, deadline)
-        }));
+        let inline =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.app.try_handle(&req)));
         self.app.stats.in_flight.add(-1);
         match inline {
             Err(_) => {
@@ -891,8 +892,8 @@ impl EventLoop {
                 let resp = Response::error(500, "internal panic; worker recovered");
                 self.finish_request(token, &meta, resp);
             }
-            Ok(Some(resp)) => self.finish_request(token, &meta, resp),
-            Ok(None) => {
+            Ok(Ok(resp)) => self.finish_request(token, &meta, resp),
+            Ok(Err(work)) => {
                 // Blocking work (a recording, or a join of one): hand it
                 // to the pool and deregister until the completion arrives.
                 if let Some(cs) = self.conns.get_mut(&token) {
@@ -902,6 +903,7 @@ impl EventLoop {
                 self.shared.jobs.lock().unwrap().push_back(Job {
                     token,
                     req,
+                    work,
                     deadline,
                 });
                 self.shared.jobs_ready.notify_one();

@@ -61,7 +61,7 @@ pub mod upload;
 
 pub use http::{serve, serve_with_app, Request, ServerConfig, ServerHandle};
 
-use cachetime::keyed;
+use cachetime::{keyed, EventTrace, SystemConfig, TimingConfig};
 use cachetime_disk::{AdoptOutcome, DiskFault, DiskOp, ScanReport, SegmentStore};
 use cachetime_obs::Registry;
 use cachetime_types::{json_object, Json};
@@ -70,7 +70,7 @@ use fault::{DiskFaultAction, FaultPlan};
 use cachetime_trace::import::TraceFormat;
 use stats::{FleetMetrics, IngestMetrics, ServerStats};
 use store::{Fetch, StoreMetrics, TraceStore, TryGet};
-use upload::UploadStore;
+use upload::{UploadStore, UploadedTrace};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -274,6 +274,43 @@ pub struct RebalanceReport {
     pub fetch_failures: u64,
 }
 
+/// A request [`App::try_handle`] handed back because answering it may
+/// block, decoded once on the way: [`App::handle_blocking`] runs it
+/// without parsing the body or routing the path again.
+pub struct Deferred(Box<Blocking>);
+
+// Boxed whole in `Deferred`: the large variant costs one allocation per
+// deferred request, not stack space in every `try_handle` result.
+#[allow(clippy::large_enum_variant)]
+enum Blocking {
+    /// A simulate whose pairing is cold or in flight.
+    Simulate {
+        config: SystemConfig,
+        selector: api::TraceSelector,
+        key: u64,
+        /// The resident upload to record from; `None` for a catalog
+        /// workload, or an upload whose recording is on disk.
+        upload: Option<Arc<UploadedTrace>>,
+    },
+    /// A replay whose key is in flight or absent.
+    Replay {
+        key: u64,
+        timings: Vec<TimingConfig>,
+    },
+    /// `POST /v1/traces`: parsed on the pool from the request body.
+    Ingest,
+    /// `GET /v1/segments/<key>`.
+    Segment(u64),
+    /// `POST /v1/rebalance`.
+    Rebalance,
+}
+
+impl From<Blocking> for Deferred {
+    fn from(work: Blocking) -> Self {
+        Deferred(Box::new(work))
+    }
+}
+
 /// The application state: the trace store plus observability counters.
 /// Shared by every worker; all methods are `&self` and thread-safe.
 pub struct App {
@@ -468,9 +505,9 @@ impl App {
     /// response with the appropriate status.
     ///
     /// Equivalent to [`try_handle`](Self::try_handle) followed by
-    /// [`handle_blocking`](Self::handle_blocking) on `None` — which is
-    /// exactly how the event loop splits it across threads; in-process
-    /// callers (tests, the bench harness) just call this.
+    /// [`handle_blocking`](Self::handle_blocking) on a [`Deferred`] —
+    /// which is exactly how the event loop splits it across threads;
+    /// in-process callers (tests, the bench harness) just call this.
     ///
     /// # Panics
     ///
@@ -478,33 +515,34 @@ impl App {
     /// that into a `500`); production plans are inert.
     pub fn handle(&self, req: &Request) -> Response {
         let deadline = self.deadline_for(req);
-        match self.try_handle(req, deadline) {
-            Some(resp) => resp,
-            None => self.handle_blocking(req, deadline),
-        }
+        self.try_handle(req)
+            .unwrap_or_else(|work| self.handle_blocking(req, work, deadline))
     }
 
     /// The non-blocking half of [`handle`](Self::handle): answers
     /// everything that cannot block on the store — health, stats, metrics,
     /// shutdown, routing and parse errors, *warm* simulates and replays —
-    /// and returns `None` for work that might (a cold recording, or a join
-    /// of one already in flight). The event loop runs this inline on the
-    /// loop thread; `None` means "hand the request to the pool".
+    /// and returns `Err` with the decoded request for work that might (a
+    /// cold recording, or a join of one already in flight). The event
+    /// loop runs this inline on the loop thread; `Err` means "hand the
+    /// request to the pool".
     ///
     /// Counting discipline: the store's `try_get` counts a lookup only on
     /// a hit, so a request that falls through to
     /// [`handle_blocking`](Self::handle_blocking) is counted exactly once
     /// there (miss/coalesced/shed/absent), never double.
     ///
+    /// # Errors
+    ///
+    /// The [`Deferred`] request, when answering it may block.
+    ///
     /// # Panics
     ///
     /// Only via an armed fault plan — `serve.handle` fires here (once per
     /// request; the blocking half never re-injects it).
-    pub fn try_handle(&self, req: &Request, _deadline: Instant) -> Option<Response> {
-        // The deadline rides along for signature parity with
-        // `handle_blocking`; nothing inline waits, so nothing checks it.
+    pub fn try_handle(&self, req: &Request) -> Result<Response, Deferred> {
         self.faults.inject("serve.handle");
-        Some(match (req.method.as_str(), req.path.as_str()) {
+        Ok(match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Response::ok(json_object([(
                 "status",
                 if self.is_degraded() { "degraded" } else { "ok" },
@@ -529,13 +567,18 @@ impl App {
             ("POST", "/v1/replay") => return self.try_replay(&req.body),
             // Parsing and profiling a multi-megabyte upload is CPU-bound:
             // handler-pool work, never the loop thread's.
-            ("POST", "/v1/traces") => return None,
+            ("POST", "/v1/traces") => return Err(Blocking::Ingest.into()),
             // The segment key list is an index read — no disk I/O.
             ("GET", "/v1/segments") => self.segment_keys(),
             // A segment body read and a rebalance pass both touch the
             // disk (the latter the network too): handler-pool work.
-            ("GET", p) if p.starts_with("/v1/segments/") => return None,
-            ("POST", "/v1/rebalance") => return None,
+            ("GET", p) if p.starts_with("/v1/segments/") => {
+                match api::parse_key_hex(&p["/v1/segments/".len()..]) {
+                    Ok(key) => return Err(Blocking::Segment(key).into()),
+                    Err(msg) => Response::error(400, &msg),
+                }
+            }
+            ("POST", "/v1/rebalance") => return Err(Blocking::Rebalance.into()),
             ("POST", "/v1/shutdown") => Response {
                 shutdown: true,
                 ..Response::ok(json_object([("status", "shutting down")]))
@@ -545,20 +588,22 @@ impl App {
         })
     }
 
-    /// The blocking half of [`handle`](Self::handle): runs the request to
-    /// completion, waiting on or performing recordings as needed. Only
-    /// ever called after [`try_handle`](Self::try_handle) returned `None`,
-    /// so only simulate/replay can land here; it does not re-inject
-    /// `serve.handle`.
-    pub fn handle_blocking(&self, req: &Request, deadline: Instant) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1/simulate") => self.simulate(&req.body, deadline),
-            ("POST", "/v1/replay") => self.replay(&req.body, deadline),
-            ("POST", "/v1/traces") => self.ingest(req),
-            ("GET", p) if p.starts_with("/v1/segments/") => {
-                self.segment(&p["/v1/segments/".len()..])
-            }
-            ("POST", "/v1/rebalance") => match self.rebalance() {
+    /// The blocking half of [`handle`](Self::handle): runs the request
+    /// [`try_handle`](Self::try_handle) deferred to completion, waiting on
+    /// or performing recordings as needed. `req` is the request `work`
+    /// was decoded from. It does not re-inject `serve.handle`.
+    pub fn handle_blocking(&self, req: &Request, work: Deferred, deadline: Instant) -> Response {
+        match *work.0 {
+            Blocking::Simulate {
+                config,
+                selector,
+                key,
+                upload,
+            } => self.simulate(&config, &selector, key, upload, deadline),
+            Blocking::Replay { key, timings } => self.replay(key, &timings, deadline),
+            Blocking::Ingest => self.ingest(req),
+            Blocking::Segment(key) => self.segment(key),
+            Blocking::Rebalance => match self.rebalance() {
                 Ok(report) => Response::ok(json_object([
                     ("pulled", Json::UInt(report.pulled)),
                     ("dropped", Json::UInt(report.dropped)),
@@ -567,8 +612,6 @@ impl App {
                 ])),
                 Err(e) => Response::error(400, &e.to_string()),
             },
-            // try_handle answers every other route inline.
-            _ => Response::error(404, "no such endpoint"),
         }
     }
 
@@ -590,11 +633,7 @@ impl App {
     /// `GET /v1/segments/<key>`: the raw sealed segment container,
     /// checksum-verified before it leaves this server (a locally corrupt
     /// segment 404s and is quarantined, never shipped).
-    fn segment(&self, key_hex: &str) -> Response {
-        let key = match api::parse_key_hex(key_hex) {
-            Ok(k) => k,
-            Err(msg) => return Response::error(400, &msg),
-        };
+    fn segment(&self, key: u64) -> Response {
         let Some(disk) = &self.disk else {
             return Response::error(404, "this server has no durable store");
         };
@@ -889,96 +928,59 @@ impl App {
     }
 
     /// The warm-path simulate: answered inline iff the pairing's trace is
-    /// resident. Parse and validation errors are also answered inline —
-    /// they never block.
-    fn try_simulate(&self, body: &[u8]) -> Option<Response> {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return Some(resp),
-        };
-        let config = match api::system_config_from_json(v.get("config")) {
-            Ok(c) => c,
-            Err(msg) => return Some(Response::error(400, &msg)),
-        };
-        let selector = match api::trace_selector_from_json(v.get("trace")) {
-            Ok(s) => s,
-            Err(msg) => return Some(Response::error(400, &msg)),
+    /// resident. Parse and validation errors, and an upload that can never
+    /// be recorded, are also answered inline — they never block.
+    fn try_simulate(&self, body: &[u8]) -> Result<Response, Deferred> {
+        let (config, selector) = match decode_simulate(body) {
+            Ok(decoded) => decoded,
+            Err(resp) => return Ok(resp),
         };
         let org = config.organization();
         let key = match &selector {
             api::TraceSelector::Catalog(w) => keyed::trace_key(&org, w),
             api::TraceSelector::Upload(digest) => keyed::upload_trace_key(&org, *digest),
         };
-        let TryGet::Ready(events) = self.store.try_get(key) else {
-            // An upload that is neither recorded nor resident can never be
-            // recorded by the pool: answer the 404 inline.
-            if let api::TraceSelector::Upload(digest) = selector {
-                if self.uploads.get(digest).is_none() && !self.on_disk(key) {
-                    return Some(Response::error(
+        if let TryGet::Ready(events) = self.store.try_get(key) {
+            return Ok(simulate_response(key, true, &events, &config));
+        }
+        // Cold or in flight: the pool records or joins. An upload must be
+        // resident (or its recording on disk) to record from; a catalog
+        // workload can always be regenerated.
+        let upload = match selector {
+            api::TraceSelector::Catalog(_) => None,
+            api::TraceSelector::Upload(digest) => {
+                let up = self.uploads.get(digest);
+                if up.is_none() && !self.on_disk(key) {
+                    return Ok(Response::error(
                         404,
                         "unknown upload digest: not uploaded yet or evicted; POST /v1/traces first",
                     ));
                 }
+                up
             }
-            return None; // cold or in flight: the pool records/joins
         };
-        Some(match cachetime::replay(&events, &config) {
-            Ok(result) => Response::ok(json_object([
-                ("key", Json::Str(api::key_hex(key))),
-                ("cached", Json::Bool(true)),
-                ("result", api::sim_result_to_json(&result)),
-            ])),
-            // Unreachable unless two pairings collide on the 64-bit key.
-            Err(e) => Response::error(500, &e.to_string()),
-        })
+        Err(Blocking::Simulate {
+            config,
+            selector,
+            key,
+            upload,
+        }
+        .into())
     }
 
     /// The warm-path replay: answered inline iff the key's trace is
     /// resident. `Absent` also defers to the pool so the store's
     /// absent-lookup counting happens exactly once, in `replay`.
-    fn try_replay(&self, body: &[u8]) -> Option<Response> {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return Some(resp),
+    fn try_replay(&self, body: &[u8]) -> Result<Response, Deferred> {
+        let (key, timings) = match decode_replay(body) {
+            Ok(decoded) => decoded,
+            Err(resp) => return Ok(resp),
         };
-        let key = match v.get("key").and_then(Json::as_str) {
-            Some(s) => match api::parse_key_hex(s) {
-                Ok(k) => k,
-                Err(msg) => return Some(Response::error(400, &msg)),
-            },
-            None => return Some(Response::error(400, "key (hex string) is required")),
-        };
-        let cts = match v.get("cycle_times_ns").and_then(Json::as_array) {
-            Some(a) if !a.is_empty() => a,
-            _ => return Some(Response::error(400, "cycle_times_ns must be a non-empty array")),
-        };
-        let base = match api::system_config_from_json(v.get("timing")) {
-            Ok(c) => c.timing(),
-            Err(msg) => return Some(Response::error(400, &msg)),
-        };
-        let mut timings = Vec::with_capacity(cts.len());
-        for ct in cts {
-            let Some(ns) = ct.as_u64() else {
-                return Some(Response::error(400, "cycle_times_ns entries must be integers"));
-            };
-            let ns = match u32::try_from(ns)
-                .ok()
-                .and_then(|n| cachetime_types::CycleTime::from_ns(n).ok())
-            {
-                Some(ct) => ct,
-                None => return Some(Response::error(400, "cycle time out of range")),
-            };
-            let mut t = base;
-            t.cycle_time = ns;
-            timings.push(t);
+        match self.store.try_get(key) {
+            TryGet::Ready(events) => Ok(replay_response(key, &events, &timings)),
+            // In flight (join it) or absent (count + 404).
+            _ => Err(Blocking::Replay { key, timings }.into()),
         }
-        let TryGet::Ready(events) = self.store.try_get(key) else {
-            return None; // in flight (join it) or absent (count + 404)
-        };
-        Some(match keyed::replay_timings(&events, &timings) {
-            Ok(results) => replay_response(key, &results),
-            Err(e) => Response::error(400, &e.to_string()),
-        })
     }
 
     /// `POST /v1/simulate`: full config + workload → one `SimResult`.
@@ -992,39 +994,15 @@ impl App {
     /// request whose deadline lapses waiting on (or performing) a
     /// recording answers `503` — the recording still lands, so the retry
     /// is warm.
-    fn simulate(&self, body: &[u8], deadline: Instant) -> Response {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let config = match api::system_config_from_json(v.get("config")) {
-            Ok(c) => c,
-            Err(msg) => return Response::error(400, &msg),
-        };
-        let selector = match api::trace_selector_from_json(v.get("trace")) {
-            Ok(s) => s,
-            Err(msg) => return Response::error(400, &msg),
-        };
+    fn simulate(
+        &self,
+        config: &SystemConfig,
+        selector: &api::TraceSelector,
+        key: u64,
+        upload: Option<Arc<UploadedTrace>>,
+        deadline: Instant,
+    ) -> Response {
         let org = config.organization();
-        // Resolve the selector to its content key and a recorder closure.
-        // An upload must be resident (or its recording on disk) to record
-        // from; a catalog workload can always be regenerated.
-        let (key, source) = match &selector {
-            api::TraceSelector::Catalog(w) => (keyed::trace_key(&org, w), None),
-            api::TraceSelector::Upload(digest) => {
-                let key = keyed::upload_trace_key(&org, *digest);
-                match self.uploads.get(*digest) {
-                    Some(up) => (key, Some(up)),
-                    None if self.on_disk(key) => (key, None),
-                    None => {
-                        return Response::error(
-                            404,
-                            "unknown upload digest: not uploaded yet or evicted; POST /v1/traces first",
-                        )
-                    }
-                }
-            }
-        };
         // Distinguishes a disk read-through from a fresh recording after
         // the closure runs: only fresh recordings spill back to disk.
         let from_disk = std::cell::Cell::new(false);
@@ -1040,10 +1018,10 @@ impl App {
                     }
                 }
                 self.faults.inject("serve.record");
-                match &selector {
+                match selector {
                     api::TraceSelector::Catalog(w) => keyed::record(&org, w).1,
                     api::TraceSelector::Upload(digest) => {
-                        let up = source
+                        let up = upload
                             .as_ref()
                             .expect("resident upload checked before recording");
                         keyed::record_upload(&org, *digest, &up.trace).1
@@ -1084,15 +1062,7 @@ impl App {
                 "deadline exceeded while recording; the trace is now warm — retry",
             );
         }
-        match cachetime::replay(&events, &config) {
-            Ok(result) => Response::ok(json_object([
-                ("key", Json::Str(api::key_hex(key))),
-                ("cached", Json::Bool(cached)),
-                ("result", api::sim_result_to_json(&result)),
-            ])),
-            // Unreachable unless two pairings collide on the 64-bit key.
-            Err(e) => Response::error(500, &e.to_string()),
-        }
+        simulate_response(key, cached, &events, config)
     }
 
     /// `POST /v1/replay`: a previously recorded key + a cycle-time axis →
@@ -1101,45 +1071,7 @@ impl App {
     /// Replay never records, so it is exempt from the recording admission
     /// limit — the warm path that keeps serving while the server sheds
     /// cold load. Only joining an in-flight recording is deadline-bounded.
-    fn replay(&self, body: &[u8], deadline: Instant) -> Response {
-        let v = match parse_body(body) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let key = match v.get("key").and_then(Json::as_str) {
-            Some(s) => match api::parse_key_hex(s) {
-                Ok(k) => k,
-                Err(msg) => return Response::error(400, &msg),
-            },
-            None => return Response::error(400, "key (hex string) is required"),
-        };
-        let cts = match v.get("cycle_times_ns").and_then(Json::as_array) {
-            Some(a) if !a.is_empty() => a,
-            _ => return Response::error(400, "cycle_times_ns must be a non-empty array"),
-        };
-        // The timing base the axis perturbs: defaults to the paper's, or
-        // the request's `timing` object (same schema as `config`; its
-        // organization half is ignored — the key names the organization).
-        let base = match api::system_config_from_json(v.get("timing")) {
-            Ok(c) => c.timing(),
-            Err(msg) => return Response::error(400, &msg),
-        };
-        let mut timings = Vec::with_capacity(cts.len());
-        for ct in cts {
-            let Some(ns) = ct.as_u64() else {
-                return Response::error(400, "cycle_times_ns entries must be integers");
-            };
-            let ns = match u32::try_from(ns)
-                .ok()
-                .and_then(|n| cachetime_types::CycleTime::from_ns(n).ok())
-            {
-                Some(ct) => ct,
-                None => return Response::error(400, "cycle time out of range"),
-            };
-            let mut t = base;
-            t.cycle_time = ns;
-            timings.push(t);
-        }
+    fn replay(&self, key: u64, timings: &[TimingConfig], deadline: Instant) -> Response {
         let events = match self.store.get_within(key, Some(deadline)) {
             Ok(Some(events)) => events,
             Ok(None) => {
@@ -1168,10 +1100,73 @@ impl App {
                 );
             }
         };
-        match keyed::replay_timings(&events, &timings) {
-            Ok(results) => replay_response(key, &results),
-            Err(e) => Response::error(400, &e.to_string()),
+        replay_response(key, &events, timings)
+    }
+}
+
+/// Decodes a `/v1/simulate` body into its configuration and trace
+/// selector; `Err` is the `400` to answer.
+fn decode_simulate(body: &[u8]) -> Result<(SystemConfig, api::TraceSelector), Response> {
+    let v = parse_body(body)?;
+    let config =
+        api::system_config_from_json(v.get("config")).map_err(|msg| Response::error(400, &msg))?;
+    let selector =
+        api::trace_selector_from_json(v.get("trace")).map_err(|msg| Response::error(400, &msg))?;
+    Ok((config, selector))
+}
+
+/// Decodes a `/v1/replay` body into its key and timing axis; `Err` is the
+/// `400` to answer.
+fn decode_replay(body: &[u8]) -> Result<(u64, Vec<TimingConfig>), Response> {
+    let v = parse_body(body)?;
+    let key = match v.get("key").and_then(Json::as_str) {
+        Some(s) => api::parse_key_hex(s).map_err(|msg| Response::error(400, &msg))?,
+        None => return Err(Response::error(400, "key (hex string) is required")),
+    };
+    let cts = match v.get("cycle_times_ns").and_then(Json::as_array) {
+        Some(a) if !a.is_empty() => a,
+        _ => {
+            return Err(Response::error(
+                400,
+                "cycle_times_ns must be a non-empty array",
+            ))
         }
+    };
+    // The timing base the axis perturbs: defaults to the paper's, or the
+    // request's `timing` object (same schema as `config`; its
+    // organization half is ignored — the key names the organization).
+    let base = api::system_config_from_json(v.get("timing"))
+        .map_err(|msg| Response::error(400, &msg))?
+        .timing();
+    let mut timings = Vec::with_capacity(cts.len());
+    for ct in cts {
+        let ns = ct
+            .as_u64()
+            .ok_or_else(|| Response::error(400, "cycle_times_ns entries must be integers"))?;
+        let cycle_time = u32::try_from(ns)
+            .ok()
+            .and_then(|n| cachetime_types::CycleTime::from_ns(n).ok())
+            .ok_or_else(|| Response::error(400, "cycle time out of range"))?;
+        timings.push(TimingConfig { cycle_time, ..base });
+    }
+    Ok((key, timings))
+}
+
+/// The `/v1/simulate` answer: `events` replayed under `config`.
+fn simulate_response(
+    key: u64,
+    cached: bool,
+    events: &EventTrace,
+    config: &SystemConfig,
+) -> Response {
+    match cachetime::replay(events, config) {
+        Ok(result) => Response::ok(json_object([
+            ("key", Json::Str(api::key_hex(key))),
+            ("cached", Json::Bool(cached)),
+            ("result", api::sim_result_to_json(&result)),
+        ])),
+        // Unreachable unless two pairings collide on the 64-bit key.
+        Err(e) => Response::error(500, &e.to_string()),
     }
 }
 
@@ -1236,13 +1231,20 @@ fn fetch_segment(
     Ok(bytes)
 }
 
-/// Builds the `/v1/replay` success response as a chunk sequence: one
-/// chunk of envelope prefix, one per `SimResult` (with its separating
-/// comma), one closing chunk. Concatenated, the chunks are byte-identical
-/// to the monolithic `{"key":...,"results":[...]}` object this endpoint
-/// used to build — but a long cycle-time axis is framed result-by-result
-/// instead of first assembling the full body string.
-fn replay_response(key: u64, results: &[cachetime::SimResult]) -> Response {
+/// The `/v1/replay` answer: `events` replayed at every timing point, or
+/// the `400` for an axis the recording cannot be replayed under.
+///
+/// A success is a chunk sequence: one chunk of envelope prefix, one per
+/// `SimResult` (with its separating comma), one closing chunk.
+/// Concatenated, the chunks are byte-identical to the monolithic
+/// `{"key":...,"results":[...]}` object this endpoint used to build — but
+/// a long cycle-time axis is framed result-by-result instead of first
+/// assembling the full body string.
+fn replay_response(key: u64, events: &EventTrace, timings: &[TimingConfig]) -> Response {
+    let results = match keyed::replay_timings(events, timings) {
+        Ok(results) => results,
+        Err(e) => return Response::error(400, &e.to_string()),
+    };
     let mut chunks = Vec::with_capacity(results.len() + 2);
     let mut prefix = String::from("{\"key\":");
     prefix.push_str(&Json::Str(api::key_hex(key)).to_string());

@@ -18,12 +18,12 @@
 //!   has a single shard — exact global LRU semantics — while the server
 //!   uses [`TraceStore::sharded`], which splits the byte budget evenly
 //!   and runs LRU per shard (approximate global recency, same bound).
-//! * **Byte-budgeted LRU.** Entries are charged their
-//!   [`EventTrace::approx_bytes`]; when an insertion pushes a shard over
-//!   its budget, its least-recently-used entries are evicted until it
-//!   fits (the entry being inserted is exempt, so a single oversized
-//!   trace still serves its own request). Recency lives in an ordered
-//!   `clock → key` index, so each eviction is O(log n).
+//! * **Byte-budgeted LRU.** Each shard keeps its resident traces in a
+//!   [`BudgetLru`], charged their [`EventTrace::approx_bytes`]; when an
+//!   insertion pushes a shard over its budget, its least-recently-used
+//!   entries are evicted until it fits (the entry being inserted is
+//!   exempt, so a single oversized trace still serves its own request).
+//!   Every lookup and eviction is O(log n).
 //! * **Panic safety.** If a recording panics, its in-flight marker is
 //!   removed and waiters are woken to retry, rather than hanging forever.
 //!
@@ -39,7 +39,8 @@
 
 use cachetime::EventTrace;
 use cachetime_obs::{Counter, Gauge, Registry};
-use std::collections::{BTreeMap, HashMap};
+use cachetime_types::BudgetLru;
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -149,43 +150,14 @@ impl StoreMetrics {
             in_flight: registry.gauge("cachetime_store_recordings_in_flight", &[]),
         }
     }
-
-    /// Private handles for a store that is not exposed via a registry.
-    fn standalone() -> Self {
-        StoreMetrics {
-            lookups: Arc::new(Counter::new()),
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-            coalesced: Arc::new(Counter::new()),
-            shed: Arc::new(Counter::new()),
-            absent: Arc::new(Counter::new()),
-            evictions: Arc::new(Counter::new()),
-            entries: Arc::new(Gauge::new()),
-            bytes: Arc::new(Gauge::new()),
-            in_flight: Arc::new(Gauge::new()),
-        }
-    }
-}
-
-enum Slot {
-    /// A recording is running on some thread; wait on the shard condvar.
-    InFlight,
-    Ready {
-        events: Arc<EventTrace>,
-        bytes: usize,
-        last_used: u64,
-    },
 }
 
 struct Inner {
-    map: HashMap<u64, Slot>,
-    /// Recency index: `last_used clock → key`, one entry per Ready slot.
-    /// The clock is monotonic and bumped on every touch, so clocks are
-    /// unique and the first entry is always the least recently used.
-    lru: BTreeMap<u64, u64>,
-    /// Monotonic use counter driving LRU order.
-    clock: u64,
-    bytes: usize,
+    /// Resident traces in recency order, under the shard's byte budget.
+    ready: BudgetLru<u64, Arc<EventTrace>>,
+    /// Keys whose recording is running on some thread; wait on the shard
+    /// condvar. Never resident at the same time.
+    in_flight: HashSet<u64>,
 }
 
 /// One lock domain: a slice of the key space with its own mutex, condvar,
@@ -195,20 +167,16 @@ struct Shard {
     /// Signaled whenever an in-flight recording in this shard completes
     /// (or aborts).
     done: Condvar,
-    budget: usize,
 }
 
 impl Shard {
     fn new(budget: usize) -> Self {
         Shard {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                clock: 0,
-                bytes: 0,
+                ready: BudgetLru::new(budget),
+                in_flight: HashSet::new(),
             }),
             done: Condvar::new(),
-            budget,
         }
     }
 }
@@ -234,11 +202,7 @@ struct InFlightGuard<'a> {
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut inner = self.shard.inner.lock().unwrap();
-            if matches!(inner.map.get(&self.key), Some(Slot::InFlight)) {
-                inner.map.remove(&self.key);
-            }
-            drop(inner);
+            self.shard.inner.lock().unwrap().in_flight.remove(&self.key);
             self.store.metrics.in_flight.add(-1);
             self.shard.done.notify_all();
         }
@@ -250,7 +214,7 @@ impl TraceStore {
     /// of recorded traces resident (approximate, see
     /// [`EventTrace::approx_bytes`]). One shard means exact global LRU.
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_metrics(budget_bytes, StoreMetrics::standalone())
+        Self::with_metrics(budget_bytes, StoreMetrics::in_registry(&Registry::new()))
     }
 
     /// [`new`](Self::new), but counting into the caller's metric handles
@@ -263,7 +227,11 @@ impl TraceStore {
     /// two) so concurrent lookups of different keys never contend. The
     /// byte budget is divided evenly; LRU runs per shard.
     pub fn sharded(budget_bytes: usize, shards: usize) -> Self {
-        Self::sharded_with_metrics(budget_bytes, shards, StoreMetrics::standalone())
+        Self::sharded_with_metrics(
+            budget_bytes,
+            shards,
+            StoreMetrics::in_registry(&Registry::new()),
+        )
     }
 
     /// [`sharded`](Self::sharded) with caller-supplied metric handles.
@@ -349,79 +317,62 @@ impl TraceStore {
         let mut inner = shard.inner.lock().unwrap();
         let mut counted_coalesce = false;
         loop {
-            match inner.map.get(&key) {
-                Some(Slot::Ready { .. }) => {
-                    // A lookup counts exactly once: a waiter that already
-                    // counted as coalesced must not also count as a hit
-                    // when it wakes to the finished entry.
-                    if !counted_coalesce {
-                        self.metrics.hits.inc();
-                    }
-                    return Fetch::Ready(Self::touch(&mut inner, key), true);
+            if let Some(events) = inner.ready.get(&key).cloned() {
+                // A lookup counts exactly once: a waiter that already
+                // counted as coalesced must not also count as a hit when
+                // it wakes to the finished entry.
+                if !counted_coalesce {
+                    self.metrics.hits.inc();
                 }
-                Some(Slot::InFlight) => {
-                    if !counted_coalesce {
-                        self.metrics.coalesced.inc();
-                        counted_coalesce = true;
-                    }
-                    // Wait for whichever thread owns the recording; the
-                    // loop re-examines the slot (it may be Ready, absent
-                    // after a panic, or even evicted — then we record).
-                    match Self::wait_done(&shard.done, inner, deadline) {
-                        Ok(g) => inner = g,
-                        Err(()) => return Fetch::TimedOut,
-                    }
-                }
-                None => {
-                    if self.metrics.in_flight.get_unsigned() >= max_inflight as u64 {
-                        // A waiter that woke to an aborted recording and
-                        // then found no admission slot stays classified
-                        // as coalesced; only a direct refusal counts shed.
-                        if !counted_coalesce {
-                            self.metrics.shed.inc();
-                        }
-                        return Fetch::Shed;
-                    }
-                    inner.map.insert(key, Slot::InFlight);
-                    if !counted_coalesce {
-                        self.metrics.misses.inc();
-                    }
-                    self.metrics.in_flight.add(1);
-                    drop(inner);
-
-                    let mut guard = InFlightGuard {
-                        store: self,
-                        shard,
-                        key,
-                        armed: true,
-                    };
-                    let events = Arc::new(record());
-                    guard.armed = false;
-                    drop(guard);
-
-                    let bytes = events.approx_bytes();
-                    let mut inner = shard.inner.lock().unwrap();
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    inner.map.insert(
-                        key,
-                        Slot::Ready {
-                            events: Arc::clone(&events),
-                            bytes,
-                            last_used: clock,
-                        },
-                    );
-                    inner.lru.insert(clock, key);
-                    inner.bytes += bytes;
-                    self.metrics.in_flight.add(-1);
-                    self.metrics.entries.add(1);
-                    self.metrics.bytes.add(bytes as i64);
-                    self.evict_over_budget(shard, &mut inner, key);
-                    drop(inner);
-                    shard.done.notify_all();
-                    return Fetch::Ready(events, false);
-                }
+                return Fetch::Ready(events, true);
             }
+            if inner.in_flight.contains(&key) {
+                if !counted_coalesce {
+                    self.metrics.coalesced.inc();
+                    counted_coalesce = true;
+                }
+                // Wait for whichever thread owns the recording; the loop
+                // re-examines the key (it may be resident, absent after a
+                // panic, or even evicted — then we record).
+                match Self::wait_done(&shard.done, inner, deadline) {
+                    Ok(g) => inner = g,
+                    Err(()) => return Fetch::TimedOut,
+                }
+                continue;
+            }
+            if self.metrics.in_flight.get_unsigned() >= max_inflight as u64 {
+                // A waiter that woke to an aborted recording and then
+                // found no admission slot stays classified as coalesced;
+                // only a direct refusal counts shed.
+                if !counted_coalesce {
+                    self.metrics.shed.inc();
+                }
+                return Fetch::Shed;
+            }
+            inner.in_flight.insert(key);
+            if !counted_coalesce {
+                self.metrics.misses.inc();
+            }
+            self.metrics.in_flight.add(1);
+            drop(inner);
+
+            let mut guard = InFlightGuard {
+                store: self,
+                shard,
+                key,
+                armed: true,
+            };
+            let events = Arc::new(record());
+            guard.armed = false;
+            drop(guard);
+
+            let mut inner = shard.inner.lock().unwrap();
+            inner.in_flight.remove(&key);
+            self.metrics.in_flight.add(-1);
+            self.admit(&mut inner, key, Arc::clone(&events));
+            drop(inner);
+            shard.done.notify_all();
+            return Fetch::Ready(events, false);
         }
     }
 
@@ -429,32 +380,30 @@ impl TraceStore {
     /// startup scan streams recovered traces through here before the
     /// server accepts traffic, so recovery is invisible to the hit/miss
     /// accounting (and to `lookups_balance`). Respects the byte budget
-    /// (the LRU may immediately evict an oversized restore) and never
-    /// displaces a resident or in-flight entry. Returns whether the trace
-    /// was inserted.
+    /// like a recording does: the seeded trace lands as the most recently
+    /// used entry, evicting older ones if needed, and is itself never
+    /// evicted by its own insertion, however large. Never displaces a
+    /// resident or in-flight entry. Returns whether the trace was
+    /// inserted.
     pub fn seed(&self, key: u64, events: Arc<EventTrace>) -> bool {
-        let shard = self.shard(key);
-        let mut inner = shard.inner.lock().unwrap();
-        if inner.map.contains_key(&key) {
+        let mut inner = self.shard(key).inner.lock().unwrap();
+        if inner.ready.contains(&key) || inner.in_flight.contains(&key) {
             return false;
         }
-        let bytes = events.approx_bytes();
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.insert(
-            key,
-            Slot::Ready {
-                events,
-                bytes,
-                last_used: clock,
-            },
-        );
-        inner.lru.insert(clock, key);
-        inner.bytes += bytes;
-        self.metrics.entries.add(1);
-        self.metrics.bytes.add(bytes as i64);
-        self.evict_over_budget(shard, &mut inner, key);
+        self.admit(&mut inner, key, events);
         true
+    }
+
+    /// Makes `events` resident as the shard's most recently used entry,
+    /// evicting least-recently-used ones over the budget, and moves the
+    /// gauges by what changed.
+    fn admit(&self, inner: &mut Inner, key: u64, events: Arc<EventTrace>) {
+        let (entries, bytes) = (inner.ready.len() as i64, inner.ready.bytes() as i64);
+        let weight = events.approx_bytes();
+        let evicted = inner.ready.insert(key, events, weight);
+        self.metrics.evictions.add(evicted.len() as u64);
+        self.metrics.entries.add(inner.ready.len() as i64 - entries);
+        self.metrics.bytes.add(inner.ready.bytes() as i64 - bytes);
     }
 
     /// Waits on the completion condvar, bounded by `deadline`; `Err(())`
@@ -472,7 +421,7 @@ impl TraceStore {
                     return Err(());
                 }
                 // Spurious wakeups and completions of *other* keys re-enter
-                // the caller's loop, which re-checks the slot and the clock.
+                // the caller's loop, which re-checks the key and the deadline.
                 Ok(done.wait_timeout(inner, dl - now).unwrap().0)
             }
         }
@@ -485,14 +434,14 @@ impl TraceStore {
     pub fn try_get(&self, key: u64) -> TryGet {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();
-        match inner.map.get(&key) {
-            Some(Slot::Ready { .. }) => {
-                self.metrics.lookups.inc();
-                self.metrics.hits.inc();
-                TryGet::Ready(Self::touch(&mut inner, key))
-            }
-            Some(Slot::InFlight) => TryGet::InFlight,
-            None => TryGet::Absent,
+        if let Some(events) = inner.ready.get(&key).cloned() {
+            self.metrics.lookups.inc();
+            self.metrics.hits.inc();
+            TryGet::Ready(events)
+        } else if inner.in_flight.contains(&key) {
+            TryGet::InFlight
+        } else {
+            TryGet::Absent
         }
     }
 
@@ -521,78 +470,25 @@ impl TraceStore {
         let mut inner = shard.inner.lock().unwrap();
         let mut counted_coalesce = false;
         loop {
-            match inner.map.get(&key) {
-                Some(Slot::Ready { .. }) => {
-                    if !counted_coalesce {
-                        self.metrics.hits.inc();
-                    }
-                    return Ok(Some(Self::touch(&mut inner, key)));
+            if let Some(events) = inner.ready.get(&key).cloned() {
+                if !counted_coalesce {
+                    self.metrics.hits.inc();
                 }
-                Some(Slot::InFlight) => {
-                    if !counted_coalesce {
-                        self.metrics.coalesced.inc();
-                        counted_coalesce = true;
-                    }
-                    match Self::wait_done(&shard.done, inner, deadline) {
-                        Ok(g) => inner = g,
-                        Err(()) => return Err(DeadlineExceeded),
-                    }
-                }
-                None => {
-                    if !counted_coalesce {
-                        self.metrics.absent.inc();
-                    }
-                    return Ok(None);
-                }
+                return Ok(Some(events));
             }
-        }
-    }
-
-    /// Marks a Ready entry used now and returns its trace. Callers must
-    /// have just observed the slot as Ready under the same shard lock, and
-    /// are responsible for counting the lookup (hit vs. coalesce) — the
-    /// old count-a-hit-here behavior double-counted waiters that had
-    /// already counted as coalesced, which is what made
-    /// `same_key_storm_records_exactly_once` flaky.
-    fn touch(inner: &mut Inner, key: u64) -> Arc<EventTrace> {
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(&key) {
-            Some(Slot::Ready {
-                events, last_used, ..
-            }) => {
-                let events = Arc::clone(events);
-                let previous = std::mem::replace(last_used, clock);
-                inner.lru.remove(&previous);
-                inner.lru.insert(clock, key);
-                events
+            if !inner.in_flight.contains(&key) {
+                if !counted_coalesce {
+                    self.metrics.absent.inc();
+                }
+                return Ok(None);
             }
-            _ => unreachable!("slot vanished under the lock"),
-        }
-    }
-
-    /// Evicts least-recently-used Ready entries (never `keep`, never
-    /// in-flight markers) until the shard's charged bytes fit its budget.
-    ///
-    /// Victim selection walks the ordered recency index from its oldest
-    /// end — O(log n) per victim — instead of rescanning the whole map,
-    /// which made heavy churn O(n²) inside the lock.
-    fn evict_over_budget(&self, shard: &Shard, inner: &mut Inner, keep: u64) {
-        while inner.bytes > shard.budget {
-            // The only entry ever skipped is `keep` itself, so this scan
-            // inspects at most two index entries.
-            let victim = inner
-                .lru
-                .iter()
-                .find(|&(_, &k)| k != keep)
-                .map(|(&clock, &k)| (clock, k));
-            let Some((clock, k)) = victim else { break };
-            inner.lru.remove(&clock);
-            if let Some(Slot::Ready { bytes, .. }) = inner.map.remove(&k) {
-                inner.bytes -= bytes;
-                self.metrics.evictions.inc();
-                self.metrics.entries.add(-1);
-                self.metrics.bytes.add(-(bytes as i64));
+            if !counted_coalesce {
+                self.metrics.coalesced.inc();
+                counted_coalesce = true;
+            }
+            match Self::wait_done(&shard.done, inner, deadline) {
+                Ok(g) => inner = g,
+                Err(()) => return Err(DeadlineExceeded),
             }
         }
     }

@@ -11,7 +11,7 @@
 //! question replays against the recorded events without resending the
 //! trace.
 //!
-//! Residency is LRU under a byte budget, like the
+//! Residency is LRU under a byte budget (one [`BudgetLru`]), like the
 //! [`TraceStore`](crate::store::TraceStore) it feeds: uploads are
 //! interactive state, not durable artifacts. An evicted digest simply
 //! requires re-uploading (the recorded EventTraces it produced remain
@@ -21,8 +21,7 @@ use cachetime::keyed;
 use cachetime_trace::import::TraceFormat;
 use cachetime_trace::interval::{IntervalProfile, Selection};
 use cachetime_trace::Trace;
-use cachetime_types::MemRef;
-use std::collections::HashMap;
+use cachetime_types::{BudgetLru, MemRef};
 use std::sync::{Arc, Mutex};
 
 /// Default byte budget of the upload store (per-ref accounting, not the
@@ -62,87 +61,48 @@ pub struct Inserted {
     pub evicted: u64,
 }
 
-struct Inner {
-    entries: HashMap<u64, Arc<UploadedTrace>>,
-    /// LRU order, oldest first. Small relative to the traces themselves,
-    /// so a linear touch is fine.
-    order: Vec<u64>,
-    bytes: usize,
-}
-
 /// See the [module docs](self).
 pub struct UploadStore {
-    inner: Mutex<Inner>,
-    budget: usize,
+    lru: Mutex<BudgetLru<u64, Arc<UploadedTrace>>>,
 }
 
 impl UploadStore {
     /// An empty store with the given byte budget.
     pub fn new(budget_bytes: usize) -> UploadStore {
         UploadStore {
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                order: Vec::new(),
-                bytes: 0,
-            }),
-            budget: budget_bytes,
+            lru: Mutex::new(BudgetLru::new(budget_bytes)),
         }
     }
 
     /// Inserts an ingested trace under its digest, evicting LRU entries
-    /// as needed. A digest already resident is *not* replaced (equal
-    /// digests mean equal content); it is touched and reported as a
-    /// dedup.
+    /// as needed — but never the newcomer, so one oversized upload still
+    /// lands. A digest already resident is *not* replaced (equal digests
+    /// mean equal content); it is touched and reported as a dedup.
     pub fn insert(&self, entry: UploadedTrace) -> Inserted {
-        let mut inner = self.inner.lock().expect("upload store poisoned");
-        let digest = entry.digest;
-        if inner.entries.contains_key(&digest) {
-            touch(&mut inner.order, digest);
+        let mut lru = self.lru.lock().expect("upload store poisoned");
+        if lru.get(&entry.digest).is_some() {
             return Inserted {
                 fresh: false,
                 evicted: 0,
             };
         }
-        inner.bytes += entry.bytes;
-        inner.entries.insert(digest, Arc::new(entry));
-        inner.order.push(digest);
-        // Evict oldest-first until under budget — but never the entry
-        // just inserted, so one oversized upload still lands.
-        let mut evicted = 0;
-        while inner.bytes > self.budget && inner.order.len() > 1 {
-            let victim = inner.order.remove(0);
-            if let Some(old) = inner.entries.remove(&victim) {
-                inner.bytes -= old.bytes;
-                evicted += 1;
-            }
-        }
+        let (digest, bytes) = (entry.digest, entry.bytes);
         Inserted {
             fresh: true,
-            evicted,
+            evicted: lru.insert(digest, Arc::new(entry), bytes).len() as u64,
         }
     }
 
     /// The upload named by `digest`, touching its LRU position.
     pub fn get(&self, digest: u64) -> Option<Arc<UploadedTrace>> {
-        let mut inner = self.inner.lock().expect("upload store poisoned");
-        let found = inner.entries.get(&digest).cloned();
-        if found.is_some() {
-            touch(&mut inner.order, digest);
-        }
-        found
+        let mut lru = self.lru.lock().expect("upload store poisoned");
+        lru.get(&digest).cloned()
     }
 
     /// `(entries, resident bytes)`.
     pub fn stats(&self) -> (usize, usize) {
-        let inner = self.inner.lock().expect("upload store poisoned");
-        (inner.entries.len(), inner.bytes)
-    }
-}
-
-fn touch(order: &mut Vec<u64>, digest: u64) {
-    if let Some(pos) = order.iter().position(|&d| d == digest) {
-        order.remove(pos);
-        order.push(digest);
+        let lru = self.lru.lock().expect("upload store poisoned");
+        (lru.len(), lru.bytes())
     }
 }
 

@@ -3,7 +3,8 @@
 //! This crate holds the small, widely shared vocabulary of the simulator:
 //! word-granular addresses ([`WordAddr`]), memory references ([`MemRef`],
 //! [`AccessKind`], [`Pid`]), size parameters ([`CacheSize`], [`BlockWords`],
-//! [`Assoc`]) and time quantities ([`CycleTime`], [`Cycles`], [`Nanos`]).
+//! [`Assoc`]), time quantities ([`CycleTime`], [`Cycles`], [`Nanos`]), and
+//! the byte-budgeted LRU map ([`BudgetLru`]) the server's stores share.
 //!
 //! The conventions follow the paper *Performance Tradeoffs in Cache Design*
 //! (Przybylski, Horowitz, Hennessy; ISCA 1988):
@@ -38,6 +39,7 @@ mod error;
 mod events;
 mod hash;
 mod json;
+mod lru;
 mod refs;
 mod size;
 mod time;
@@ -47,6 +49,7 @@ pub use error::ConfigError;
 pub use events::{AccessEvent, CoupletClass, EventOp, RefEvent, VictimBlock};
 pub use hash::{stable_hash_of, StableHash, StableHasher};
 pub use json::{json_object, Json, JsonError};
+pub use lru::BudgetLru;
 pub use refs::{AccessKind, MemRef, Pid};
 pub use size::{Assoc, BlockWords, CacheSize};
 pub use time::{CycleTime, Cycles, Nanos};

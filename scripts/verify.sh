@@ -35,8 +35,11 @@
 #    and asserts an oversized chunk-size claim is answered 413.
 # 8. Observability scrape: while the smoke-test server is still up and
 #    has served real traffic, curl `/v1/metrics` and require every core
-#    metric family (store, server, engine, span, ingest) to be present
-#    in the Prometheus text output, with no NaN samples.
+#    metric family (store, server, engine, span, disk, fleet, ingest) to
+#    be present in the Prometheus text output, with no NaN samples. The
+#    eviction counters of the memory store and the segment store
+#    (`cachetime_store_evictions_total`, `cachetime_disk_evicted_total`)
+#    are among them: both are driven by the shared `BudgetLru`.
 # 9. Server chaos test: start `ctserve` with tight robustness limits and
 #    run the seeded fault-injection clients (`cachetime-bench
 #    serve-chaos`, fixed seed): half-written heads, mid-body disconnects,
@@ -119,6 +122,7 @@ for family in \
   cachetime_store_misses_total \
   cachetime_store_entries \
   cachetime_store_bytes \
+  cachetime_store_evictions_total \
   cachetime_server_in_flight \
   cachetime_server_shed_total \
   cachetime_server_timeouts_total \
@@ -135,6 +139,7 @@ for family in \
   cachetime_disk_quarantined_total \
   cachetime_disk_segments \
   cachetime_disk_bytes \
+  cachetime_disk_evicted_total \
   cachetime_fleet_rebalance_total \
   cachetime_fleet_segments_pulled_total \
   cachetime_fleet_segments_dropped_total \
