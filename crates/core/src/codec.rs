@@ -4,20 +4,37 @@
 //! An [`EventTrace`] is the expensive artifact of the two-phase engine
 //! (recording walks the whole reference stream; replay is 20–40x
 //! cheaper), so `cachetime-disk` persists traces across server restarts.
-//! This module defines the byte-exact payload: a little-endian,
-//! field-by-field encoding of the organization half, the behavioral
-//! counters, and the op stream. No external serialization crate is used —
-//! the workspace is zero-dependency by design.
+//! This module defines the byte-exact payload (version 2):
+//!
+//! ```text
+//! size  field
+//!    1  payload version (2)
+//!  ~70  organization: both L1 configurations, split flag, translation
+//! ~260  behavior: refs, couplets, both L1 statistics, MMU statistics
+//!    8  op count
+//! rest  the trace's packed op stream, byte for byte as held in memory
+//! ```
+//!
+//! Every header field is little-endian and fixed-width. The op stream is
+//! the trace's own representation (the layout is documented with the
+//! writer in `opstream.rs`), so `encode` is the header plus one copy and
+//! `decode` is the header, one check pass over the ops and one copy. A
+//! version-1 payload (one fixed-width record per op) is rejected as an
+//! unsupported version; recording is deterministic, so its key is simply
+//! recorded again. No external serialization crate is used — the
+//! workspace is zero-dependency by design.
 //!
 //! Properties the disk layer relies on:
 //!
-//! * **Round-trip identity**: `decode(encode(t)) == t` for every trace the
-//!   recorder can produce, so a warm restart replays bit-identically to
-//!   [`crate::Simulator::run`]. Pinned by the codec tests.
+//! * **Round-trip identity**: `decode(encode(t)) == t` for every trace,
+//!   so a warm restart replays bit-identically to
+//!   [`crate::Simulator::run`]; and `encode(decode(b)) == b` for every
+//!   payload `decode` accepts, because the op stream is canonical.
 //! * **Validated decode**: configurations are rebuilt through the public
-//!   builders, so a decoded trace satisfies every invariant a freshly
-//!   recorded one does; a corrupt payload yields [`CodecError`], never a
-//!   panic and never an internally inconsistent trace.
+//!   builders, and every op is decoded and re-encoded once, so a decoded
+//!   trace satisfies every invariant a freshly recorded one does; a
+//!   corrupt payload yields [`CodecError`], never a panic and never an
+//!   internally inconsistent trace.
 //! * **Bounded allocation**: claimed lengths are checked against the
 //!   remaining input before any buffer is reserved, so truncated or
 //!   garbage headers cannot trigger huge allocations.
@@ -26,6 +43,7 @@
 //! `cachetime-disk`); the codec itself starts with a one-byte payload
 //! version so the format can evolve independently of the container.
 
+use crate::opstream::OpStream;
 use crate::replay::EventTrace;
 use crate::system::{OrgConfig, SystemConfig};
 use cachetime_cache::{
@@ -33,14 +51,11 @@ use cachetime_cache::{
     WritePolicy,
 };
 use cachetime_mmu::{MmuStats, TranslationConfig};
-use cachetime_types::{
-    AccessEvent, Assoc, BlockWords, CacheSize, CoupletClass, EventOp, Pid, RefEvent, VictimBlock,
-    WordAddr,
-};
+use cachetime_types::{Assoc, BlockWords, CacheSize};
 
 /// Payload format version written by [`encode`]; [`decode`] rejects
 /// anything else.
-pub const PAYLOAD_VERSION: u8 = 1;
+pub const PAYLOAD_VERSION: u8 = 2;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +85,8 @@ impl std::error::Error for CodecError {}
 
 /// Serializes a trace to the versioned payload format.
 pub fn encode(trace: &EventTrace) -> Vec<u8> {
-    // Fixed header ~200 bytes + ops; sizing up front keeps the encode
-    // loop off the reallocation path for typical traces.
-    let mut out = Vec::with_capacity(256 + trace.ops().len() * 24);
+    // Fixed header ~330 bytes, then the packed ops as they are held.
+    let mut out = Vec::with_capacity(384 + trace.ops().byte_len());
     out.push(PAYLOAD_VERSION);
     let org = trace.organization();
     put_cache_config(&mut out, org.l1i());
@@ -100,10 +114,9 @@ pub fn encode(trace: &EventTrace) -> Vec<u8> {
             put_u64(&mut out, m.misses);
         }
     }
-    put_u64(&mut out, trace.ops().len() as u64);
-    for op in trace.ops() {
-        put_op(&mut out, op);
-    }
+    let ops = trace.ops();
+    put_u64(&mut out, ops.len() as u64);
+    out.extend_from_slice(ops.bytes);
     out
 }
 
@@ -163,19 +176,9 @@ pub fn decode(bytes: &[u8]) -> Result<EventTrace, CodecError> {
         _ => return Err(CodecError::Invalid("mmu flag")),
     };
     let op_count = r.u64()?;
-    // The smallest op (WarmBoundary) is one byte, so a claimed count
-    // beyond the remaining input is provably a lie — reject before
-    // reserving anything.
-    if op_count > r.remaining() as u64 {
-        return Err(CodecError::Truncated);
-    }
-    let mut ops = Vec::with_capacity(op_count as usize);
-    for _ in 0..op_count {
-        ops.push(get_op(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes"));
-    }
+    // One check pass over the rest (which rejects a claimed count beyond
+    // the remaining input before reserving anything), then one copy.
+    let ops = OpStream::checked(&r.bytes[r.pos..], op_count)?;
     Ok(EventTrace::from_raw_parts(
         org, ops, refs, couplets, l1i_stats, l1d_stats, mmu,
     ))
@@ -188,10 +191,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -256,86 +255,6 @@ fn put_cache_stats(out: &mut Vec<u8>, s: &CacheStats) {
     }
 }
 
-fn put_victim(out: &mut Vec<u8>, v: &Option<VictimBlock>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v.addr.value());
-            put_u32(out, v.words);
-        }
-    }
-}
-
-fn put_access(out: &mut Vec<u8>, a: &AccessEvent) {
-    match a {
-        AccessEvent::ReadHit => out.push(0),
-        AccessEvent::ReadMiss {
-            fetch_start,
-            fill_words,
-            victim,
-        } => {
-            out.push(1);
-            put_u64(out, fetch_start.value());
-            put_u32(out, *fill_words);
-            put_victim(out, victim);
-        }
-        AccessEvent::WriteHit { through } => {
-            out.push(2);
-            put_bool(out, *through);
-        }
-        AccessEvent::WriteMissAround => out.push(3),
-        AccessEvent::WriteMissAllocate {
-            fetch_start,
-            fill_words,
-            victim,
-            through,
-        } => {
-            out.push(4);
-            put_u64(out, fetch_start.value());
-            put_u32(out, *fill_words);
-            put_victim(out, victim);
-            put_bool(out, *through);
-        }
-        AccessEvent::ReadSlowHit => out.push(5),
-        AccessEvent::ReadVictimHit => out.push(6),
-        AccessEvent::WriteVictimHit { through } => {
-            out.push(7);
-            put_bool(out, *through);
-        }
-    }
-}
-
-fn put_ref_event(out: &mut Vec<u8>, r: &Option<RefEvent>) {
-    match r {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            put_u64(out, r.addr.value());
-            put_u16(out, r.pid.0);
-            put_u64(out, r.walk_cycles);
-            put_access(out, &r.access);
-        }
-    }
-}
-
-fn put_op(out: &mut Vec<u8>, op: &EventOp) {
-    match op {
-        EventOp::HitRun { counts } => {
-            out.push(0);
-            for c in counts {
-                put_u32(out, *c);
-            }
-        }
-        EventOp::Couplet { iref, dref } => {
-            out.push(1);
-            put_ref_event(out, iref);
-            put_ref_event(out, dref);
-        }
-        EventOp::WarmBoundary => out.push(2),
-    }
-}
-
 // ---------------------------------------------------------------- readers
 
 struct Reader<'a> {
@@ -359,10 +278,6 @@ impl Reader<'_> {
 
     fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
@@ -457,71 +372,6 @@ fn get_cache_stats(r: &mut Reader<'_>) -> Result<CacheStats, CodecError> {
     })
 }
 
-fn get_victim(r: &mut Reader<'_>) -> Result<Option<VictimBlock>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(VictimBlock {
-            addr: WordAddr::new(r.u64()?),
-            words: r.u32()?,
-        })),
-        _ => Err(CodecError::Invalid("victim flag")),
-    }
-}
-
-fn get_access(r: &mut Reader<'_>) -> Result<AccessEvent, CodecError> {
-    Ok(match r.u8()? {
-        0 => AccessEvent::ReadHit,
-        1 => AccessEvent::ReadMiss {
-            fetch_start: WordAddr::new(r.u64()?),
-            fill_words: r.u32()?,
-            victim: get_victim(r)?,
-        },
-        2 => AccessEvent::WriteHit { through: r.bool()? },
-        3 => AccessEvent::WriteMissAround,
-        4 => AccessEvent::WriteMissAllocate {
-            fetch_start: WordAddr::new(r.u64()?),
-            fill_words: r.u32()?,
-            victim: get_victim(r)?,
-            through: r.bool()?,
-        },
-        5 => AccessEvent::ReadSlowHit,
-        6 => AccessEvent::ReadVictimHit,
-        7 => AccessEvent::WriteVictimHit { through: r.bool()? },
-        _ => return Err(CodecError::Invalid("access tag")),
-    })
-}
-
-fn get_ref_event(r: &mut Reader<'_>) -> Result<Option<RefEvent>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(RefEvent {
-            addr: WordAddr::new(r.u64()?),
-            pid: Pid(r.u16()?),
-            walk_cycles: r.u64()?,
-            access: get_access(r)?,
-        })),
-        _ => Err(CodecError::Invalid("ref-event flag")),
-    }
-}
-
-fn get_op(r: &mut Reader<'_>) -> Result<EventOp, CodecError> {
-    Ok(match r.u8()? {
-        0 => {
-            let mut counts = [0u32; CoupletClass::COUNT];
-            for c in &mut counts {
-                *c = r.u32()?;
-            }
-            EventOp::HitRun { counts }
-        }
-        1 => EventOp::Couplet {
-            iref: get_ref_event(r)?,
-            dref: get_ref_event(r)?,
-        },
-        2 => EventOp::WarmBoundary,
-        _ => return Err(CodecError::Invalid("op tag")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +430,7 @@ mod tests {
         // the header length.
         let empty = EventTrace::from_raw_parts(
             *events.organization(),
-            Vec::new(),
+            OpStream::default(),
             events.refs(),
             events.couplets(),
             *events.l1i_stats(),

@@ -131,7 +131,10 @@ pub fn upload_trace_key(org: &OrgConfig, digest: u64) -> u64 {
 /// [`upload_digest`]; the caller already holds it from ingestion, so it
 /// is taken rather than recomputed (a linear pass over the refs).
 pub fn record_upload(org: &OrgConfig, digest: u64, trace: &Trace) -> (u64, EventTrace) {
-    (upload_trace_key(org, digest), record_to_keep(org, trace))
+    (
+        upload_trace_key(org, digest),
+        BehavioralSim::new(org).record(trace),
+    )
 }
 
 /// Generates `workload`'s trace and records its behavioral events under
@@ -142,15 +145,10 @@ pub fn record_upload(org: &OrgConfig, digest: u64, trace: &Trace) -> (u64, Event
 /// compute [`trace_key`] first and only fall back to this on a miss.
 pub fn record(org: &OrgConfig, workload: &WorkloadSpec) -> (u64, EventTrace) {
     let trace = workload.generate();
-    (trace_key(org, workload), record_to_keep(org, &trace))
-}
-
-/// Records `trace` for a store to keep: trimmed to its ops, so a byte
-/// budget charged with [`EventTrace::approx_bytes`] pays for no slack.
-fn record_to_keep(org: &OrgConfig, trace: &Trace) -> EventTrace {
-    let mut events = BehavioralSim::new(org).record(trace);
-    events.shrink_to_fit();
-    events
+    (
+        trace_key(org, workload),
+        BehavioralSim::new(org).record(&trace),
+    )
 }
 
 /// Reprices a recorded trace under each timing half, reusing the trace's
@@ -315,7 +313,7 @@ mod tests {
         assert!(!events.ops().is_empty());
         assert_eq!(
             events.approx_bytes(),
-            std::mem::size_of::<EventTrace>() + std::mem::size_of_val(events.ops())
+            std::mem::size_of::<EventTrace>() + events.ops().byte_len()
         );
     }
 

@@ -61,12 +61,14 @@ pub mod codec;
 mod engine;
 mod hierarchy;
 pub mod keyed;
+mod opstream;
 mod replay;
 mod result;
 pub mod sweep;
 mod system;
 
 pub use engine::Simulator;
+pub use opstream::{OpIter, Ops};
 pub use replay::{replay, replay_many, BehavioralSim, EventTrace};
 pub use result::{CoupletHistogram, SimResult};
 pub use system::{

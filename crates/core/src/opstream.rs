@@ -1,0 +1,966 @@
+//! The packed op stream of an [`EventTrace`](crate::EventTrace).
+//!
+//! A recording encodes each [`EventOp`] into a few bytes as the walk
+//! emits it, and those bytes are both what the trace holds in memory and
+//! what a segment payload carries after the codec's header. A replay
+//! decodes each op once and hands it to every lane.
+//!
+//! Both sides of the stream carry a small state from op to op: the last
+//! address of each couplet side (I and D), the last pid, and the fill
+//! size of the last miss. Addresses are zigzag deltas against the
+//! previous address on the same side, a pid is written only when it
+//! changes, and a fetch start or victim address is stored relative to its
+//! reference's address. Every multi-byte field is little-endian with a
+//! width the header bits choose, read with one unaligned load and a mask.
+//!
+//! ```text
+//! first byte     op
+//! xxxx_xxx0      lone clean read miss (the dominant recorded couplet)
+//!                  bit 1     side: 0 = ifetch half, 1 = data half
+//!                  bit 2     pid changed: 2 pid bytes follow the address
+//!                  bits 3-5  address delta width - 1 (1..8 bytes)
+//!                  bits 6-7  fetch offset: 0 = aligned to the fill,
+//!                            1/2/3 = 1/2/8 bytes of addr - fetch start
+//!                walk-free, no victim, fill size as the last miss's
+//! wmmm_mm01      hit run: m = the classes with a nonzero count, in
+//!                CoupletClass order; w = a u16 of 2-bit count widths
+//!                (1..4 bytes) follows, else every count is one byte
+//! 000d_i011      general couplet: i/d = that half follows as a record
+//! 0000_0111      warm boundary
+//!
+//! record byte    bits 0-3  access kind 0..=10 (see `kind_of`)
+//!                bit 4     pid changed: 2 pid bytes follow the address
+//!                bit 5     walk: a width byte (1..8) and the walk cycles
+//!                bits 6-7  address delta width: 1/2/4/8 bytes
+//! miss byte      (kinds 8..=10 only, after the walk)
+//!                bits 0-1  fetch offset, as for the lone miss
+//!                bit 2     fill size changed: 4 bytes follow
+//!                bit 3     victim: its address delta follows the offset
+//!                bits 4-5  victim delta width: 1/2/4/8 bytes
+//!                bit 6     victim words differ from the fill: 4 bytes
+//! ```
+//!
+//! The stream is canonical: every field takes the narrowest width that
+//! holds it and every shape takes its dedicated code, so equal op
+//! sequences are equal bytes. [`OpStream::checked`] enforces this by
+//! re-encoding each op it decodes and comparing, which rejects overlong
+//! fields, unused flag bits and misplaced shapes alike.
+
+use crate::codec::CodecError;
+use cachetime_types::{AccessEvent, CoupletClass, EventOp, Pid, RefEvent, VictimBlock, WordAddr};
+
+const TAG_HIT_RUN: u8 = 0b01;
+const TAG_COUPLET: u8 = 0b011;
+const TAG_WARM: u8 = 0b111;
+
+/// Low-byte masks by field width in bytes.
+const MASK: [u64; 9] = [
+    0,
+    0xff,
+    0xffff,
+    0xff_ffff,
+    0xffff_ffff,
+    0xff_ffff_ffff,
+    0xffff_ffff_ffff,
+    0xff_ffff_ffff_ffff,
+    u64::MAX,
+];
+
+/// Widths of a general record's address and victim deltas, by code.
+const DELTA: [usize; 4] = [1, 2, 4, 8];
+
+/// Widths of an explicit fetch offset, by code; code 0 is the aligned
+/// fetch and carries no bytes.
+const OFFSET: [usize; 4] = [0, 1, 2, 8];
+
+/// What both sides of the stream carry from one op to the next.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct State {
+    /// The last address of each couplet side: `[ifetch, data]`.
+    addr: [u64; 2],
+    pid: u16,
+    /// The fill size of the last miss.
+    fill: u32,
+}
+
+/// An encoded op sequence: the packed bytes and the number of ops in
+/// them. Only [`OpWriter`] and [`OpStream::checked`] make one, so its
+/// bytes always decode.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct OpStream {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl OpStream {
+    /// Validates `bytes` as exactly `len` canonical ops and copies them.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] if the bytes end inside an op or hold
+    /// fewer than `len`; [`CodecError::Invalid`] on an undefined code, a
+    /// stream `encode` would not write, or bytes past the last op.
+    pub(crate) fn checked(bytes: &[u8], len: u64) -> Result<Self, CodecError> {
+        // Every op is at least one byte, so a larger count is a lie.
+        if len > bytes.len() as u64 {
+            return Err(CodecError::Truncated);
+        }
+        let mut state = State::default();
+        let mut pos = 0;
+        let mut again = [0; OP_ROOM];
+        for _ in 0..len {
+            let (start, mut before) = (pos, state);
+            let op = decode_op(bytes, &mut pos, &mut state)?;
+            let n = encode_op(&op, &mut before, &mut again);
+            if again[..n] != bytes[start..pos] {
+                return Err(CodecError::Invalid("non-canonical op"));
+            }
+        }
+        if pos != bytes.len() {
+            return Err(CodecError::Invalid("trailing bytes"));
+        }
+        Ok(OpStream {
+            bytes: bytes.to_vec(),
+            len: len as usize,
+        })
+    }
+
+    pub(crate) fn view(&self) -> Ops<'_> {
+        Ops {
+            bytes: &self.bytes,
+            len: self.len,
+        }
+    }
+
+    /// Bytes allocated for the stream, spare capacity included.
+    pub(crate) fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// Appends ops to a stream as a walk emits them.
+pub(crate) struct OpWriter {
+    stream: OpStream,
+    state: State,
+}
+
+impl OpWriter {
+    /// An empty stream with room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        OpWriter {
+            stream: OpStream {
+                bytes: Vec::with_capacity(bytes),
+                len: 0,
+            },
+            state: State::default(),
+        }
+    }
+
+    /// Appends one op. Out of line, so the walk's loop holds one call per
+    /// op rather than the encoder at each of its three emit sites.
+    #[inline(never)]
+    pub(crate) fn push(&mut self, op: &EventOp) {
+        let bytes = &mut self.stream.bytes;
+        let start = bytes.len();
+        bytes.extend_from_slice(&[0; OP_ROOM]);
+        let room = (&mut bytes[start..]).try_into().expect("room for an op");
+        let n = encode_op(op, &mut self.state, room);
+        bytes.truncate(start + n);
+        self.stream.len += 1;
+    }
+
+    /// The finished stream, trimmed to its bytes.
+    pub(crate) fn finish(mut self) -> OpStream {
+        self.stream.bytes.shrink_to_fit();
+        self.stream
+    }
+}
+
+/// The recorded ops of an [`EventTrace`](crate::EventTrace): a borrowed
+/// view of its packed stream that decodes as it iterates.
+#[derive(Debug, Clone, Copy)]
+pub struct Ops<'a> {
+    pub(crate) bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> Ops<'a> {
+    /// Number of recorded ops.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the packed ops take.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The ops in recorded order, each decoded as it is reached.
+    pub fn iter(&self) -> OpIter<'a> {
+        OpIter {
+            bytes: self.bytes,
+            pos: 0,
+            state: State::default(),
+            left: self.len,
+        }
+    }
+}
+
+/// Decodes a stream's ops in order; see [`Ops::iter`].
+#[derive(Debug, Clone)]
+pub struct OpIter<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    state: State,
+    left: usize,
+}
+
+impl Iterator for OpIter<'_> {
+    type Item = EventOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventOp> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(decode_op(self.bytes, &mut self.pos, &mut self.state).expect(CHECKED))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+// ---------------------------------------------------------------- fields
+
+/// Bytes needed to hold `v`: 0 for 0.
+#[inline]
+fn bytes_of(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).div_ceil(8)
+}
+
+/// The first code from `from` on whose width holds `need` bytes.
+#[inline]
+fn code_for(widths: &[usize; 4], from: usize, need: usize) -> usize {
+    (from..3).find(|&c| widths[c] >= need).unwrap_or(3)
+}
+
+#[inline]
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The longest op (a couplet of two records with every field at full
+/// width) is 91 bytes, and a field's 8-byte store may run 7 past it.
+const OP_ROOM: usize = 98;
+
+/// The bytes of the op being written: each field is one 8-byte store,
+/// and `len` counts the bytes that are the op's.
+struct Staged<'a> {
+    buf: &'a mut [u8; OP_ROOM],
+    len: usize,
+}
+
+impl Staged<'_> {
+    #[inline(always)]
+    fn push(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// Appends the low `width` bytes of `v`.
+    #[inline(always)]
+    fn put(&mut self, v: u64, width: usize) {
+        self.buf[self.len..self.len + 8].copy_from_slice(&v.to_le_bytes());
+        self.len += width;
+    }
+}
+
+/// Eight bytes from `pos` on, little-endian, zero past the end: one
+/// unaligned load wherever eight bytes remain. Fields are read by masking
+/// this, and a reader checks once per op that it stayed in bounds.
+#[inline(always)]
+fn load(bytes: &[u8], pos: usize) -> u64 {
+    match bytes.get(pos..pos + 8) {
+        Some(b) => u64::from_le_bytes(b.try_into().expect("eight bytes")),
+        None => load_tail(bytes, pos),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn load_tail(bytes: &[u8], pos: usize) -> u64 {
+    let mut buf = [0u8; 8];
+    if let Some(rest) = bytes.get(pos..) {
+        let n = rest.len().min(8);
+        buf[..n].copy_from_slice(&rest[..n]);
+    }
+    u64::from_le_bytes(buf)
+}
+
+/// Reads a `width`-byte field at `*pos` and steps past it.
+#[inline(always)]
+fn take(bytes: &[u8], pos: &mut usize, width: usize) -> u64 {
+    let v = load(bytes, *pos) & MASK[width];
+    *pos += width;
+    v
+}
+
+/// The fetch start a miss of `fill` words at `addr` has when the fill is
+/// aligned to its own size, as every cache in the crate fetches.
+#[inline]
+fn aligned(addr: u64, fill: u32) -> u64 {
+    addr & !(fill as u64).wrapping_sub(1)
+}
+
+/// The fetch-offset code and value for a miss at `addr`.
+#[inline]
+fn offset_of(addr: u64, fetch_start: u64, fill: u32) -> (usize, u64) {
+    if fetch_start == aligned(addr, fill) {
+        (0, 0)
+    } else {
+        let off = addr.wrapping_sub(fetch_start);
+        (code_for(&OFFSET, 1, bytes_of(off)), off)
+    }
+}
+
+/// Reads a fetch offset written under `code` and returns the fetch start.
+#[inline(always)]
+fn fetch_start_at(bytes: &[u8], pos: &mut usize, addr: u64, fill: u32, code: usize) -> u64 {
+    if code == 0 {
+        aligned(addr, fill)
+    } else {
+        addr.wrapping_sub(take(bytes, pos, OFFSET[code]))
+    }
+}
+
+/// A general record's access-kind code.
+fn kind_of(access: &AccessEvent) -> u8 {
+    match *access {
+        AccessEvent::ReadHit => 0,
+        AccessEvent::ReadSlowHit => 1,
+        AccessEvent::ReadVictimHit => 2,
+        AccessEvent::WriteMissAround => 3,
+        AccessEvent::WriteHit { through } => 4 + through as u8,
+        AccessEvent::WriteVictimHit { through } => 6 + through as u8,
+        AccessEvent::ReadMiss { .. } => 8,
+        AccessEvent::WriteMissAllocate { through, .. } => 9 + through as u8,
+    }
+}
+
+// ---------------------------------------------------------------- encode
+
+/// Writes `op`'s encoding to the front of `room`, advances the stream
+/// state, and returns the encoding's length.
+#[inline(always)]
+fn encode_op(op: &EventOp, s: &mut State, room: &mut [u8; OP_ROOM]) -> usize {
+    let mut staged = Staged { buf: room, len: 0 };
+    let out = &mut staged;
+    match op {
+        EventOp::HitRun { counts } => put_hit_run(counts, out),
+        EventOp::Couplet { iref, dref } => match (iref, dref) {
+            (Some(e), None) if is_lone_clean_miss(e, s.fill) => put_lone_miss(0, e, s, out),
+            (None, Some(e)) if is_lone_clean_miss(e, s.fill) => put_lone_miss(1, e, s, out),
+            _ => {
+                out.push(TAG_COUPLET | (iref.is_some() as u8) << 3 | (dref.is_some() as u8) << 4);
+                if let Some(e) = iref {
+                    put_record(0, e, s, out);
+                }
+                if let Some(e) = dref {
+                    put_record(1, e, s, out);
+                }
+            }
+        },
+        EventOp::WarmBoundary => out.push(TAG_WARM),
+    }
+    staged.len
+}
+
+fn is_lone_clean_miss(e: &RefEvent, fill: u32) -> bool {
+    e.walk_cycles == 0
+        && matches!(e.access, AccessEvent::ReadMiss { fill_words, victim: None, .. } if fill_words == fill)
+}
+
+#[inline(always)]
+fn put_hit_run(counts: &[u32; CoupletClass::COUNT], out: &mut Staged<'_>) {
+    let present = counts
+        .iter()
+        .enumerate()
+        .fold(0u8, |m, (i, &c)| m | ((c != 0) as u8) << i);
+    let wide = counts.iter().any(|&c| c > 0xff);
+    out.push(TAG_HIT_RUN | present << 2 | (wide as u8) << 7);
+    if wide {
+        let widths = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .fold(0u64, |w, (i, &c)| {
+                w | ((bytes_of(c as u64) - 1) as u64) << (2 * i)
+            });
+        out.put(widths, 2);
+    }
+    for &c in counts.iter().filter(|&&c| c != 0) {
+        let width = if wide { bytes_of(c as u64) } else { 1 };
+        out.put(c as u64, width);
+    }
+}
+
+#[inline(always)]
+fn put_lone_miss(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
+    let AccessEvent::ReadMiss { fetch_start, .. } = e.access else {
+        unreachable!("a lone clean miss is a read miss")
+    };
+    let addr = e.addr.value();
+    let delta = zigzag(addr.wrapping_sub(s.addr[side]));
+    let width = bytes_of(delta).max(1);
+    let pid_changed = e.pid.0 != s.pid;
+    let (code, off) = offset_of(addr, fetch_start.value(), s.fill);
+    out.push(
+        (side as u8) << 1 | (pid_changed as u8) << 2 | ((width - 1) as u8) << 3 | (code as u8) << 6,
+    );
+    out.put(delta, width);
+    if pid_changed {
+        out.put(e.pid.0 as u64, 2);
+    }
+    out.put(off, OFFSET[code]);
+    s.addr[side] = addr;
+    s.pid = e.pid.0;
+}
+
+#[inline(always)]
+fn put_record(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
+    let addr = e.addr.value();
+    let delta = zigzag(addr.wrapping_sub(s.addr[side]));
+    let delta_code = code_for(&DELTA, 0, bytes_of(delta));
+    let pid_changed = e.pid.0 != s.pid;
+    let walk = e.walk_cycles != 0;
+    out.push(
+        kind_of(&e.access) | (pid_changed as u8) << 4 | (walk as u8) << 5 | (delta_code as u8) << 6,
+    );
+    out.put(delta, DELTA[delta_code]);
+    if pid_changed {
+        out.put(e.pid.0 as u64, 2);
+    }
+    if walk {
+        let width = bytes_of(e.walk_cycles);
+        out.push(width as u8);
+        out.put(e.walk_cycles, width);
+    }
+    let miss = match e.access {
+        AccessEvent::ReadMiss {
+            fetch_start,
+            fill_words,
+            victim,
+        }
+        | AccessEvent::WriteMissAllocate {
+            fetch_start,
+            fill_words,
+            victim,
+            ..
+        } => Some((fetch_start.value(), fill_words, victim)),
+        _ => None,
+    };
+    if let Some((fetch_start, fill, victim)) = miss {
+        let (code, off) = offset_of(addr, fetch_start, fill);
+        let fill_changed = fill != s.fill;
+        let victim = victim.map(|v| {
+            let delta = zigzag(v.addr.value().wrapping_sub(addr));
+            (delta, code_for(&DELTA, 0, bytes_of(delta)), v.words)
+        });
+        let mut m = code as u8 | (fill_changed as u8) << 2;
+        if let Some((_, vcode, words)) = victim {
+            m |= 1 << 3 | (vcode as u8) << 4 | ((words != fill) as u8) << 6;
+        }
+        out.push(m);
+        if fill_changed {
+            out.put(fill as u64, 4);
+        }
+        out.put(off, OFFSET[code]);
+        if let Some((delta, vcode, words)) = victim {
+            out.put(delta, DELTA[vcode]);
+            if words != fill {
+                out.put(words as u64, 4);
+            }
+        }
+        s.fill = fill;
+    }
+    s.addr[side] = addr;
+    s.pid = e.pid.0;
+}
+
+// ---------------------------------------------------------------- decode
+
+const CHECKED: &str = "an OpStream holds only checked ops";
+
+/// The record kinds that carry no payload, by kind code.
+const PLAIN: [AccessEvent; 8] = [
+    AccessEvent::ReadHit,
+    AccessEvent::ReadSlowHit,
+    AccessEvent::ReadVictimHit,
+    AccessEvent::WriteMissAround,
+    AccessEvent::WriteHit { through: false },
+    AccessEvent::WriteHit { through: true },
+    AccessEvent::WriteVictimHit { through: false },
+    AccessEvent::WriteVictimHit { through: true },
+];
+
+/// Decodes the op at `*pos`, steps past it and advances the stream state.
+/// Never panics: out-of-range reads see zeros and end in `Truncated`.
+#[inline(always)]
+fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, CodecError> {
+    let Some(&h) = bytes.get(*pos) else {
+        return Err(CodecError::Truncated);
+    };
+    let mut p = *pos + 1;
+    if h & 1 == 0 {
+        let side = (h >> 1 & 1) as usize;
+        let delta = take(bytes, &mut p, (h >> 3 & 7) as usize + 1);
+        let addr = s.addr[side].wrapping_add(unzigzag(delta));
+        if h & 1 << 2 != 0 {
+            s.pid = take(bytes, &mut p, 2) as u16;
+        }
+        let fetch_start = fetch_start_at(bytes, &mut p, addr, s.fill, (h >> 6) as usize);
+        s.addr[side] = addr;
+        within(bytes, pos, p)?;
+        let e = Some(RefEvent {
+            addr: WordAddr::new(addr),
+            pid: Pid(s.pid),
+            walk_cycles: 0,
+            access: AccessEvent::ReadMiss {
+                fetch_start: WordAddr::new(fetch_start),
+                fill_words: s.fill,
+                victim: None,
+            },
+        });
+        Ok(if side == 0 {
+            EventOp::Couplet {
+                iref: e,
+                dref: None,
+            }
+        } else {
+            EventOp::Couplet {
+                iref: None,
+                dref: e,
+            }
+        })
+    } else if h & 0b11 == TAG_HIT_RUN {
+        let present = (h >> 2 & 0x1f) as u32;
+        let mut counts = [0u32; CoupletClass::COUNT];
+        if h & 0x80 == 0 {
+            // One byte per present class: one load, then each count is
+            // the byte at its rank among the present classes.
+            let word = load(bytes, p);
+            let mut rank = 0;
+            for (i, c) in counts.iter_mut().enumerate() {
+                let bit = present >> i & 1;
+                *c = (word >> (8 * rank)) as u8 as u32 * bit;
+                rank += bit;
+            }
+            // The next op's position, summed apart from the ranks so the
+            // walk from op to op does not wait on them.
+            p += ((present & 1)
+                + (present >> 1 & 1)
+                + (present >> 2 & 1)
+                + (present >> 3 & 1)
+                + (present >> 4)) as usize;
+        } else {
+            let widths = take(bytes, &mut p, 2);
+            for (i, c) in counts.iter_mut().enumerate() {
+                let width = (present >> i & 1) as usize * ((widths >> (2 * i) & 3) as usize + 1);
+                *c = take(bytes, &mut p, width) as u32;
+            }
+        }
+        within(bytes, pos, p)?;
+        Ok(EventOp::HitRun { counts })
+    } else if h & 0b111 == TAG_COUPLET {
+        let iref = if h & 1 << 3 != 0 {
+            Some(get_record(bytes, &mut p, 0, s)?)
+        } else {
+            None
+        };
+        let dref = if h & 1 << 4 != 0 {
+            Some(get_record(bytes, &mut p, 1, s)?)
+        } else {
+            None
+        };
+        within(bytes, pos, p)?;
+        Ok(EventOp::Couplet { iref, dref })
+    } else if h == TAG_WARM {
+        *pos = p;
+        Ok(EventOp::WarmBoundary)
+    } else {
+        Err(CodecError::Invalid("op code"))
+    }
+}
+
+/// Commits an op that ends at `end`, if it ends within `bytes`.
+#[inline(always)]
+fn within(bytes: &[u8], pos: &mut usize, end: usize) -> Result<(), CodecError> {
+    if end > bytes.len() {
+        return Err(CodecError::Truncated);
+    }
+    *pos = end;
+    Ok(())
+}
+
+#[inline(always)]
+fn get_record(
+    bytes: &[u8],
+    p: &mut usize,
+    side: usize,
+    s: &mut State,
+) -> Result<RefEvent, CodecError> {
+    let a = take(bytes, p, 1) as usize;
+    let addr = s.addr[side].wrapping_add(unzigzag(take(bytes, p, DELTA[a >> 6])));
+    s.addr[side] = addr;
+    if a & 1 << 4 != 0 {
+        s.pid = take(bytes, p, 2) as u16;
+    }
+    let walk_cycles = if a & 1 << 5 != 0 {
+        let width = take(bytes, p, 1) as usize;
+        if width > 8 {
+            return Err(CodecError::Invalid("walk width"));
+        }
+        take(bytes, p, width)
+    } else {
+        0
+    };
+    let kind = a & 0xf;
+    let access = match kind {
+        0..=7 => PLAIN[kind],
+        8..=10 => {
+            let m = take(bytes, p, 1) as usize;
+            if m & 1 << 2 != 0 {
+                s.fill = take(bytes, p, 4) as u32;
+            }
+            let fill_words = s.fill;
+            let fetch_start = WordAddr::new(fetch_start_at(bytes, p, addr, fill_words, m & 3));
+            let victim = (m & 1 << 3 != 0).then(|| {
+                let delta = take(bytes, p, DELTA[m >> 4 & 3]);
+                let words = if m & 1 << 6 != 0 {
+                    take(bytes, p, 4) as u32
+                } else {
+                    fill_words
+                };
+                VictimBlock {
+                    addr: WordAddr::new(addr.wrapping_add(unzigzag(delta))),
+                    words,
+                }
+            });
+            if kind == 8 {
+                AccessEvent::ReadMiss {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                }
+            } else {
+                AccessEvent::WriteMissAllocate {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                    through: kind == 10,
+                }
+            }
+        }
+        _ => return Err(CodecError::Invalid("access kind")),
+    };
+    Ok(RefEvent {
+        addr: WordAddr::new(addr),
+        pid: Pid(s.pid),
+        walk_cycles,
+        access,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cachetime_testkit::{check, prop_assert, prop_assert_eq, shrink, SplitMix64};
+
+    fn miss(addr: u64, fetch_start: u64, fill_words: u32) -> RefEvent {
+        RefEvent {
+            addr: WordAddr::new(addr),
+            pid: Pid(0),
+            walk_cycles: 0,
+            access: AccessEvent::ReadMiss {
+                fetch_start: WordAddr::new(fetch_start),
+                fill_words,
+                victim: None,
+            },
+        }
+    }
+
+    fn stream(ops: &[EventOp]) -> OpStream {
+        let mut w = OpWriter::with_capacity(0);
+        for op in ops {
+            w.push(op);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn the_hot_shapes_take_a_few_bytes() {
+        let first = EventOp::Couplet {
+            iref: None,
+            dref: Some(miss(0x1000, 0x1000, 4)),
+        };
+        let next = EventOp::Couplet {
+            iref: None,
+            dref: Some(miss(0x1043, 0x1040, 4)),
+        };
+        let mut counts = [0u32; CoupletClass::COUNT];
+        counts[CoupletClass::IfetchLoad.index()] = 9;
+        counts[CoupletClass::Ifetch.index()] = 3;
+        let run = EventOp::HitRun { counts };
+        let s = stream(&[first, run, next]);
+        let v = s.view();
+        // The first miss sets the fill size through a general record; the
+        // second is one header byte plus a one-byte delta, its fetch start
+        // aligned. The run is a header plus one byte per present class.
+        let first_len = v.byte_len() - 3 - 2;
+        assert_eq!(
+            &v.bytes[first_len..first_len + 3],
+            &[0b11 << 2 | TAG_HIT_RUN, 3, 9]
+        );
+        assert_eq!(v.bytes[first_len + 3] & 1, 0, "a lone clean miss");
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![first, run, next]);
+        assert_eq!(OpStream::checked(&s.bytes, 3), Ok(s.clone()));
+    }
+
+    #[test]
+    fn an_overlong_field_is_not_canonical() {
+        let op = EventOp::Couplet {
+            iref: Some(miss(5, 4, 0)),
+            dref: None,
+        };
+        let s = stream(&[op]);
+        // One header byte, a one-byte delta, a one-byte offset: widening
+        // the delta to two bytes decodes to the same op but is rejected.
+        assert_eq!(s.bytes.len(), 3);
+        let h = s.bytes[0] | 1 << 3;
+        let wide = [h, s.bytes[1], 0, s.bytes[2]];
+        let decoded = decode_op(&wide, &mut 0, &mut State::default());
+        assert_eq!(decoded, Ok(op));
+        assert_eq!(
+            OpStream::checked(&wide, 1),
+            Err(CodecError::Invalid("non-canonical op"))
+        );
+    }
+
+    /// An address: near the last one on its side most of the time, and
+    /// otherwise a jump anywhere, including the ends of the address space.
+    fn gen_addr(rng: &mut SplitMix64, last: &mut u64) -> WordAddr {
+        *last = match rng.gen_range(0u8..8) {
+            0 => 0,
+            1 => u64::MAX - rng.gen_range(0u64..4),
+            2 => rng.next_u64(),
+            3 => *last,
+            _ => last
+                .wrapping_add(rng.gen_range(0u64..600))
+                .wrapping_sub(300),
+        };
+        WordAddr::new(*last)
+    }
+
+    fn gen_u32(rng: &mut SplitMix64) -> u32 {
+        match rng.gen_range(0u8..6) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => rng.next_u64() as u32,
+            3 => rng.gen_range(0u32..70_000),
+            _ => 1 << rng.gen_range(0u32..5),
+        }
+    }
+
+    /// A miss's fetch start, fill size (sometimes a new one) and victim.
+    fn gen_miss(
+        rng: &mut SplitMix64,
+        addr: WordAddr,
+        fill: &mut u32,
+    ) -> (WordAddr, u32, Option<VictimBlock>) {
+        if rng.gen_bool(0.2) {
+            *fill = gen_u32(rng);
+        }
+        let fetch_start = if rng.gen_bool(0.7) {
+            WordAddr::new(aligned(addr.value(), *fill))
+        } else {
+            WordAddr::new(addr.value().wrapping_sub(rng.gen_range(0u64..300)))
+        };
+        let victim = rng.gen_bool(0.4).then(|| VictimBlock {
+            addr: WordAddr::new(if rng.gen_bool(0.5) {
+                addr.value().wrapping_add(rng.gen_range(0u64..100_000))
+            } else {
+                rng.next_u64()
+            }),
+            words: if rng.gen_bool(0.7) {
+                *fill
+            } else {
+                gen_u32(rng)
+            },
+        });
+        (fetch_start, *fill, victim)
+    }
+
+    fn gen_record(rng: &mut SplitMix64, last: &mut u64, pid: &mut u16, fill: &mut u32) -> RefEvent {
+        let addr = gen_addr(rng, last);
+        if rng.gen_bool(0.15) {
+            *pid = if rng.gen_bool(0.5) {
+                rng.next_u64() as u16
+            } else {
+                pid.wrapping_add(1)
+            };
+        }
+        let walk_cycles = if rng.gen_bool(0.15) {
+            [1, 30, u64::MAX, rng.next_u64()][rng.gen_range(0usize..4)]
+        } else {
+            0
+        };
+        let through = rng.gen_bool(0.5);
+        let access = match rng.gen_range(0u8..8) {
+            0 => AccessEvent::ReadHit,
+            1 => {
+                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill);
+                AccessEvent::ReadMiss {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                }
+            }
+            2 => AccessEvent::WriteHit { through },
+            3 => AccessEvent::WriteMissAround,
+            4 => {
+                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill);
+                AccessEvent::WriteMissAllocate {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                    through,
+                }
+            }
+            5 => AccessEvent::ReadSlowHit,
+            6 => AccessEvent::ReadVictimHit,
+            _ => AccessEvent::WriteVictimHit { through },
+        };
+        RefEvent {
+            addr,
+            pid: Pid(*pid),
+            walk_cycles,
+            access,
+        }
+    }
+
+    /// A random op sequence over every shape the stream has a code for,
+    /// lone clean misses (which must match the last fill) included.
+    fn gen_ops(rng: &mut SplitMix64) -> Vec<EventOp> {
+        let (mut last, mut pid, mut fill) = ([0u64; 2], 0u16, 0u32);
+        (0..rng.gen_range(1usize..60))
+            .map(|_| match rng.gen_range(0u8..10) {
+                0..=2 => {
+                    let mut counts = [0u32; CoupletClass::COUNT];
+                    for c in &mut counts {
+                        if rng.gen_bool(0.4) {
+                            *c = if rng.gen_bool(0.8) {
+                                rng.gen_range(1u32..256)
+                            } else {
+                                gen_u32(rng)
+                            };
+                        }
+                    }
+                    EventOp::HitRun { counts }
+                }
+                3..=5 => {
+                    let side = rng.gen_range(0usize..2);
+                    let addr = gen_addr(rng, &mut last[side]);
+                    if rng.gen_bool(0.1) {
+                        pid = rng.next_u64() as u16;
+                    }
+                    let e = Some(RefEvent {
+                        addr,
+                        pid: Pid(pid),
+                        walk_cycles: 0,
+                        access: AccessEvent::ReadMiss {
+                            fetch_start: WordAddr::new(aligned(addr.value(), fill)),
+                            fill_words: fill,
+                            victim: None,
+                        },
+                    });
+                    if side == 0 {
+                        EventOp::Couplet {
+                            iref: e,
+                            dref: None,
+                        }
+                    } else {
+                        EventOp::Couplet {
+                            iref: None,
+                            dref: e,
+                        }
+                    }
+                }
+                6..=8 => {
+                    let iref = rng
+                        .gen_bool(0.6)
+                        .then(|| gen_record(rng, &mut last[0], &mut pid, &mut fill));
+                    let dref = rng
+                        .gen_bool(0.7)
+                        .then(|| gen_record(rng, &mut last[1], &mut pid, &mut fill));
+                    EventOp::Couplet { iref, dref }
+                }
+                _ => EventOp::WarmBoundary,
+            })
+            .collect()
+    }
+
+    /// Decodes `bytes` as `len` ops; if that succeeds, the ops must
+    /// re-encode to exactly `bytes`.
+    fn accepted_only_if_canonical(bytes: &[u8], len: u64) -> Result<(), String> {
+        let Ok(s) = OpStream::checked(bytes, len) else {
+            return Ok(());
+        };
+        let ops: Vec<EventOp> = s.view().iter().collect();
+        prop_assert_eq!(stream(&ops).bytes, bytes.to_vec());
+        Ok(())
+    }
+
+    #[test]
+    fn op_stream_round_trips_and_is_canonical() {
+        check(
+            "op_stream_round_trips_and_is_canonical",
+            gen_ops,
+            shrink::vec_linear,
+            |ops| {
+                let s = stream(ops);
+                let n = ops.len() as u64;
+                prop_assert_eq!(s.view().iter().collect::<Vec<_>>(), ops.clone());
+                prop_assert_eq!(OpStream::checked(&s.bytes, n), Ok(s.clone()));
+                for cut in 0..s.bytes.len() {
+                    prop_assert!(
+                        OpStream::checked(&s.bytes[..cut], n).is_err(),
+                        "prefix {cut} decoded"
+                    );
+                    accepted_only_if_canonical(&s.bytes[..cut], n - 1)?;
+                }
+                let mut flipped = s.bytes.clone();
+                for at in 0..flipped.len() {
+                    for mask in [0x01, 0x08, 0x20, 0x80, 0xff] {
+                        flipped[at] ^= mask;
+                        accepted_only_if_canonical(&flipped, n)?;
+                        flipped[at] ^= mask;
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+}

@@ -44,6 +44,7 @@
 //! ```
 
 use crate::hierarchy::Downstream;
+use crate::opstream::{OpStream, OpWriter, Ops};
 use crate::result::{CoupletHistogram, SimResult};
 use crate::system::{CycleTiming, FillPolicy, OrgConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
@@ -68,7 +69,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventTrace {
     org: OrgConfig,
-    ops: Vec<EventOp>,
+    ops: OpStream,
     behavior: Behavior,
 }
 
@@ -93,9 +94,9 @@ impl EventTrace {
         &self.org
     }
 
-    /// The recorded event stream.
-    pub fn ops(&self) -> &[EventOp] {
-        &self.ops
+    /// The recorded event stream, packed (see [`Ops`]).
+    pub fn ops(&self) -> Ops<'_> {
+        self.ops.view()
     }
 
     /// References in the measured window.
@@ -120,12 +121,12 @@ impl EventTrace {
 
     /// Approximate heap-plus-inline size of this trace in bytes.
     ///
-    /// Counts the op vector's capacity plus the fixed header — the only
-    /// allocations of consequence — so a byte-budgeted store (the
+    /// Counts the packed op stream's capacity plus the fixed header — the
+    /// only allocations of consequence — so a byte-budgeted store (the
     /// simulation server's LRU) can account for what eviction would
     /// actually reclaim.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.ops.capacity() * std::mem::size_of::<EventOp>()
+        std::mem::size_of::<Self>() + self.ops.capacity()
     }
 
     /// The compression the run-length encoding achieved: recorded ops per
@@ -135,7 +136,7 @@ impl EventTrace {
         if self.behavior.couplets == 0 {
             0.0
         } else {
-            self.ops.len() as f64 / self.behavior.couplets as f64
+            self.ops.view().len() as f64 / self.behavior.couplets as f64
         }
     }
 
@@ -145,14 +146,6 @@ impl EventTrace {
         self.behavior.mmu.as_ref()
     }
 
-    /// Drops the op vector's spare capacity, so
-    /// [`approx_bytes`](Self::approx_bytes) is the header plus exactly the
-    /// recorded ops. Meant for a recording a store keeps: for one priced
-    /// and dropped at once, the reallocation costs more than the slack.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.ops.shrink_to_fit();
-    }
-
     /// Reassembles a trace from its decoded parts ([`crate::codec`] only).
     ///
     /// Callers must provide parts that came out of `encode`; the codec's
@@ -160,7 +153,7 @@ impl EventTrace {
     /// original recording.
     pub(crate) fn from_raw_parts(
         org: OrgConfig,
-        ops: Vec<EventOp>,
+        ops: OpStream,
         refs: u64,
         couplets: u64,
         l1i: CacheStats,
@@ -229,20 +222,21 @@ impl BehavioralSim {
         let obs = cachetime_obs::global();
         let mut span = obs.span("core_record");
         let refs = refs.into_iter();
-        // Hit runs collapse most couplets, so ops land near one per three
-        // references (0.34-0.37 for the catalog traces on the speed-size
-        // grid). Starting at one per four, the vector grows about once;
-        // a recording a store keeps has its slack trimmed by
-        // `keyed::record`.
-        let mut ops: Vec<EventOp> = Vec::with_capacity(refs.size_hint().0 / 4);
-        let (walked, behavior) = self.walk(refs, warm_start, |op| ops.push(op));
+        // Hit runs collapse most couplets and the packed ops take a few
+        // bytes each: catalog recordings land at 0.6-1.2 bytes per
+        // reference, so the stream grows at most about once from here.
+        // `finish` trims it, which costs under 0.1 ns per reference.
+        let mut ops = OpWriter::with_capacity(refs.size_hint().0);
+        let (walked, behavior) = self.walk(refs, warm_start, |op| ops.push(&op));
+        let ops = ops.finish();
 
         // Phase accounting: the span's duration histogram plus raw
         // totals give events/sec without touching the record hot loop
         // (a few atomic adds per *call*, not per ref).
         span.set_work(walked);
         global_counter!("cachetime_record_refs_total").add(walked);
-        global_counter!("cachetime_record_ops_total").add(ops.len() as u64);
+        global_counter!("cachetime_record_ops_total").add(ops.view().len() as u64);
+        global_counter!("cachetime_record_bytes_total").add(ops.view().byte_len() as u64);
 
         EventTrace {
             org: self.org,
@@ -528,8 +522,9 @@ pub fn replay_many(
     global_counter!("cachetime_replay_configs_total").add(configs.len() as u64);
     global_counter!("cachetime_replay_classes_total").add(classes.len() as u64);
     let mut bank = LaneBank::new(&classes);
-    for op in &events.ops {
-        bank.apply(op);
+    // Each op is decoded once and priced on every lane.
+    for op in events.ops().iter() {
+        bank.apply(&op);
     }
     let lane_ops = bank.couplets * classes.len() as u64;
     global_counter!("cachetime_replay_lane_ops_total", "path" => "kernel").add(bank.kernel_ops);

@@ -13,6 +13,14 @@
 //!     36   len  payload   cachetime::codec::encode output
 //! ```
 //!
+//! The payload carries its own version byte (currently 2): the
+//! organization and behavioral counters, the op count, then the trace's
+//! packed op stream exactly as the trace holds it in memory. The
+//! container version does not move with it. A payload version the codec
+//! does not speak (version 1 held one fixed-width record per op) fails to
+//! decode like any corrupt payload: the scan and `load` quarantine the
+//! file by name, and the key is recorded again on its next request.
+//!
 //! The magic embeds `\r\n` and a DOS EOF byte (the PNG trick) so
 //! text-mode transfer mangling is caught at the first eight bytes. The
 //! checksum is a [`StableHasher`] digest — the same SplitMix64 mix that

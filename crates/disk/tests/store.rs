@@ -358,3 +358,38 @@ fn metrics_registry_names_are_wired() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A payload-v1 segment (one fixed-width record per op), as the encoder
+/// wrote it before the op stream was packed: the paper-default
+/// organization's recording of `mu3(0.001)`, under its trace key.
+const V1_SEGMENT: &[u8] = include_bytes!("fixtures/v1-mu3-0.001.seg");
+
+#[test]
+fn a_v1_segment_is_quarantined_by_name() {
+    let root = scratch("v1");
+    let org = SystemConfig::paper_default().unwrap().organization();
+    let key = keyed::trace_key(&org, &catalog::mu3(0.001));
+    let name = format!("{key:016x}.seg");
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join(&name), V1_SEGMENT).unwrap();
+
+    // The container is intact; only its payload version is refused.
+    let payload = segment::open(key, V1_SEGMENT).expect("an intact container");
+    assert_eq!(payload[0], 1);
+    assert_eq!(
+        cachetime::codec::decode(payload),
+        Err(cachetime::codec::CodecError::Invalid(
+            "unsupported payload version"
+        ))
+    );
+
+    let store = open(root.clone(), 0);
+    let report = store
+        .scan(|_, _| panic!("a v1 segment must not load"))
+        .unwrap();
+    assert_eq!((report.recovered, report.quarantined), (0, 1));
+    assert!(root.join("quarantine").join(&name).exists());
+    assert!(!root.join(&name).exists());
+    assert!(store.load(key).is_none());
+    let _ = std::fs::remove_dir_all(&root);
+}

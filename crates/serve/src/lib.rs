@@ -235,6 +235,10 @@ impl Default for Limits {
 /// Eight shards is plenty for the handler pool sizes `ctserve` runs.
 const STORE_SHARDS: usize = 8;
 
+/// The `404` for a simulate by upload digest with nothing to record from.
+const UNKNOWN_UPLOAD: &str =
+    "unknown upload digest: not uploaded yet or evicted; POST /v1/traces first";
+
 /// Fleet membership for a server that participates in peer segment
 /// handoff: the full ring of endpoints (self included), which of them is
 /// this server, and how widely clients replicate.
@@ -951,10 +955,7 @@ impl App {
             api::TraceSelector::Upload(digest) => {
                 let up = self.uploads.get(digest);
                 if up.is_none() && !self.on_disk(key) {
-                    return Ok(Response::error(
-                        404,
-                        "unknown upload digest: not uploaded yet or evicted; POST /v1/traces first",
-                    ));
+                    return Ok(Response::error(404, UNKNOWN_UPLOAD));
                 }
                 up
             }
@@ -1014,30 +1015,31 @@ impl App {
                 if let Some(disk) = &self.disk {
                     if let Some(trace) = disk.load(key) {
                         from_disk.set(true);
-                        return trace;
+                        return Some(trace);
                     }
                 }
                 self.faults.inject("serve.record");
                 match selector {
-                    api::TraceSelector::Catalog(w) => keyed::record(&org, w).1,
-                    api::TraceSelector::Upload(digest) => {
-                        let up = upload
-                            .as_ref()
-                            .expect("resident upload checked before recording");
-                        keyed::record_upload(&org, *digest, &up.trace).1
-                    }
+                    api::TraceSelector::Catalog(w) => Some(keyed::record(&org, w).1),
+                    // Admitted because its segment was on disk; if that
+                    // failed to load (corrupt, unreadable, or evicted
+                    // since), there is nothing left to record from.
+                    api::TraceSelector::Upload(digest) => upload
+                        .as_ref()
+                        .map(|up| keyed::record_upload(&org, *digest, &up.trace).1),
                 }
             },
         );
         let (events, cached) = match fetched {
-            Fetch::Ready(events, cached) => (events, cached),
-            Fetch::Shed => {
+            None => return Response::error(404, UNKNOWN_UPLOAD),
+            Some(Fetch::Ready(events, cached)) => (events, cached),
+            Some(Fetch::Shed) => {
                 self.stats.shed.inc();
                 return Response::unavailable(
                     "recording capacity exhausted; retry shortly or replay a warm key",
                 );
             }
-            Fetch::TimedOut => {
+            Some(Fetch::TimedOut) => {
                 self.stats.timeouts.inc();
                 return Response::unavailable(
                     "deadline exceeded waiting for this pairing's recording; retry shortly",

@@ -191,7 +191,7 @@ pub struct TraceStore {
 }
 
 /// Removes the in-flight marker and wakes waiters if the recording
-/// unwinds; disarmed on success.
+/// unwinds or declines; disarmed on success.
 struct InFlightGuard<'a> {
     store: &'a TraceStore,
     shard: &'a Shard,
@@ -279,11 +279,12 @@ impl TraceStore {
     where
         F: FnOnce() -> EventTrace,
     {
-        match self.fetch_or_record(key, usize::MAX, None, record) {
-            Fetch::Ready(events, cached) => (events, cached),
-            Fetch::Shed | Fetch::TimedOut => {
+        match self.fetch_or_record(key, usize::MAX, None, || Some(record())) {
+            Some(Fetch::Ready(events, cached)) => (events, cached),
+            Some(Fetch::Shed | Fetch::TimedOut) => {
                 unreachable!("unbounded fetch cannot shed or time out")
             }
+            None => unreachable!("the recorder always records"),
         }
     }
 
@@ -298,6 +299,12 @@ impl TraceStore {
     ///   before the recording lands, returns [`Fetch::TimedOut`]; the
     ///   recording keeps running and later requests hit it.
     ///
+    /// * If `record` finds nothing to record from (an upload that is
+    ///   gone, whose segment then failed to load) and returns `None`, so
+    ///   does this call: nothing is stored, the lookup stays counted as a
+    ///   miss, and the key's in-flight marker is released so waiters on it
+    ///   retry.
+    ///
     /// The recording this call *itself* performs is never aborted: once
     /// admitted, the work completes and the entry is stored even if the
     /// deadline lapses meanwhile (the caller decides what to answer; a
@@ -308,9 +315,9 @@ impl TraceStore {
         max_inflight: usize,
         deadline: Option<Instant>,
         record: F,
-    ) -> Fetch
+    ) -> Option<Fetch>
     where
-        F: FnOnce() -> EventTrace,
+        F: FnOnce() -> Option<EventTrace>,
     {
         self.metrics.lookups.inc();
         let shard = self.shard(key);
@@ -324,7 +331,7 @@ impl TraceStore {
                 if !counted_coalesce {
                     self.metrics.hits.inc();
                 }
-                return Fetch::Ready(events, true);
+                return Some(Fetch::Ready(events, true));
             }
             if inner.in_flight.contains(&key) {
                 if !counted_coalesce {
@@ -336,7 +343,7 @@ impl TraceStore {
                 // panic, or even evicted — then we record).
                 match Self::wait_done(&shard.done, inner, deadline) {
                     Ok(g) => inner = g,
-                    Err(()) => return Fetch::TimedOut,
+                    Err(()) => return Some(Fetch::TimedOut),
                 }
                 continue;
             }
@@ -347,7 +354,7 @@ impl TraceStore {
                 if !counted_coalesce {
                     self.metrics.shed.inc();
                 }
-                return Fetch::Shed;
+                return Some(Fetch::Shed);
             }
             inner.in_flight.insert(key);
             if !counted_coalesce {
@@ -362,7 +369,9 @@ impl TraceStore {
                 key,
                 armed: true,
             };
-            let events = Arc::new(record());
+            // Declining releases the marker through the guard, as a
+            // panic does.
+            let events = Arc::new(record()?);
             guard.armed = false;
             drop(guard);
 
@@ -372,7 +381,7 @@ impl TraceStore {
             self.admit(&mut inner, key, Arc::clone(&events));
             drop(inner);
             shard.done.notify_all();
-            return Fetch::Ready(events, false);
+            return Some(Fetch::Ready(events, false));
         }
     }
 
@@ -554,7 +563,7 @@ mod tests {
             std::thread::spawn(move || {
                 store.fetch_or_record(2, 1, None, move || {
                     rx.recv().unwrap();
-                    tiny_trace(2)
+                    Some(tiny_trace(2))
                 })
             })
         };
@@ -564,14 +573,17 @@ mod tests {
         // A cold key past the limit sheds; the warm key still serves.
         assert!(matches!(
             store.fetch_or_record(3, 1, None, || unreachable!("must shed")),
-            Fetch::Shed
+            Some(Fetch::Shed)
         ));
         assert!(matches!(
             store.fetch_or_record(1, 1, None, || unreachable!("warm")),
-            Fetch::Ready(_, true)
+            Some(Fetch::Ready(_, true))
         ));
         tx.send(()).unwrap();
-        assert!(matches!(blocker.join().unwrap(), Fetch::Ready(_, false)));
+        assert!(matches!(
+            blocker.join().unwrap(),
+            Some(Fetch::Ready(_, false))
+        ));
         let s = store.stats();
         assert_eq!(s.in_flight, 0);
         assert_eq!(s.shed, 1);
@@ -587,7 +599,7 @@ mod tests {
             std::thread::spawn(move || {
                 store.fetch_or_record(9, usize::MAX, None, move || {
                     rx.recv().unwrap();
-                    tiny_trace(9)
+                    Some(tiny_trace(9))
                 })
             })
         };
@@ -599,7 +611,7 @@ mod tests {
         let deadline = Some(Instant::now());
         assert!(matches!(
             store.fetch_or_record(9, usize::MAX, deadline, || unreachable!("coalesces")),
-            Fetch::TimedOut
+            Some(Fetch::TimedOut)
         ));
         assert!(matches!(
             store.get_within(9, deadline),
@@ -608,7 +620,10 @@ mod tests {
         // ...and the recording itself is unharmed: it completes and the
         // entry lands for future callers.
         tx.send(()).unwrap();
-        assert!(matches!(blocker.join().unwrap(), Fetch::Ready(_, false)));
+        assert!(matches!(
+            blocker.join().unwrap(),
+            Some(Fetch::Ready(_, false))
+        ));
         assert!(store.get(9).is_some());
         let s = store.stats();
         assert!(s.coalesced >= 1);
@@ -795,6 +810,20 @@ mod tests {
         assert_eq!(s.hits, 0, "a coalesced join must not also count as a hit");
         assert_eq!(s.lookups, 2);
         assert!(s.lookups_balance());
+    }
+
+    #[test]
+    fn a_declining_recorder_releases_its_key() {
+        let store = TraceStore::new(usize::MAX);
+        assert!(store
+            .fetch_or_record(6, usize::MAX, None, || None)
+            .is_none());
+        let s = store.stats();
+        assert_eq!((s.misses, s.in_flight, s.entries), (1, 0, 0));
+        assert!(s.lookups_balance());
+        // The key is clean again: a fresh recording succeeds.
+        let (_, hit) = store.get_or_record(6, || tiny_trace(6));
+        assert!(!hit);
     }
 
     #[test]

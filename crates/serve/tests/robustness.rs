@@ -178,11 +178,13 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
             app.store.fetch_or_record(0xB10C_4EED, usize::MAX, None, move || {
                 rx.recv().unwrap();
                 let config = cachetime::SystemConfig::paper_default().unwrap();
-                cachetime::keyed::record(
-                    &config.organization(),
-                    &cachetime_trace::catalog::savec(0.002),
+                Some(
+                    cachetime::keyed::record(
+                        &config.organization(),
+                        &cachetime_trace::catalog::savec(0.002),
+                    )
+                    .1,
                 )
-                .1
             })
         })
     };

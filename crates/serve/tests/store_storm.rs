@@ -99,11 +99,12 @@ fn sharded_store_survives_a_64_thread_storm_bit_identically() {
                     let events = match rng.next_u64() % 4 {
                         // Cold path: record (or coalesce, or shed).
                         0 => match store.fetch_or_record(keys[i], MAX_INFLIGHT, None, || {
-                            keyed::record(&org, &workloads[i]).1
+                            Some(keyed::record(&org, &workloads[i]).1)
                         }) {
-                            Fetch::Ready(events, _) => Some(events),
-                            Fetch::Shed => None,
-                            Fetch::TimedOut => unreachable!("no deadline was set"),
+                            Some(Fetch::Ready(events, _)) => Some(events),
+                            Some(Fetch::Shed) => None,
+                            Some(Fetch::TimedOut) => unreachable!("no deadline was set"),
+                            None => unreachable!("the recorder always records"),
                         },
                         // Warm path the event loop runs: non-blocking probe.
                         1 => match store.try_get(keys[i]) {

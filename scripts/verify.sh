@@ -18,7 +18,11 @@
 #    kernel with the general path. The cache oracle (`cachetime-cache
 #    --test oracle`) runs there too: the frame store against a naive
 #    model for blocks of 1-256 words, across every dirty-mask limb
-#    boundary.
+#    boundary. So do the packed op stream's checks: the round-trip and
+#    canonical-form property over random op sequences (every truncation
+#    and single-byte flip errors or re-encodes to itself), the golden
+#    encoding of one recording, and the bytes-per-op bound over the
+#    sweep catalog (`cachetime --lib op_stream`, `--test op_stream`).
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -39,7 +43,9 @@
 #    be present in the Prometheus text output, with no NaN samples. The
 #    eviction counters of the memory store and the segment store
 #    (`cachetime_store_evictions_total`, `cachetime_disk_evicted_total`)
-#    are among them: both are driven by the shared `BudgetLru`.
+#    are among them: both are driven by the shared `BudgetLru`. So is
+#    `cachetime_record_bytes_total` beside `cachetime_record_ops_total`:
+#    their ratio is what a recording costs in memory per op.
 # 9. Server chaos test: start `ctserve` with tight robustness limits and
 #    run the seeded fault-injection clients (`cachetime-bench
 #    serve-chaos`, fixed seed): half-written heads, mid-body disconnects,
@@ -86,6 +92,8 @@ echo "==> pricing cross-check (timing oracle; stored vs streamed pricing)"
 cargo test --release -q -p cachetime --test reference_engine --test two_phase \
   --test two_phase_prop --test replay_classes_prop --test replay_lanes_prop
 cargo test --release -q -p cachetime-cache --test oracle
+cargo test --release -q -p cachetime --lib op_stream
+cargo test --release -q -p cachetime --test op_stream
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
 cargo run --release -q -p cachetime-bench -- sweep "${BENCH_SCALE:-0.05}"
@@ -128,6 +136,8 @@ for family in \
   cachetime_server_timeouts_total \
   cachetime_request_duration_us \
   cachetime_record_refs_total \
+  cachetime_record_ops_total \
+  cachetime_record_bytes_total \
   cachetime_replay_refs_total \
   cachetime_replay_classes_total \
   cachetime_replay_lane_ops_total \
