@@ -154,7 +154,10 @@ fn parabola_recovers_vertex() {
             let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
             let m = sampled_minimum(&xs, &ys);
             prop_assert!(m >= xs[0] && m <= *xs.last().unwrap());
-            prop_assert!((m - center).abs() < 1e-6, "sampled min {m} vs true {center}");
+            prop_assert!(
+                (m - center).abs() < 1e-6,
+                "sampled min {m} vs true {center}"
+            );
             Ok(())
         },
     );

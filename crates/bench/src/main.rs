@@ -202,7 +202,10 @@ fn assert_equivalent(direct: &Measurement, two_phase: &Measurement, n_traces: us
 
 fn run_sweep_bench(scale: f64) {
     let specs = catalog::all(scale);
-    eprintln!("[bench] generating {} traces at scale {scale}...", specs.len());
+    eprintln!(
+        "[bench] generating {} traces at scale {scale}...",
+        specs.len()
+    );
     let traces: Vec<Trace> = specs.iter().map(|s| s.generate()).collect();
     let cells = build_cells(traces.len());
     let org_tasks = build_org_tasks(traces.len());
@@ -670,7 +673,9 @@ fn run_concurrency_sweep(addr: &str) -> Json {
     // One small dedicated warm key for the whole sweep.
     let mut client = HttpClient::connect(addr).expect("sweep connect");
     let warm_body = format!(r#"{{"trace": {{"name": "mu3", "scale": {SWEEP_SCALE}}}}}"#);
-    let (status, resp) = client.post("/v1/simulate", &warm_body).expect("sweep warm-up");
+    let (status, resp) = client
+        .post("/v1/simulate", &warm_body)
+        .expect("sweep warm-up");
     let v = expect_200(status, &resp, "sweep warm-up");
     let key = v.get("key").and_then(Json::as_str).unwrap().to_string();
     let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40]}}"#);
@@ -769,9 +774,10 @@ fn run_overload_storm(scale: f64) -> Json {
 
     // Warm exactly one key while the slot is idle.
     let mut client = HttpClient::connect(&addr).expect("connect to overload server");
-    let warm_body =
-        format!(r#"{{"trace": {{"name": "mu3", "scale": {scale}}}}}"#);
-    let (status, body) = client.post("/v1/simulate", &warm_body).expect("warm the key");
+    let warm_body = format!(r#"{{"trace": {{"name": "mu3", "scale": {scale}}}}}"#);
+    let (status, body) = client
+        .post("/v1/simulate", &warm_body)
+        .expect("warm the key");
     let v = expect_200(status, &body, "overload warm-up");
     let key = v.get("key").and_then(Json::as_str).unwrap().to_string();
 
@@ -790,12 +796,8 @@ fn run_overload_storm(scale: f64) -> Json {
                     if t % 2 == 0 {
                         let body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40]}}"#);
                         let at = Instant::now();
-                        let (status, resp) =
-                            c.post("/v1/replay", &body).expect("warm replay I/O");
-                        assert_eq!(
-                            status, 200,
-                            "warm replay must survive overload: {resp}"
-                        );
+                        let (status, resp) = c.post("/v1/replay", &body).expect("warm replay I/O");
+                        assert_eq!(status, 200, "warm replay must survive overload: {resp}");
                         warm_micros.push(at.elapsed().as_micros() as u64);
                     } else {
                         // Unique scale per request → unique key → cold.
@@ -886,10 +888,8 @@ fn run_overload_storm(scale: f64) -> Json {
 /// every segment at startup, so the second pass must be all store hits —
 /// restart-warm requests are replay-priced, not record-priced.
 fn run_restart_leg(scale: f64) -> Json {
-    let data_dir = std::env::temp_dir().join(format!(
-        "cachetime-bench-restart-{}",
-        std::process::id()
-    ));
+    let data_dir =
+        std::env::temp_dir().join(format!("cachetime-bench-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
     let durable_config = || ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -947,7 +947,11 @@ fn run_restart_leg(scale: f64) -> Json {
         .and_then(|d| d.get("recovered"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
-    assert_eq!(recovered, SIZES_KIB.len() as u64, "recovery must find every segment");
+    assert_eq!(
+        recovered,
+        SIZES_KIB.len() as u64,
+        "recovery must find every segment"
+    );
     let (status, _) = client.post("/v1/shutdown", "").expect("shutdown life 2");
     assert_eq!(status, 200);
     handle.join();
@@ -984,10 +988,11 @@ fn run_serve_check(addr: &str) {
         eprintln!("serve-check: FAIL: {what}: {detail}");
         std::process::exit(1);
     };
-    let mut client = HttpClient::connect(addr)
-        .unwrap_or_else(|e| fail("connect", &e.to_string()));
+    let mut client = HttpClient::connect(addr).unwrap_or_else(|e| fail("connect", &e.to_string()));
 
-    let (status, body) = client.get("/healthz").unwrap_or_else(|e| fail("healthz", &e.to_string()));
+    let (status, body) = client
+        .get("/healthz")
+        .unwrap_or_else(|e| fail("healthz", &e.to_string()));
     if status != 200 {
         fail("healthz", &format!("status {status}: {body}"));
     }
@@ -1039,7 +1044,9 @@ fn run_serve_check(addr: &str) {
         fail("replay", "a 20 ns replay cannot equal the 40 ns result");
     }
 
-    let (status, body) = client.get("/v1/stats").unwrap_or_else(|e| fail("stats", &e.to_string()));
+    let (status, body) = client
+        .get("/v1/stats")
+        .unwrap_or_else(|e| fail("stats", &e.to_string()));
     let v = Json::parse(&body).unwrap_or_else(|e| fail("stats", &e.to_string()));
     if status != 200 || v.get("store").is_none() {
         fail("stats", &format!("status {status}: {body}"));
@@ -1066,8 +1073,7 @@ fn run_ingest_check(addr: &str) {
         eprintln!("ingest-check: FAIL: {what}: {detail}");
         std::process::exit(1);
     };
-    let mut client =
-        HttpClient::connect(addr).unwrap_or_else(|e| fail("connect", &e.to_string()));
+    let mut client = HttpClient::connect(addr).unwrap_or_else(|e| fail("connect", &e.to_string()));
 
     // A small catalog trace, serialized as din text.
     let trace = catalog::mu3(0.005).generate();
@@ -1148,8 +1154,15 @@ fn run_ingest_check(addr: &str) {
         fail("replay", &format!("status {status}: {resp}"));
     }
     let v = Json::parse(&resp).unwrap_or_else(|e| fail("replay", &e.to_string()));
-    if v.get("results").and_then(Json::as_array).and_then(|a| a.first()) != Some(&expected) {
-        fail("replay", "replay of the uploaded trace differs from Simulator::run");
+    if v.get("results")
+        .and_then(Json::as_array)
+        .and_then(|a| a.first())
+        != Some(&expected)
+    {
+        fail(
+            "replay",
+            "replay of the uploaded trace differs from Simulator::run",
+        );
     }
 
     // A ≥ 1M-ref synthetic upload: the selector must price it from
@@ -1282,7 +1295,9 @@ fn run_fleet_check(addrs: &[String]) {
     let mut fleet = FleetClient::new(addrs.to_vec(), ClientConfig::default())
         .unwrap_or_else(|e| fail("ring", &e.to_string()));
     let replication = fleet.replication();
-    let org = SystemConfig::paper_default().expect("paper default").organization();
+    let org = SystemConfig::paper_default()
+        .expect("paper default")
+        .organization();
 
     // One pairing per scale; enough keys that every shard in a small
     // fleet almost surely owns at least one.
@@ -1344,7 +1359,9 @@ fn run_fleet_check(addrs: &[String]) {
             fail("stats", &format!("shard {ix} status {status}"));
         }
         let v = Json::parse(&body).unwrap_or_else(|e| fail("stats", &e.to_string()));
-        let store = v.get("store").unwrap_or_else(|| fail("stats", "no store object"));
+        let store = v
+            .get("store")
+            .unwrap_or_else(|| fail("stats", "no store object"));
         let entries = store.get("entries").and_then(Json::as_u64).unwrap_or(0);
         let misses = store.get("misses").and_then(Json::as_u64).unwrap_or(0);
         total_entries += entries;
@@ -1391,7 +1408,10 @@ fn drill_pairings(org: &cachetime::OrgConfig) -> Vec<(f64, u64)> {
     (0..8)
         .map(|i| {
             let scale = 0.004 + i as f64 * 0.001;
-            (scale, cachetime::keyed::trace_key(org, &catalog::mu3(scale)))
+            (
+                scale,
+                cachetime::keyed::trace_key(org, &catalog::mu3(scale)),
+            )
         })
         .collect()
 }
@@ -1448,10 +1468,16 @@ fn run_fleet_drill(addrs: &[String], phase: &str, shard_ix: Option<usize>) {
                     .request_replicated(key, "POST", "/v1/simulate", &body)
                     .unwrap_or_else(|e| fail("record", &e.to_string()));
                 if status != 200 {
-                    fail("record", &format!("key {key:016x}: status {status}: {resp}"));
+                    fail(
+                        "record",
+                        &format!("key {key:016x}: status {status}: {resp}"),
+                    );
                 }
                 if shard != fleet.ring().owner(key) {
-                    fail("record", &format!("key {key:016x} not answered by its owner"));
+                    fail(
+                        "record",
+                        &format!("key {key:016x} not answered by its owner"),
+                    );
                 }
             }
             println!(
@@ -1472,10 +1498,16 @@ fn run_fleet_drill(addrs: &[String], phase: &str, shard_ix: Option<usize>) {
                     .request_keyed(key, "POST", "/v1/simulate", &body)
                     .unwrap_or_else(|e| fail("failover", &format!("key {key:016x}: {e}")));
                 if status != 200 {
-                    fail("failover", &format!("key {key:016x}: status {status}: {resp}"));
+                    fail(
+                        "failover",
+                        &format!("key {key:016x}: status {status}: {resp}"),
+                    );
                 }
                 if shard == victim {
-                    fail("failover", &format!("key {key:016x} answered by the dead shard"));
+                    fail(
+                        "failover",
+                        &format!("key {key:016x} answered by the dead shard"),
+                    );
                 }
                 let v = Json::parse(&resp).unwrap_or_else(|e| fail("failover", &e.to_string()));
                 if v.get("cached").and_then(Json::as_bool) != Some(true) {
@@ -1537,7 +1569,9 @@ fn run_fleet_drill(addrs: &[String], phase: &str, shard_ix: Option<usize>) {
                 if !held.contains(&format!("{key:016x}")) {
                     fail(
                         "handoff",
-                        &format!("rejoined shard is missing segment {key:016x} the ring places on it"),
+                        &format!(
+                            "rejoined shard is missing segment {key:016x} the ring places on it"
+                        ),
                     );
                 }
                 // The handed-off copy must replay bit-identically to a
@@ -1549,10 +1583,15 @@ fn run_fleet_drill(addrs: &[String], phase: &str, shard_ix: Option<usize>) {
                     .request_on(rejoined, "POST", "/v1/replay", &body)
                     .unwrap_or_else(|e| fail("replay", &e.to_string()));
                 if status != 200 {
-                    fail("replay", &format!("key {key:016x}: status {status}: {resp}"));
+                    fail(
+                        "replay",
+                        &format!("key {key:016x}: status {status}: {resp}"),
+                    );
                 }
                 let v = Json::parse(&resp).unwrap_or_else(|e| fail("replay", &e.to_string()));
-                if v.get("results").and_then(Json::as_array).and_then(|a| a.first())
+                if v.get("results")
+                    .and_then(Json::as_array)
+                    .and_then(|a| a.first())
                     != Some(&expected)
                 {
                     fail(
@@ -1563,7 +1602,10 @@ fn run_fleet_drill(addrs: &[String], phase: &str, shard_ix: Option<usize>) {
                 checked += 1;
             }
             if checked == 0 {
-                fail("handoff", "the ring places no drill keys on the rejoined shard");
+                fail(
+                    "handoff",
+                    "the ring places no drill keys on the rejoined shard",
+                );
             }
             println!(
                 "fleet-drill after-rejoin: OK (shard {rejoined} serves {checked} handed-off \
@@ -1605,15 +1647,21 @@ fn run_serve_chaos(addr: &str, seed: u64) {
         }
     }
     if total.ok == 0 {
-        fail("traffic", "no chaos round succeeded — server shedding everything?");
+        fail(
+            "traffic",
+            "no chaos round succeeded — server shedding everything?",
+        );
     }
     if total.faulted == 0 {
-        fail("schedule", "the seeded plan never misbehaved; seed/rounds too small");
+        fail(
+            "schedule",
+            "the seeded plan never misbehaved; seed/rounds too small",
+        );
     }
 
     // Post-chaos: health must return to "ok" (no stranded recordings)...
-    let mut client = HttpClient::connect(addr)
-        .unwrap_or_else(|e| fail("post-chaos connect", &e.to_string()));
+    let mut client =
+        HttpClient::connect(addr).unwrap_or_else(|e| fail("post-chaos connect", &e.to_string()));
     let recovered_by = Instant::now() + Duration::from_secs(10);
     loop {
         let (status, body) = client
@@ -1629,7 +1677,10 @@ fn run_serve_chaos(addr: &str, seed: u64) {
             break;
         }
         if Instant::now() >= recovered_by {
-            fail("recovery", &format!("healthz still not ok: {status} {body}"));
+            fail(
+                "recovery",
+                &format!("healthz still not ok: {status} {body}"),
+            );
         }
         std::thread::sleep(Duration::from_millis(100));
     }
@@ -1778,7 +1829,11 @@ fn run_bench_diff(threshold: f64) {
             };
             let tolerance = threshold * noise;
             checked += 1;
-            let verdict = if regression > tolerance { "REGRESSED" } else { "ok" };
+            let verdict = if regression > tolerance {
+                "REGRESSED"
+            } else {
+                "ok"
+            };
             println!(
                 "bench-diff: {file}: {path}: {base:.3} -> {cur:.3} ({:+.1}%, tol {:.0}%) {verdict}",
                 regression * 100.0,

@@ -921,7 +921,11 @@ mod tests {
         // The swap parked b in the buffer, so b victim-hits right back.
         assert_eq!(c.read(b, Pid(0)), ReadOutcome::VictimHit);
         assert_eq!(c.stats().victim_hits, 2);
-        assert_eq!(c.stats().read_misses, 4, "victim hits still count as misses");
+        assert_eq!(
+            c.stats().read_misses,
+            4,
+            "victim hits still count as misses"
+        );
         assert_eq!(c.stats().fills, 2, "only the two cold misses fetched");
     }
 

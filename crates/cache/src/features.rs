@@ -197,7 +197,14 @@ mod tests {
         let v8 = none.with_victim_cache(VictimCacheConfig::new(8).unwrap());
         let mru = none.with_way_prediction(WayPrediction::Mru);
         let mc = none.with_way_prediction(WayPrediction::MultiColumn);
-        let all = [none, v4, v8, mru, mc, v4.with_way_prediction(WayPrediction::Mru)];
+        let all = [
+            none,
+            v4,
+            v8,
+            mru,
+            mc,
+            v4.with_way_prediction(WayPrediction::Mru),
+        ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(stable_hash_of(a), stable_hash_of(b), "{a} vs {b}");

@@ -101,7 +101,10 @@ impl CacheStats {
     /// Of way-predicted read hits, the fraction found on the first
     /// probe. Returns 0 when way prediction never fired.
     pub fn way_first_hit_ratio(&self) -> f64 {
-        ratio(self.way_first_hits, self.way_first_hits + self.way_slow_hits)
+        ratio(
+            self.way_first_hits,
+            self.way_first_hits + self.way_slow_hits,
+        )
     }
 
     /// Of all misses, the fraction served by the victim buffer.

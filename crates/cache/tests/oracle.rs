@@ -187,11 +187,7 @@ fn check_against_reference(s: &Scenario) -> Result<(), String> {
             format!("invalid geometry: {size} B, {block_words} words, {ways} ways")
         })?;
         let mut cache = Cache::new(config);
-        let mut oracle = RefCache::new(
-            config.sets(),
-            ways as usize,
-            block_words as u64,
-        );
+        let mut oracle = RefCache::new(config.sets(), ways as usize, block_words as u64);
         for (i, &(addr, is_write, pid)) in accesses.iter().enumerate() {
             let a = WordAddr::new(addr);
             if is_write {
@@ -207,10 +203,7 @@ fn check_against_reference(s: &Scenario) -> Result<(), String> {
                 let expected = oracle.read(addr, pid);
                 match (real, expected) {
                     (ReadOutcome::Hit, RefOutcome::Hit) => {}
-                    (
-                        ReadOutcome::Miss { victim, .. },
-                        RefOutcome::Miss { victim_dirty_words },
-                    ) => {
+                    (ReadOutcome::Miss { victim, .. }, RefOutcome::Miss { victim_dirty_words }) => {
                         prop_assert_eq!(
                             victim.map(|ev| ev.dirty_words),
                             victim_dirty_words,
@@ -226,7 +219,11 @@ fn check_against_reference(s: &Scenario) -> Result<(), String> {
             }
         }
         // Final dirty state agrees too.
-        let real_dirty: u64 = cache.flush_dirty().iter().map(|e| e.dirty_words as u64).sum();
+        let real_dirty: u64 = cache
+            .flush_dirty()
+            .iter()
+            .map(|e| e.dirty_words as u64)
+            .sum();
         let oracle_dirty: u64 = oracle
             .contents
             .values()

@@ -283,11 +283,7 @@ fn run_workloads(o: &Options, config: &SystemConfig, specs: &[WorkloadSpec]) -> 
     })
     .map_err(|e| e.to_string())?;
     let mut total_refs = 0u64;
-    for ((spec, (stats, r)), task_time) in specs
-        .iter()
-        .zip(&run.results)
-        .zip(&run.task_times)
-    {
+    for ((spec, (stats, r)), task_time) in specs.iter().zip(&run.results).zip(&run.task_times) {
         println!();
         println!("=== {} [{task_time:.1?}] ===", spec.name);
         println!("trace:    {} ({stats})", spec.name);
@@ -419,7 +415,10 @@ mod tests {
         assert_eq!(o.mem_latency_ns, 260);
         assert!(o.single_issue && o.early_continuation && o.stream && o.histogram);
         assert_eq!(o.warm, 100);
-        assert_eq!(o.profile.as_deref(), Some(std::path::Path::new("spans.jsonl")));
+        assert_eq!(
+            o.profile.as_deref(),
+            Some(std::path::Path::new("spans.jsonl"))
+        );
     }
 
     #[test]

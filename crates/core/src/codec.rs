@@ -145,7 +145,8 @@ pub fn decode(bytes: &[u8]) -> Result<EventTrace, CodecError> {
                 tlb_assoc: r.u32()?,
                 miss_penalty: r.u64()?,
             };
-            t.validate().map_err(|e| CodecError::Config(e.to_string()))?;
+            t.validate()
+                .map_err(|e| CodecError::Config(e.to_string()))?;
             Some(t)
         }
         _ => return Err(CodecError::Invalid("translation flag")),
@@ -323,9 +324,7 @@ fn get_cache_config(r: &mut Reader<'_>) -> Result<CacheConfig, CodecError> {
     let rng_seed = r.u64()?;
     let victim = match r.u8()? {
         0 => None,
-        1 => Some(
-            VictimCacheConfig::new(r.u32()?).map_err(|e| CodecError::Config(e.to_string()))?,
-        ),
+        1 => Some(VictimCacheConfig::new(r.u32()?).map_err(|e| CodecError::Config(e.to_string()))?),
         _ => return Err(CodecError::Invalid("victim-cache flag")),
     };
     let way_prediction = match r.u8()? {

@@ -89,7 +89,13 @@ fn orgs_differing_only_in_features_get_distinct_trace_keys() {
 fn timing_penalty_knobs_never_move_the_trace_key() {
     check(
         "timing_penalty_knobs_never_move_the_trace_key",
-        |rng| (gen_feat(rng), rng.gen_range(0u64..8), rng.gen_range(0u64..8)),
+        |rng| {
+            (
+                gen_feat(rng),
+                rng.gen_range(0u64..8),
+                rng.gen_range(0u64..8),
+            )
+        },
         shrink::none,
         |&(feat, way_slow, swap)| {
             let l1 = build_l1(feat);
@@ -177,12 +183,18 @@ fn enabled_features_and_penalties_move_their_halves() {
         stable_hash_of(&victim.organization())
     );
 
-    let priced = SystemConfig::builder().victim_swap_cycles(3).build().unwrap();
+    let priced = SystemConfig::builder()
+        .victim_swap_cycles(3)
+        .build()
+        .unwrap();
     assert_ne!(
         stable_hash_of(&plain.timing()),
         stable_hash_of(&priced.timing())
     );
-    let slow = SystemConfig::builder().way_slow_hit_cycles(2).build().unwrap();
+    let slow = SystemConfig::builder()
+        .way_slow_hit_cycles(2)
+        .build()
+        .unwrap();
     assert_ne!(
         stable_hash_of(&plain.timing()),
         stable_hash_of(&slow.timing())

@@ -89,7 +89,10 @@ fn trace_keys_distinguish_catalog_by_organization() {
             // The key is a function of the organization half only: any
             // cycle time yields the same key.
             for &ct in &CYCLE_TIMES_NS {
-                assert_eq!(k, keyed::trace_key(&grid_config(size, ct).organization(), &spec));
+                assert_eq!(
+                    k,
+                    keyed::trace_key(&grid_config(size, ct).organization(), &spec)
+                );
             }
         }
     }

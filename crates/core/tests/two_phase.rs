@@ -7,9 +7,7 @@
 //! oracle in `tests/reference_engine.rs`.
 
 use cachetime::{replay, simulate, BehavioralSim, FillPolicy, LevelTwoConfig, SystemConfig};
-use cachetime_cache::{
-    CacheConfig, VictimCacheConfig, WayPrediction, WriteAllocate, WritePolicy,
-};
+use cachetime_cache::{CacheConfig, VictimCacheConfig, WayPrediction, WriteAllocate, WritePolicy};
 use cachetime_mem::{MemoryConfig, TransferRate};
 use cachetime_mmu::TranslationConfig;
 use cachetime_trace::{catalog, Trace};
@@ -77,9 +75,11 @@ fn block_latency_grid_cells_replay_bit_identically() {
         for trace in &traces {
             let events = BehavioralSim::new(&org).record(trace);
             for latency_ns in [100u64, 260, 420] {
-                let memory =
-                    MemoryConfig::uniform_latency(Nanos(latency_ns), TransferRate::WordsPerCycle(1))
-                        .unwrap();
+                let memory = MemoryConfig::uniform_latency(
+                    Nanos(latency_ns),
+                    TransferRate::WordsPerCycle(1),
+                )
+                .unwrap();
                 let config = SystemConfig::builder()
                     .l1_both(l1)
                     .memory(memory)

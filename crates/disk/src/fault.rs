@@ -60,7 +60,11 @@ pub fn mangle(bytes: &[u8], fault: DiskFault) -> Option<Vec<u8>> {
         DiskFault::BitFlip { offset } => {
             let mut out = bytes.to_vec();
             if let Some(b) = {
-                let idx = if out.is_empty() { 0 } else { offset % out.len() };
+                let idx = if out.is_empty() {
+                    0
+                } else {
+                    offset % out.len()
+                };
                 out.get_mut(idx)
             } {
                 *b ^= 1;

@@ -73,7 +73,9 @@ fn restart_recovers_everything_written() {
     let store = open(root.clone(), 0);
     assert_eq!(store.segments(), 0);
     let mut recovered = Vec::new();
-    let report = store.scan(|key, trace| recovered.push((key, trace))).unwrap();
+    let report = store
+        .scan(|key, trace| recovered.push((key, trace)))
+        .unwrap();
     assert_eq!(report.recovered, 3);
     assert_eq!(report.quarantined, 0);
     assert_eq!(report.stale_tmp, 0);
@@ -153,7 +155,11 @@ fn racing_spills_evict_each_victim_exactly_once() {
     });
     let m = store.metrics();
     assert_eq!(m.spills(), THREADS * SPILLS);
-    assert_eq!(m.spills(), store.segments() + m.evicted(), "each victim counted once");
+    assert_eq!(
+        m.spills(),
+        store.segments() + m.evicted(),
+        "each victim counted once"
+    );
     assert_eq!(store.segments(), 2);
     assert_eq!(m.segments(), 2);
     let files: Vec<u64> = std::fs::read_dir(&root)
@@ -164,7 +170,11 @@ fn racing_spills_evict_each_victim_exactly_once() {
             Some(u64::from_str_radix(hex, 16).unwrap())
         })
         .collect();
-    assert_eq!(files.len() as u64, store.segments(), "one file per live segment: {files:x?}");
+    assert_eq!(
+        files.len() as u64,
+        store.segments(),
+        "one file per live segment: {files:x?}"
+    );
     for key in files {
         assert!(store.contains(key), "file {key:016x} outlived its eviction");
     }
@@ -180,16 +190,24 @@ fn torn_write_fault_leaves_a_quarantinable_crash_image() {
         DiskOp::Read => DiskFault::None,
     }));
     assert_eq!(store.store(key, &trace).unwrap(), SpillResult::Corrupted);
-    assert!(!store.contains(key), "a corrupted spill must not be indexed");
+    assert!(
+        !store.contains(key),
+        "a corrupted spill must not be indexed"
+    );
     assert_eq!(store.metrics().spill_errors(), 1);
     drop(store);
 
     // Recovery quarantines the torn file instead of crashing.
     let store = open(root.clone(), 0);
-    let report = store.scan(|_, _| panic!("nothing valid to recover")).unwrap();
+    let report = store
+        .scan(|_, _| panic!("nothing valid to recover"))
+        .unwrap();
     assert_eq!(report.recovered, 0);
     assert_eq!(report.quarantined, 1);
-    assert!(root.join("quarantine").join(format!("{key:016x}.seg")).exists());
+    assert!(root
+        .join("quarantine")
+        .join(format!("{key:016x}.seg"))
+        .exists());
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -208,7 +226,10 @@ fn read_fault_quarantines_and_misses() {
     store.scan(|_, _| {}).unwrap();
     assert!(store.load(key).is_none(), "corrupt read must be a miss");
     assert_eq!(store.metrics().load_errors(), 1);
-    assert!(!store.contains(key), "the poisoned segment must be deindexed");
+    assert!(
+        !store.contains(key),
+        "the poisoned segment must be deindexed"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -272,24 +293,35 @@ fn corrupt_adoption_is_rejected_and_quarantined() {
     let mut flipped = sealed.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 1;
-    assert!(matches!(store.adopt(key, &flipped).unwrap(), AdoptOutcome::Rejected));
+    assert!(matches!(
+        store.adopt(key, &flipped).unwrap(),
+        AdoptOutcome::Rejected
+    ));
     assert!(matches!(
         store.adopt(key, &sealed[..sealed.len() / 2]).unwrap(),
         AdoptOutcome::Rejected
     ));
-    assert!(matches!(store.adopt(key ^ 1, &sealed).unwrap(), AdoptOutcome::Rejected));
+    assert!(matches!(
+        store.adopt(key ^ 1, &sealed).unwrap(),
+        AdoptOutcome::Rejected
+    ));
     assert!(!store.contains(key) && !store.contains(key ^ 1));
     assert_eq!(store.segments(), 0);
     assert_eq!(store.metrics().quarantined(), 3);
     assert_eq!(store.metrics().quarantine_files(), 3);
     assert!(store.metrics().quarantine_bytes() > 0);
     assert!(
-        root.join("quarantine").join(format!("{key:016x}.peer")).exists(),
+        root.join("quarantine")
+            .join(format!("{key:016x}.peer"))
+            .exists(),
         "rejected transfer bytes are kept as evidence"
     );
 
     // The same store still adopts the intact bytes afterwards.
-    assert!(matches!(store.adopt(key, &sealed).unwrap(), AdoptOutcome::Installed(_)));
+    assert!(matches!(
+        store.adopt(key, &sealed).unwrap(),
+        AdoptOutcome::Installed(_)
+    ));
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -309,12 +341,21 @@ fn quarantine_is_bounded_by_its_byte_cap() {
     })
     .expect("open store");
     for _ in 0..5 {
-        assert!(matches!(store.adopt(key, &bad).unwrap(), AdoptOutcome::Rejected));
+        assert!(matches!(
+            store.adopt(key, &bad).unwrap(),
+            AdoptOutcome::Rejected
+        ));
     }
     assert_eq!(store.metrics().quarantined(), 5);
-    assert!(store.metrics().quarantine_evicted() >= 3, "oldest corpses evicted over the cap");
+    assert!(
+        store.metrics().quarantine_evicted() >= 3,
+        "oldest corpses evicted over the cap"
+    );
     assert!(store.metrics().quarantine_files() <= 2);
-    assert!(store.metrics().quarantine_bytes() as u64 <= sealed.len() as u64 * 2 + sealed.len() as u64 / 2);
+    assert!(
+        store.metrics().quarantine_bytes() as u64
+            <= sealed.len() as u64 * 2 + sealed.len() as u64 / 2
+    );
     let survivors = std::fs::read_dir(root.join("quarantine")).unwrap().count();
     assert!(survivors <= 2, "{survivors} files survived a two-file cap");
 

@@ -17,8 +17,8 @@
 
 use cachetime_experiments::runner::{SpeedSizeGrid, TraceSet, SIZES_PER_CACHE_KB};
 use cachetime_experiments::{
-    csv, designer, ext, fig3_1, fig3_2, fig3_3, fig3_4, fig4_1, fig4_2, fig4_345,
-    fig_assoc_threshold, fig5_1, fig5_2, fig5_3, fig5_4, sec6, table1, table2, table3,
+    csv, designer, ext, fig3_1, fig3_2, fig3_3, fig3_4, fig4_1, fig4_2, fig4_345, fig5_1, fig5_2,
+    fig5_3, fig5_4, fig_assoc_threshold, sec6, table1, table2, table3,
 };
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -193,7 +193,11 @@ fn run_one(ctx: &mut Ctx, id: &str) -> Result<(), String> {
         "fig-assoc-threshold" => {
             let jobs = ctx.jobs;
             let study = fig_assoc_threshold::run(ctx.traces(), jobs);
-            write_csv(ctx, "fig-assoc-threshold", &fig_assoc_threshold::to_csv(&study));
+            write_csv(
+                ctx,
+                "fig-assoc-threshold",
+                &fig_assoc_threshold::to_csv(&study),
+            );
             println!("{}", fig_assoc_threshold::render(&study));
         }
         "fig4-3" | "fig4-4" | "fig4-5" => {

@@ -49,7 +49,13 @@ pub fn run(traces: &TraceSet) -> Vec<Curve> {
 
 /// [`run`] on a worker pool (`jobs == 0` = available parallelism).
 pub fn run_jobs(traces: &TraceSet, jobs: usize) -> Vec<Curve> {
-    run_over_jobs(traces, &MEM_LATENCIES_NS, &TRANSFER_RATES, &BLOCK_WORDS, jobs)
+    run_over_jobs(
+        traces,
+        &MEM_LATENCIES_NS,
+        &TRANSFER_RATES,
+        &BLOCK_WORDS,
+        jobs,
+    )
 }
 
 /// Sweeps explicit axes.

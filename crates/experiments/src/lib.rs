@@ -24,11 +24,11 @@ pub mod fig3_4;
 pub mod fig4_1;
 pub mod fig4_2;
 pub mod fig4_345;
-pub mod fig_assoc_threshold;
 pub mod fig5_1;
 pub mod fig5_2;
 pub mod fig5_3;
 pub mod fig5_4;
+pub mod fig_assoc_threshold;
 pub mod runner;
 /// The parallel sweep executor (re-exported from `cachetime` so
 /// experiment code and external callers share one implementation).

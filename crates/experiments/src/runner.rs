@@ -240,8 +240,7 @@ impl SpeedSizeGrid {
         }
         let run = sweep::run(&tasks, jobs, |_idx, task| {
             let l1 = cachetime_cache::CacheConfig::builder(
-                cachetime_types::CacheSize::from_kib(task.size_per_cache_kb)
-                    .expect("power of two"),
+                cachetime_types::CacheSize::from_kib(task.size_per_cache_kb).expect("power of two"),
             )
             .assoc(assoc_v)
             .build()
@@ -254,8 +253,8 @@ impl SpeedSizeGrid {
                     .expect("valid system")
             };
             let configs: Vec<SystemConfig> = cts_ns.iter().map(|&ct| mk(ct)).collect();
-            let events = BehavioralSim::new(&configs[0].organization())
-                .record(&traces.traces()[task.trace]);
+            let events =
+                BehavioralSim::new(&configs[0].organization()).record(&traces.traces()[task.trace]);
             replay_many(&events, &configs).expect("same organization")
         })
         .expect("simulation does not panic");

@@ -128,12 +128,10 @@ impl MemoryCycles {
     /// Binds a memory configuration to a cycle time.
     pub fn new(config: &MemoryConfig, cycle_time: CycleTime) -> Self {
         let transfer = match config.transfer() {
-            crate::TransferRate::WordsPerCycle(n) if n.is_power_of_two() => {
-                TransferCycles::Shift {
-                    add: n - 1,
-                    shift: n.trailing_zeros(),
-                }
-            }
+            crate::TransferRate::WordsPerCycle(n) if n.is_power_of_two() => TransferCycles::Shift {
+                add: n - 1,
+                shift: n.trailing_zeros(),
+            },
             crate::TransferRate::WordsPerCycle(n) => TransferCycles::Div { n },
             crate::TransferRate::CyclesPerWord(c) => TransferCycles::Mul { c },
         };

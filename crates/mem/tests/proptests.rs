@@ -190,42 +190,37 @@ fn deterministic() {
 /// off).
 #[test]
 fn write_conservation() {
-    check(
-        "write_conservation",
-        gen_ops,
-        shrink::vec_linear,
-        |ops| {
-            let config = MemoryConfig::builder().wb_coalesce(false).build().unwrap();
-            let mut mem = MemorySystem::new(&config, CycleTime::from_ns(40).unwrap());
-            let mut now = 0u64;
-            let mut pushed_words = 0u64;
-            for &(kind, addr, gap) in ops {
-                let a = WordAddr::new(addr);
-                if kind == 2 {
-                    now = mem.write_word(now, Pid(0), a);
-                    pushed_words += 1;
-                } else {
-                    let victim = (kind == 1).then(|| (WordAddr::new(addr ^ 0x1000), 4u32));
-                    if victim.is_some() {
-                        pushed_words += 4;
-                    }
-                    now = mem.fill(
-                        now,
-                        FillRequest {
-                            pid: Pid(0),
-                            addr: a,
-                            words: 4,
-                            victim,
-                        },
-                    );
+    check("write_conservation", gen_ops, shrink::vec_linear, |ops| {
+        let config = MemoryConfig::builder().wb_coalesce(false).build().unwrap();
+        let mut mem = MemorySystem::new(&config, CycleTime::from_ns(40).unwrap());
+        let mut now = 0u64;
+        let mut pushed_words = 0u64;
+        for &(kind, addr, gap) in ops {
+            let a = WordAddr::new(addr);
+            if kind == 2 {
+                now = mem.write_word(now, Pid(0), a);
+                pushed_words += 1;
+            } else {
+                let victim = (kind == 1).then(|| (WordAddr::new(addr ^ 0x1000), 4u32));
+                if victim.is_some() {
+                    pushed_words += 4;
                 }
-                now += gap as u64;
+                now = mem.fill(
+                    now,
+                    FillRequest {
+                        pid: Pid(0),
+                        addr: a,
+                        words: 4,
+                        victim,
+                    },
+                );
             }
-            mem.drain_all(now);
-            prop_assert_eq!(mem.stats().write_words, pushed_words);
-            Ok(())
-        },
-    );
+            now += gap as u64;
+        }
+        mem.drain_all(now);
+        prop_assert_eq!(mem.stats().write_words, pushed_words);
+        Ok(())
+    });
 }
 
 /// Quantization sanity across cycle times: the read time in *cycles*

@@ -18,7 +18,10 @@ use cachetime_types::{CycleTime, Pid, WordAddr};
 fn mem_with(configure: impl FnOnce(&mut cachetime_mem::MemoryConfigBuilder)) -> MemorySystem {
     let mut b = MemoryConfig::builder();
     configure(&mut b);
-    MemorySystem::new(&b.build().expect("valid config"), CycleTime::from_ns(40).unwrap())
+    MemorySystem::new(
+        &b.build().expect("valid config"),
+        CycleTime::from_ns(40).unwrap(),
+    )
 }
 
 fn fill(addr: u64, words: u32) -> FillRequest {
@@ -76,7 +79,11 @@ fn read_match_stalls_only_on_stale_words() {
     // data at 7, done 11).
     let clean = mem.fill_grant(1, fill(12, 4));
     let mut fresh = mem_with(|_| {});
-    assert_eq!(clean, fresh.fill_grant(1, fill(12, 4)), "no written word, no stall");
+    assert_eq!(
+        clean,
+        fresh.fill_grant(1, fill(12, 4)),
+        "no written word, no stall"
+    );
     assert_eq!(mem.stats().read_match_stalls, 0);
     assert_eq!(mem.pending_writes(), 1);
 
@@ -127,9 +134,17 @@ fn fifo_drain_ordering_under_back_to_back_misses() {
     // moves into the buffer during the fetch latency (one word per cycle
     // from `start`), never delaying the fetch itself.
     let g1 = mem.fill_grant(0, dirty(16, 1000));
-    assert_eq!((g1.ready, g1.done), (6, 10), "victim move (0..4) hides under latency");
+    assert_eq!(
+        (g1.ready, g1.done),
+        (6, 10),
+        "victim move (0..4) hides under latency"
+    );
     let g2 = mem.fill_grant(11, dirty(32, 2000));
-    assert_eq!((g2.ready, g2.done), (19, 23), "fill queues on recovery, not on victims");
+    assert_eq!(
+        (g2.ready, g2.done),
+        (19, 23),
+        "fill queues on recovery, not on victims"
+    );
     let g3 = mem.fill_grant(24, dirty(48, 3000));
     assert_eq!((g3.ready, g3.done), (32, 36));
     assert_eq!(mem.pending_writes(), 3);
@@ -149,7 +164,11 @@ fn fifo_drain_ordering_under_back_to_back_misses() {
     // address no longer matches anything.
     let g5 = mem.fill_grant(73, fill(1000, 4));
     assert_eq!(g5.done, 85);
-    assert_eq!(mem.stats().read_match_stalls, 1, "v1 already drained, no stall");
+    assert_eq!(
+        mem.stats().read_match_stalls,
+        1,
+        "v1 already drained, no stall"
+    );
     assert_eq!(mem.pending_writes(), 1);
 
     // The third victim is still there and still matches.

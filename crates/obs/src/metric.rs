@@ -135,14 +135,21 @@ impl Histogram {
     /// a scrape always sees a live specimen rather than a frozen first).
     pub fn record_with_exemplar(&self, value: u64, label: &'static str, id: String) {
         self.record(value);
-        let slots = self.exemplars.get_or_init(|| Mutex::new(std::array::from_fn(|_| None)));
-        slots.lock().unwrap()[Self::bucket_of(value)] =
-            Some(Exemplar { label, value: id, observed: value });
+        let slots = self
+            .exemplars
+            .get_or_init(|| Mutex::new(std::array::from_fn(|_| None)));
+        slots.lock().unwrap()[Self::bucket_of(value)] = Some(Exemplar {
+            label,
+            value: id,
+            observed: value,
+        });
     }
 
     /// The exemplar currently attached to bucket `i`, if any.
     pub fn exemplar(&self, i: usize) -> Option<Exemplar> {
-        self.exemplars.get().and_then(|slots| slots.lock().unwrap()[i].clone())
+        self.exemplars
+            .get()
+            .and_then(|slots| slots.lock().unwrap()[i].clone())
     }
 
     /// Total number of observations.

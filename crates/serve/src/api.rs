@@ -7,6 +7,7 @@
 //! keys travel as 16-digit hex *strings* — JSON peers are not guaranteed
 //! to keep 64-bit integers exact.
 
+use cachetime::{FillPolicy, LevelTwoConfig};
 use cachetime::{SimResult, SystemConfig};
 use cachetime_cache::{
     CacheConfig, ReplacementPolicy, VictimCacheConfig, WayPrediction, WriteAllocate, WritePolicy,
@@ -14,10 +15,7 @@ use cachetime_cache::{
 use cachetime_mem::{MemoryConfig, TransferRate};
 use cachetime_mmu::TranslationConfig;
 use cachetime_trace::{catalog, WorkloadSpec};
-use cachetime_types::{
-    json_object, Assoc, BlockWords, CacheSize, CycleTime, Json, Nanos,
-};
-use cachetime::{FillPolicy, LevelTwoConfig};
+use cachetime_types::{json_object, Assoc, BlockWords, CacheSize, CycleTime, Json, Nanos};
 
 /// A content key rendered for the wire.
 pub fn key_hex(key: u64) -> String {
@@ -108,8 +106,8 @@ fn reject_unknown_cache_keys(v: &Json, allowed_extra: &[&str]) -> Result<(), Str
 /// Builds one cache organization from a JSON object; absent fields keep
 /// the paper defaults.
 fn cache_config_from_json(v: &Json) -> Result<CacheConfig, String> {
-    let size = CacheSize::from_kib(field_u64(v, "size_kib")?.unwrap_or(64))
-        .map_err(|e| e.to_string())?;
+    let size =
+        CacheSize::from_kib(field_u64(v, "size_kib")?.unwrap_or(64)).map_err(|e| e.to_string())?;
     let mut b = CacheConfig::builder(size);
     if let Some(words) = field_u64(v, "block_words")? {
         b.block(BlockWords::new(words as u32).map_err(|e| e.to_string())?);
@@ -333,8 +331,9 @@ pub fn workload_from_json(v: Option<&Json>) -> Result<WorkloadSpec, String> {
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(format!("trace.scale must be in (0, 1], got {scale}"));
     }
-    catalog::by_name(name, scale)
-        .ok_or_else(|| format!("unknown trace {name:?}; catalog: mu3 mu6 mu10 savec rd1n3 rd2n4 rd1n5 rd2n7"))
+    catalog::by_name(name, scale).ok_or_else(|| {
+        format!("unknown trace {name:?}; catalog: mu3 mu6 mu10 savec rd1n3 rd2n4 rd1n5 rd2n7")
+    })
 }
 
 /// What a simulate request's `trace` object names: a catalog workload
@@ -355,7 +354,9 @@ pub enum TraceSelector {
 /// A message for a missing object, an object naming both sources, a
 /// malformed digest, or an unknown catalog trace.
 pub fn trace_selector_from_json(v: Option<&Json>) -> Result<TraceSelector, String> {
-    let obj = v.ok_or("request needs a trace object, e.g. {\"name\": \"mu3\"} or {\"upload\": \"<hex>\"}")?;
+    let obj = v.ok_or(
+        "request needs a trace object, e.g. {\"name\": \"mu3\"} or {\"upload\": \"<hex>\"}",
+    )?;
     match field_str(obj, "upload")? {
         Some(hex) => {
             if obj.get("name").is_some() {
@@ -530,7 +531,9 @@ mod tests {
         assert!(shown.contains("way-pred:mru"), "{shown}");
 
         let v = Json::parse(r#"{"l1": {"way_prediction": "psychic"}}"#).unwrap();
-        assert!(system_config_from_json(Some(&v)).unwrap_err().contains("psychic"));
+        assert!(system_config_from_json(Some(&v))
+            .unwrap_err()
+            .contains("psychic"));
         let v = Json::parse(r#"{"l1": {"victim_entries": 1000}}"#).unwrap();
         assert!(system_config_from_json(Some(&v)).is_err());
     }
@@ -557,7 +560,9 @@ mod tests {
         let w = workload_from_json(Some(&v)).unwrap();
         assert_eq!(w.name, "savec");
         let v = Json::parse(r#"{"name": "nonesuch"}"#).unwrap();
-        assert!(workload_from_json(Some(&v)).unwrap_err().contains("nonesuch"));
+        assert!(workload_from_json(Some(&v))
+            .unwrap_err()
+            .contains("nonesuch"));
         let v = Json::parse(r#"{"name": "mu3", "scale": 0}"#).unwrap();
         assert!(workload_from_json(Some(&v)).is_err());
         assert!(workload_from_json(None).is_err());
@@ -572,7 +577,10 @@ mod tests {
         let b = sim_result_to_json(&r).to_string();
         assert_eq!(a, b);
         let parsed = Json::parse(&a).unwrap();
-        assert_eq!(parsed.get("cycles").and_then(Json::as_u64), Some(r.cycles.0));
+        assert_eq!(
+            parsed.get("cycles").and_then(Json::as_u64),
+            Some(r.cycles.0)
+        );
         assert_eq!(parsed.get("refs").and_then(Json::as_u64), Some(r.refs));
         assert!(parsed.get("mmu").unwrap().is_null());
     }

@@ -310,8 +310,7 @@ impl<S: Read + Write> Connection<S> {
                     }
                     Ok(n) => *written += n,
                     Err(e)
-                        if e.kind() == ErrorKind::WouldBlock
-                            || e.kind() == ErrorKind::TimedOut =>
+                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                     {
                         return WriteEvent::NeedWritable;
                     }

@@ -64,16 +64,16 @@ pub use http::{serve, serve_with_app, Request, ServerConfig, ServerHandle};
 use cachetime::{keyed, EventTrace, SystemConfig, TimingConfig};
 use cachetime_disk::{AdoptOutcome, DiskFault, DiskOp, ScanReport, SegmentStore};
 use cachetime_obs::Registry;
+use cachetime_trace::import::TraceFormat;
 use cachetime_types::{json_object, Json};
 use client::{ClientConfig, HttpClient, ShardRing};
 use fault::{DiskFaultAction, FaultPlan};
-use cachetime_trace::import::TraceFormat;
 use stats::{FleetMetrics, IngestMetrics, ServerStats};
-use store::{Fetch, StoreMetrics, TraceStore, TryGet};
-use upload::{UploadStore, UploadedTrace};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use store::{Fetch, StoreMetrics, TraceStore, TryGet};
+use upload::{UploadStore, UploadedTrace};
 
 /// What a `503 Retry-After` tells shed clients to wait, in seconds.
 /// Recordings are sub-second at interactive scales, so one second is a
@@ -447,7 +447,10 @@ impl App {
         let Some(self_ix) = ring.endpoints().iter().position(|e| *e == config.self_addr) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                format!("self address {:?} is not one of the peers", config.self_addr),
+                format!(
+                    "self address {:?} is not one of the peers",
+                    config.self_addr
+                ),
             ));
         };
         let replication = config.replication.clamp(1, ring.endpoints().len());
@@ -556,7 +559,13 @@ impl App {
                 self.stats.degraded.set(degraded as i64);
                 let disk = self.disk.as_ref().map(|d| d.metrics());
                 let ingest = self.ingest_stats.to_json(self.uploads.stats());
-                Response::ok(self.stats.to_json(&self.store, disk, &self.fleet_stats, ingest, degraded))
+                Response::ok(self.stats.to_json(
+                    &self.store,
+                    disk,
+                    &self.fleet_stats,
+                    ingest,
+                    degraded,
+                ))
             }
             ("GET", "/v1/metrics") => {
                 self.stats.degraded.set(self.is_degraded() as i64);
@@ -674,7 +683,10 @@ impl App {
                 "this server is not part of a fleet (start with --peers)",
             ));
         };
-        let disk = self.disk.as_ref().expect("with_fleet requires a durable store");
+        let disk = self
+            .disk
+            .as_ref()
+            .expect("with_fleet requires a durable store");
         let r = fleet.replication;
         let mut report = RebalanceReport::default();
         let mut conns: HashMap<usize, HttpClient> = HashMap::new();
@@ -716,9 +728,7 @@ impl App {
             // copy is the one every other client reads, so it is the one
             // to clone.
             for &ix in &pref {
-                if ix == fleet.self_ix
-                    || !peer_keys.get(&ix).is_some_and(|ks| ks.contains(&key))
-                {
+                if ix == fleet.self_ix || !peer_keys.get(&ix).is_some_and(|ks| ks.contains(&key)) {
                     continue;
                 }
                 let endpoint = &fleet.ring.endpoints()[ix];
@@ -831,7 +841,13 @@ impl App {
         let mut warm = 0usize;
         let mut window = None;
         let mut picks = upload::DEFAULT_PICKS;
-        for pair in req.query.as_deref().unwrap_or("").split('&').filter(|p| !p.is_empty()) {
+        for pair in req
+            .query
+            .as_deref()
+            .unwrap_or("")
+            .split('&')
+            .filter(|p| !p.is_empty())
+        {
             let reject = |msg: String| {
                 self.ingest_stats.rejected.inc();
                 Response::error(400, &msg)
@@ -1280,8 +1296,8 @@ fn metrics_family_filter(query: Option<&str>) -> Result<&str, &'static str> {
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::error(400, "body must be UTF-8 JSON"))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| Response::error(400, "body must be UTF-8 JSON"))?;
     if text.trim().is_empty() {
         return Err(Response::error(400, "body must be a JSON object"));
     }
@@ -1389,7 +1405,10 @@ mod tests {
         let r = app.handle(&req("GET", "/v1/segments", ""));
         assert_eq!(r.status, 200);
         assert_eq!(
-            parse(&r).get("keys").and_then(Json::as_array).map(|a| a.len()),
+            parse(&r)
+                .get("keys")
+                .and_then(Json::as_array)
+                .map(|a| a.len()),
             Some(0)
         );
         // A segment body read 404s (nothing is stored), a malformed key
@@ -1454,24 +1473,33 @@ mod tests {
         let mut body = Vec::new();
         cachetime_trace::io::write_din(&mut body, trace.refs()).unwrap();
         let warm = trace.warm_start();
-        let r = app.handle(&req_q("POST", "/v1/traces", &format!("warm={warm}"), body.clone()));
-        assert_eq!(r.status, 200, "{}", r.body);
-        let up = parse(&r);
-        assert_eq!(up.get("format").and_then(Json::as_str), Some("din"));
-        assert_eq!(up.get("refs").and_then(Json::as_u64), Some(trace.len() as u64));
-        assert_eq!(up.get("deduplicated").and_then(Json::as_bool), Some(false));
-        let digest = up.get("digest").and_then(Json::as_str).unwrap().to_string();
-        let sel = up.get("selection").unwrap();
-        assert!(sel.get("picks").and_then(Json::as_array).is_some_and(|p| !p.is_empty()));
-
-        // Re-upload: same digest, deduplicated.
-        let r2 = parse(&app.handle(&req_q(
+        let r = app.handle(&req_q(
             "POST",
             "/v1/traces",
             &format!("warm={warm}"),
-            body,
-        )));
-        assert_eq!(r2.get("digest").and_then(Json::as_str), Some(digest.as_str()));
+            body.clone(),
+        ));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let up = parse(&r);
+        assert_eq!(up.get("format").and_then(Json::as_str), Some("din"));
+        assert_eq!(
+            up.get("refs").and_then(Json::as_u64),
+            Some(trace.len() as u64)
+        );
+        assert_eq!(up.get("deduplicated").and_then(Json::as_bool), Some(false));
+        let digest = up.get("digest").and_then(Json::as_str).unwrap().to_string();
+        let sel = up.get("selection").unwrap();
+        assert!(sel
+            .get("picks")
+            .and_then(Json::as_array)
+            .is_some_and(|p| !p.is_empty()));
+
+        // Re-upload: same digest, deduplicated.
+        let r2 = parse(&app.handle(&req_q("POST", "/v1/traces", &format!("warm={warm}"), body)));
+        assert_eq!(
+            r2.get("digest").and_then(Json::as_str),
+            Some(digest.as_str())
+        );
         assert_eq!(r2.get("deduplicated").and_then(Json::as_bool), Some(true));
 
         // Simulate by digest: bit-identical to a direct Simulator run.

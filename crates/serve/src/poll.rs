@@ -300,7 +300,11 @@ impl Poller {
                     let left = dl.saturating_duration_since(Instant::now());
                     // Round up so a 0.4ms budget polls once with 1ms, not 0.
                     left.as_millis().min(i32::MAX as u128) as isize
-                        + if left.subsec_nanos() % 1_000_000 != 0 { 1 } else { 0 }
+                        + if left.subsec_nanos() % 1_000_000 != 0 {
+                            1
+                        } else {
+                            0
+                        }
                 }
             };
             let ret = syscall6(
@@ -413,7 +417,9 @@ mod tests {
         assert!(events.iter().any(|e| e.token == 2 && e.writable));
 
         // Switch to read interest: quiet until bytes arrive.
-        poller.modify(rx.as_raw_fd(), 3, Interest::READABLE).unwrap();
+        poller
+            .modify(rx.as_raw_fd(), 3, Interest::READABLE)
+            .unwrap();
         poller
             .wait(&mut events, Some(Duration::from_millis(20)))
             .unwrap();

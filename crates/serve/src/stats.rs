@@ -46,8 +46,9 @@ impl ServerStats {
     /// Handles registered in `registry` under the `cachetime_server_*`
     /// and `cachetime_request_duration_us` families.
     pub fn in_registry(registry: &Registry) -> Self {
-        let duration =
-            |endpoint| registry.histogram("cachetime_request_duration_us", &[("endpoint", endpoint)]);
+        let duration = |endpoint| {
+            registry.histogram("cachetime_request_duration_us", &[("endpoint", endpoint)])
+        };
         ServerStats {
             in_flight: registry.gauge("cachetime_server_in_flight", &[]),
             errors: registry.counter("cachetime_server_errors_total", &[]),
@@ -229,8 +230,14 @@ impl ServerStats {
                 ("load_errors", Json::UInt(d.load_errors())),
                 ("recovered", Json::UInt(d.recovered())),
                 ("quarantined", Json::UInt(d.quarantined())),
-                ("quarantine_files", Json::UInt(d.quarantine_files().max(0) as u64)),
-                ("quarantine_bytes", Json::UInt(d.quarantine_bytes().max(0) as u64)),
+                (
+                    "quarantine_files",
+                    Json::UInt(d.quarantine_files().max(0) as u64),
+                ),
+                (
+                    "quarantine_bytes",
+                    Json::UInt(d.quarantine_bytes().max(0) as u64),
+                ),
                 ("quarantine_evicted", Json::UInt(d.quarantine_evicted())),
                 ("adopted", Json::UInt(d.adopted())),
                 ("dropped", Json::UInt(d.dropped())),

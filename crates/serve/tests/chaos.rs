@@ -93,7 +93,10 @@ fn seeded_chaos_storm_leaves_the_server_healthy() {
     }
     assert_eq!(total.rounds as usize, THREADS * ROUNDS_PER_THREAD);
     assert!(total.ok > 0, "some traffic must succeed: {total:?}");
-    assert!(total.faulted > 0, "the clients must actually misbehave: {total:?}");
+    assert!(
+        total.faulted > 0,
+        "the clients must actually misbehave: {total:?}"
+    );
     assert!(
         total.panicked >= 1,
         "the armed panics never surfaced as 500s — the run proved nothing: {total:?}"
@@ -212,7 +215,10 @@ fn event_loop_chaos_with_parked_and_vanishing_clients() {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             let mut buf = [0u8; 1024];
             let n = s.read(&mut buf).unwrap();
-            assert!(buf[..n].starts_with(b"HTTP/1.1 200"), "parked conn greeting");
+            assert!(
+                buf[..n].starts_with(b"HTTP/1.1 200"),
+                "parked conn greeting"
+            );
             s
         })
         .collect();
@@ -308,7 +314,12 @@ fn event_loop_chaos_with_parked_and_vanishing_clients() {
     loop {
         let (status, body) = client.get("/healthz").unwrap();
         assert_eq!(status, 200, "{body}");
-        if Json::parse(&body).unwrap().get("status").and_then(Json::as_str) == Some("ok") {
+        if Json::parse(&body)
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str)
+            == Some("ok")
+        {
             break;
         }
         assert!(

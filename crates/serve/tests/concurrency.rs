@@ -66,18 +66,27 @@ fn warm_replay_p50_stays_flat_from_1_to_16_clients() {
     // Warm exactly one key; every request below replays it.
     let mut client = HttpClient::connect(&addr).unwrap();
     let (status, body) = client
-        .post("/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.002}}"#)
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.002}}"#,
+        )
         .unwrap();
     assert_eq!(status, 200, "{body}");
-    let key = Json::parse(&body).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
+    let key = Json::parse(&body)
+        .unwrap()
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
     let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40]}}"#);
 
     // Solo leg: one keep-alive client, back to back, nobody else connected.
     for _ in 0..10 {
         timed_replay(&mut client, &replay_body); // warmup, unmeasured
     }
-    let solo: Vec<u64> =
-        (0..SOLO_REQUESTS).map(|_| timed_replay(&mut client, &replay_body)).collect();
+    let solo: Vec<u64> = (0..SOLO_REQUESTS)
+        .map(|_| timed_replay(&mut client, &replay_body))
+        .collect();
     let solo_p50 = p50_us(solo);
     drop(client);
 
@@ -108,8 +117,9 @@ fn warm_replay_p50_stays_flat_from_1_to_16_clients() {
     let mut active = HttpClient::connect(&addr).unwrap();
     barrier.wait();
     timed_replay(&mut active, &replay_body); // warmup, unmeasured
-    let loaded: Vec<u64> =
-        (0..LOADED_REQUESTS).map(|_| timed_replay(&mut active, &replay_body)).collect();
+    let loaded: Vec<u64> = (0..LOADED_REQUESTS)
+        .map(|_| timed_replay(&mut active, &replay_body))
+        .collect();
     let loaded_p50 = p50_us(loaded);
     active_done.store(true, Ordering::SeqCst);
     for t in slow {

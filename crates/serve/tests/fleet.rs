@@ -44,7 +44,11 @@ fn keys_route_to_their_owner_and_failover_rerecords() {
             .request_keyed(key, "POST", "/v1/simulate", &sim_body(scale))
             .expect("fleet simulate");
         assert_eq!(status, 200, "{body}");
-        assert_eq!(shard, fleet.ring().owner(key), "must land on the ring owner");
+        assert_eq!(
+            shard,
+            fleet.ring().owner(key),
+            "must land on the ring owner"
+        );
         let v = Json::parse(&body).unwrap();
         assert_eq!(
             v.get("key").and_then(Json::as_str),
@@ -77,7 +81,10 @@ fn keys_route_to_their_owner_and_failover_rerecords() {
             .request_keyed(key, "POST", "/v1/simulate", &sim_body(scale))
             .expect("fleet simulate after shard loss");
         assert_eq!(status, 200, "{body}");
-        assert_eq!(shard, expect_shard, "failover must follow the preference order");
+        assert_eq!(
+            shard, expect_shard,
+            "failover must follow the preference order"
+        );
         let v = Json::parse(&body).unwrap();
         let expected_cached = pref[0] != victim; // survivors stay warm
         assert_eq!(

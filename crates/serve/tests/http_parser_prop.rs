@@ -143,9 +143,7 @@ fn valid_requests_round_trip_and_prefixes_never_error() {
             let mut partial = wire[..cut].to_vec();
             match parse_caught(&mut partial)? {
                 Ok(Parsed::Incomplete) => {}
-                Ok(Parsed::Request(_)) => {
-                    return Err("prefix parsed as a complete request".into())
-                }
+                Ok(Parsed::Request(_)) => return Err("prefix parsed as a complete request".into()),
                 Ok(Parsed::Chunked { .. }) => {
                     return Err("Content-Length prefix parsed as chunked".into())
                 }
@@ -216,8 +214,8 @@ fn duplicate_content_length_is_always_400() {
             } else {
                 rng.gen_range(0u64..MAX_BODY_BYTES as u64)
             };
-            let name = ["Content-Length", "content-length", "CONTENT-LENGTH"]
-                [rng.gen_range(0usize..3)];
+            let name =
+                ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.gen_range(0usize..3)];
             (req, second, name)
         },
         shrink::none,
@@ -260,7 +258,8 @@ fn chunked_uploads_round_trip_under_any_chunking_and_read_slicing() {
         },
         shrink::none,
         |(body, splits, read_size)| {
-            let mut wire = b"POST /v1/traces HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            let mut wire =
+                b"POST /v1/traces HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
             let mut at = 0;
             for take in splits {
                 wire.extend_from_slice(format!("{take:x}\r\n").as_bytes());
@@ -282,7 +281,10 @@ fn chunked_uploads_round_trip_under_any_chunking_and_read_slicing() {
                     }
                 }
                 if let Some(decoder) = pending.as_mut() {
-                    if decoder.feed(&mut buf).map_err(|e| format!("feed: {}", e.msg))? {
+                    if decoder
+                        .feed(&mut buf)
+                        .map_err(|e| format!("feed: {}", e.msg))?
+                    {
                         result = Some(pending.take().ok_or("decoder vanished")?.into_body());
                     }
                 }

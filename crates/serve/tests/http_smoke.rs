@@ -28,7 +28,10 @@ fn full_request_cycle_over_real_sockets() {
     let (status, body) = client.get("/healthz").unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(
-        Json::parse(&body).unwrap().get("status").and_then(Json::as_str),
+        Json::parse(&body)
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str),
         Some("ok")
     );
 
@@ -74,7 +77,11 @@ fn full_request_cycle_over_real_sockets() {
     assert_eq!(store.get("entries").and_then(Json::as_u64), Some(1));
     let latency = stats.get("latency").unwrap();
     assert_eq!(
-        latency.get("simulate").unwrap().get("count").and_then(Json::as_u64),
+        latency
+            .get("simulate")
+            .unwrap()
+            .get("count")
+            .and_then(Json::as_u64),
         Some(2)
     );
 
@@ -85,7 +92,10 @@ fn full_request_cycle_over_real_sockets() {
     let (status, _) = client.post("/v1/simulate", "{not json").unwrap();
     assert_eq!(status, 400);
     let (status, _) = client
-        .post("/v1/replay", r#"{"key": "ffffffffffffffff", "cycle_times_ns": [40]}"#)
+        .post(
+            "/v1/replay",
+            r#"{"key": "ffffffffffffffff", "cycle_times_ns": [40]}"#,
+        )
         .unwrap();
     assert_eq!(status, 404, "unknown keys are a 404, not a 500");
 
@@ -108,10 +118,17 @@ fn concurrent_clients_share_one_recording() {
                 let mut client = HttpClient::connect(&addr).unwrap();
                 barrier.wait();
                 let (status, body) = client
-                    .post("/v1/simulate", r#"{"trace": {"name": "savec", "scale": 0.004}}"#)
+                    .post(
+                        "/v1/simulate",
+                        r#"{"trace": {"name": "savec", "scale": 0.004}}"#,
+                    )
                     .unwrap();
                 assert_eq!(status, 200, "{body}");
-                Json::parse(&body).unwrap().get("result").unwrap().to_string()
+                Json::parse(&body)
+                    .unwrap()
+                    .get("result")
+                    .unwrap()
+                    .to_string()
             })
         })
         .collect();
@@ -139,7 +156,10 @@ fn replay_honors_a_custom_timing_base() {
     let (handle, addr) = start();
     let mut client = HttpClient::connect(&addr).unwrap();
     let (_, body) = client
-        .post("/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.004}}"#)
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.004}}"#,
+        )
         .unwrap();
     let key = Json::parse(&body)
         .unwrap()
@@ -160,7 +180,12 @@ fn replay_honors_a_custom_timing_base() {
     let (status, fast_body) = client.post("/v1/replay", &fast).unwrap();
     assert_eq!(status, 200, "{fast_body}");
     let cycles = |body: &str| {
-        Json::parse(body).unwrap().get("results").unwrap().as_array().unwrap()[0]
+        Json::parse(body)
+            .unwrap()
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap()[0]
             .get("cycles")
             .and_then(Json::as_u64)
             .unwrap()

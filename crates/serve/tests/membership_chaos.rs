@@ -23,10 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cachetime-membership-{}-{tag}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cachetime-membership-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -115,7 +113,11 @@ fn a_killed_shard_loses_no_keys_and_rejoins_via_handoff() {
             .request_replicated(key, "POST", "/v1/simulate", &sim_body(scale))
             .expect("replicated record");
         assert_eq!(status, 200, "{body}");
-        assert_eq!(shard, fleet.ring().owner(key), "answer comes from the owner");
+        assert_eq!(
+            shard,
+            fleet.ring().owner(key),
+            "answer comes from the owner"
+        );
         keys.push((key, scale));
     }
 
@@ -168,8 +170,15 @@ fn a_killed_shard_loses_no_keys_and_rejoins_via_handoff() {
         .copied()
         .filter(|&(key, _)| fleet.ring().preference(key)[..2].contains(&victim))
         .collect();
-    assert!(!placed.is_empty(), "the ring places drill keys on every shard");
-    assert_eq!(report.pulled, placed.len() as u64, "pull exactly what the ring places here");
+    assert!(
+        !placed.is_empty(),
+        "the ring places drill keys on every shard"
+    );
+    assert_eq!(
+        report.pulled,
+        placed.len() as u64,
+        "pull exactly what the ring places here"
+    );
     assert_eq!(report.rejected, 0);
     assert_eq!(report.fetch_failures, 0);
     assert_eq!(report.dropped, 0);
@@ -187,7 +196,9 @@ fn a_killed_shard_loses_no_keys_and_rejoins_via_handoff() {
         let v = Json::parse(&resp).unwrap();
         let direct = Simulator::new(&config).run(&catalog::mu3(scale).generate());
         assert_eq!(
-            v.get("results").and_then(Json::as_array).and_then(|a| a.first()),
+            v.get("results")
+                .and_then(Json::as_array)
+                .and_then(|a| a.first()),
             Some(&api::sim_result_to_json(&direct)),
             "handed-off replay must be bit-identical (key {key:016x})"
         );
@@ -257,9 +268,16 @@ fn corrupt_handoff_transfers_are_quarantined_never_adopted() {
     assert_eq!(report.rejected, keys.len() as u64);
     assert_eq!(report.fetch_failures, 0);
     for &key in &keys {
-        assert!(!app_b.disk().unwrap().contains(key), "no poisoned segment on disk");
+        assert!(
+            !app_b.disk().unwrap().contains(key),
+            "no poisoned segment on disk"
+        );
     }
-    assert_eq!(app_b.store.stats().entries, 0, "no poisoned trace in memory");
+    assert_eq!(
+        app_b.store.stats().entries,
+        0,
+        "no poisoned trace in memory"
+    );
     let disk_metrics = app_b.disk().unwrap().metrics();
     assert_eq!(disk_metrics.quarantine_files(), keys.len() as i64);
     assert!(root_b.join("quarantine").is_dir());
@@ -269,7 +287,11 @@ fn corrupt_handoff_transfers_are_quarantined_never_adopted() {
     // segment adopts cleanly and serves warm, bit-identical to a fresh
     // simulation.
     let report = app_b.rebalance().expect("clean rebalance");
-    assert_eq!(report.pulled, keys.len() as u64, "the fleet heals once faults drain");
+    assert_eq!(
+        report.pulled,
+        keys.len() as u64,
+        "the fleet heals once faults drain"
+    );
     assert_eq!(report.rejected, 0);
     let config = SystemConfig::paper_default().unwrap();
     for (&key, &scale) in keys.iter().zip(&scales) {
@@ -282,7 +304,9 @@ fn corrupt_handoff_transfers_are_quarantined_never_adopted() {
         let v = Json::parse(&resp).unwrap();
         let direct = Simulator::new(&config).run(&catalog::mu3(scale).generate());
         assert_eq!(
-            v.get("results").and_then(Json::as_array).and_then(|a| a.first()),
+            v.get("results")
+                .and_then(Json::as_array)
+                .and_then(|a| a.first()),
             Some(&api::sim_result_to_json(&direct))
         );
     }

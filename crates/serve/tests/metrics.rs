@@ -55,14 +55,22 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
     let sim_body = r#"{"trace": {"name": "mu3", "scale": 0.004}}"#;
     let (status, body) = client.post("/v1/simulate", sim_body).unwrap();
     assert_eq!(status, 200, "{body}");
-    let key = Json::parse(&body).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
+    let key = Json::parse(&body)
+        .unwrap()
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
     let (status, _) = client.post("/v1/simulate", sim_body).unwrap();
     assert_eq!(status, 200);
     let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 80]}}"#);
     let (status, body) = client.post("/v1/replay", &replay_body).unwrap();
     assert_eq!(status, 200, "{body}");
     let (status, _) = client
-        .post("/v1/replay", r#"{"key": "ffffffffffffffff", "cycle_times_ns": [40]}"#)
+        .post(
+            "/v1/replay",
+            r#"{"key": "ffffffffffffffff", "cycle_times_ns": [40]}"#,
+        )
         .unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.post("/v1/simulate", "{not json").unwrap();
@@ -80,7 +88,10 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
                 let mut c = HttpClient::connect(&addr).unwrap();
                 barrier.wait();
                 let (status, body) = c
-                    .post("/v1/simulate", r#"{"trace": {"name": "savec", "scale": 0.003}}"#)
+                    .post(
+                        "/v1/simulate",
+                        r#"{"trace": {"name": "savec", "scale": 0.003}}"#,
+                    )
                     .unwrap();
                 assert_eq!(status, 200, "{body}");
             })
@@ -110,7 +121,10 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
         (field(store, "evictions"), "cachetime_store_evictions_total"),
         (field(store, "entries"), "cachetime_store_entries"),
         (field(store, "bytes"), "cachetime_store_bytes"),
-        (field(store, "recordings_in_flight"), "cachetime_store_recordings_in_flight"),
+        (
+            field(store, "recordings_in_flight"),
+            "cachetime_store_recordings_in_flight",
+        ),
         (field(server, "errors"), "cachetime_server_errors_total"),
         (field(server, "shed"), "cachetime_server_shed_total"),
         (field(server, "timeouts"), "cachetime_server_timeouts_total"),
@@ -124,10 +138,17 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
         );
     }
     let degraded = server.get("degraded").and_then(Json::as_bool).unwrap();
-    assert_eq!(prom(&metrics_body, "cachetime_server_degraded"), degraded as i64);
+    assert_eq!(
+        prom(&metrics_body, "cachetime_server_degraded"),
+        degraded as i64
+    );
 
     // Absolute spot checks: the workload above fixes these exactly.
-    assert_eq!(field(store, "misses"), 2, "mu3 and savec each recorded once");
+    assert_eq!(
+        field(store, "misses"),
+        2,
+        "mu3 and savec each recorded once"
+    );
     assert_eq!(field(server, "panics"), 1);
     assert_eq!(field(server, "errors"), 3, "500 + 404 + 400");
     assert_eq!(field(server, "shed"), 0);
@@ -151,7 +172,10 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
         assert_eq!(inf, count, "{endpoint} +Inf bucket must equal the count");
     }
     assert!(
-        prom(&metrics_body, "cachetime_request_duration_us_count{endpoint=\"simulate\"}") >= 6,
+        prom(
+            &metrics_body,
+            "cachetime_request_duration_us_count{endpoint=\"simulate\"}"
+        ) >= 6,
         "3 sequential + 3 concurrent simulate requests"
     );
 
@@ -161,7 +185,10 @@ fn metrics_and_stats_bit_match_after_a_mixed_workload() {
         "# TYPE cachetime_server_in_flight gauge",
         "# TYPE cachetime_request_duration_us histogram",
     ] {
-        assert!(metrics_body.contains(ty), "missing {ty:?} in:\n{metrics_body}");
+        assert!(
+            metrics_body.contains(ty),
+            "missing {ty:?} in:\n{metrics_body}"
+        );
     }
     assert!(!metrics_body.contains("NaN"), "{metrics_body}");
 
@@ -192,7 +219,9 @@ fn fleet_families_expose_exemplars_over_a_socket() {
         let held: Vec<_> = (0..2)
             .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
-        held.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
+        held.iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect()
     };
     let start = |ix: usize| {
         let disk = cachetime_disk::SegmentStore::open(cachetime_disk::DiskConfig {
@@ -240,14 +269,28 @@ fn fleet_families_expose_exemplars_over_a_socket() {
 
     // Record one pairing on the donor, then pull it over via rebalance.
     let (status, body) = fleet
-        .request_on(0, "POST", "/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.004}}"#)
+        .request_on(
+            0,
+            "POST",
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.004}}"#,
+        )
         .unwrap();
     assert_eq!(status, 200, "{body}");
-    let key = Json::parse(&body).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
+    let key = Json::parse(&body)
+        .unwrap()
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
     let (status, body) = fleet.request_on(1, "POST", "/v1/rebalance", "").unwrap();
     assert_eq!(status, 200, "{body}");
     let report = Json::parse(&body).unwrap();
-    assert_eq!(report.get("pulled").and_then(Json::as_u64), Some(1), "{body}");
+    assert_eq!(
+        report.get("pulled").and_then(Json::as_u64),
+        Some(1),
+        "{body}"
+    );
 
     // The pull shows up in the counters, and exactly one peer-fetch
     // bucket line carries the pulled segment's key as its exemplar.
@@ -296,7 +339,10 @@ fn metrics_family_filter_over_a_socket() {
 
     let mut client = HttpClient::connect(&addr).unwrap();
     let (status, body) = client
-        .post("/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.004}}"#)
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.004}}"#,
+        )
         .unwrap();
     assert_eq!(status, 200, "{body}");
 
@@ -361,10 +407,18 @@ fn replay_class_counter_renders_on_the_process_wide_registry() {
 
     let mut client = HttpClient::connect(&addr).unwrap();
     let (status, body) = client
-        .post("/v1/simulate", r#"{"trace": {"name": "mu3", "scale": 0.004}}"#)
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.004}}"#,
+        )
         .unwrap();
     assert_eq!(status, 200, "{body}");
-    let key = Json::parse(&body).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
+    let key = Json::parse(&body)
+        .unwrap()
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
     // 40 and 44 ns quantize the default memory alike: three points, two
     // replays.
     let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 44, 80]}}"#);

@@ -21,10 +21,7 @@ use cachetime_types::Json;
 use std::sync::Arc;
 
 fn scratch() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cachetime-restart-chaos-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("cachetime-restart-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -84,7 +81,10 @@ fn restart_recovers_intact_segments_and_quarantines_torn_ones() {
     let app = App::new(usize::MAX).with_disk(open_disk(&root));
     let report = app.recover_from_disk().expect("scan");
     assert_eq!(report.recovered, intact, "every intact segment comes back");
-    assert_eq!(report.quarantined, corrupted, "every crash image quarantined");
+    assert_eq!(
+        report.quarantined, corrupted,
+        "every crash image quarantined"
+    );
     assert!(root.join("quarantine").is_dir());
 
     // Every pairing answers; recovered ones without re-recording.

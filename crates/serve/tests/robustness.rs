@@ -15,9 +15,7 @@ use std::time::Duration;
 
 /// A server with a deliberately short request deadline and one admission
 /// slot, so every limit in this file is cheap to hit.
-fn tight_server(
-    faults: FaultPlan,
-) -> (cachetime_serve::ServerHandle, Arc<App>, String) {
+fn tight_server(faults: FaultPlan) -> (cachetime_serve::ServerHandle, Arc<App>, String) {
     let app = Arc::new(
         App::new(64 * 1024 * 1024)
             .with_limits(Limits {
@@ -84,7 +82,13 @@ fn slowloris_gets_408_not_a_parked_worker() {
     let (_, body) = client.get("/v1/stats").unwrap();
     let stats = Json::parse(&body).unwrap();
     assert!(
-        stats.get("server").unwrap().get("timeouts").and_then(Json::as_u64).unwrap() >= 1,
+        stats
+            .get("server")
+            .unwrap()
+            .get("timeouts")
+            .and_then(Json::as_u64)
+            .unwrap()
+            >= 1,
         "{body}"
     );
 
@@ -127,7 +131,8 @@ fn zero_deadline_is_408_before_any_handler_work() {
     // trips the same check even though the value is nonzero.
     let mut s = TcpStream::connect(&addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(b"GET /healthz HTTP/1.1\r\nX-Deadline-Ms: 20\r\n").unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nX-Deadline-Ms: 20\r\n")
+        .unwrap();
     std::thread::sleep(Duration::from_millis(80));
     s.write_all(b"\r\n").unwrap();
     let (status, text) = read_to_close(&mut s);
@@ -175,17 +180,18 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
     let blocker = {
         let app = Arc::clone(&app);
         std::thread::spawn(move || {
-            app.store.fetch_or_record(0xB10C_4EED, usize::MAX, None, move || {
-                rx.recv().unwrap();
-                let config = cachetime::SystemConfig::paper_default().unwrap();
-                Some(
-                    cachetime::keyed::record(
-                        &config.organization(),
-                        &cachetime_trace::catalog::savec(0.002),
+            app.store
+                .fetch_or_record(0xB10C_4EED, usize::MAX, None, move || {
+                    rx.recv().unwrap();
+                    let config = cachetime::SystemConfig::paper_default().unwrap();
+                    Some(
+                        cachetime::keyed::record(
+                            &config.organization(),
+                            &cachetime_trace::catalog::savec(0.002),
+                        )
+                        .1,
                     )
-                    .1,
-                )
-            })
+                })
         })
     };
     while app.store.stats().in_flight == 0 {
@@ -195,7 +201,10 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
     // The server reports degraded while the slot is held...
     let (_, hbody) = client.get("/healthz").unwrap();
     assert_eq!(
-        Json::parse(&hbody).unwrap().get("status").and_then(Json::as_str),
+        Json::parse(&hbody)
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str),
         Some("degraded"),
         "{hbody}"
     );
@@ -210,7 +219,10 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
     );
     raw.write_all(req.as_bytes()).unwrap();
     let (status, text) = read_to_close(&mut raw);
-    assert_eq!(status, 503, "cold simulate during degradation must shed: {text}");
+    assert_eq!(
+        status, 503,
+        "cold simulate during degradation must shed: {text}"
+    );
     assert!(
         text.to_ascii_lowercase().contains("retry-after:"),
         "shed responses must carry Retry-After: {text}"
@@ -218,12 +230,18 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
     // ...and a warm replay still answers 200.
     let rbody = format!(r#"{{"key": "{key}", "cycle_times_ns": [40]}}"#);
     let (rstatus, rresp) = client.post("/v1/replay", &rbody).unwrap();
-    assert_eq!(rstatus, 200, "warm replay failed during degradation: {rresp}");
+    assert_eq!(
+        rstatus, 200,
+        "warm replay failed during degradation: {rresp}"
+    );
     // Shed is visible in stats.
     let (_, sbody) = client.get("/v1/stats").unwrap();
     let stats = Json::parse(&sbody).unwrap();
     let server = stats.get("server").unwrap();
-    assert!(server.get("shed").and_then(Json::as_u64).unwrap() >= 1, "{sbody}");
+    assert!(
+        server.get("shed").and_then(Json::as_u64).unwrap() >= 1,
+        "{sbody}"
+    );
     assert_eq!(server.get("degraded").and_then(Json::as_bool), Some(true));
 
     // Release the slot: recovery is immediate and visible.
@@ -231,7 +249,10 @@ fn shed_cold_simulates_while_warm_replays_keep_serving() {
     blocker.join().unwrap();
     let (_, hbody) = client.get("/healthz").unwrap();
     assert_eq!(
-        Json::parse(&hbody).unwrap().get("status").and_then(Json::as_str),
+        Json::parse(&hbody)
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str),
         Some("ok"),
         "{hbody}"
     );
@@ -256,7 +277,11 @@ fn handler_panic_becomes_500_and_the_pool_survives() {
     let (_, body) = client.get("/v1/stats").unwrap();
     let stats = Json::parse(&body).unwrap();
     assert_eq!(
-        stats.get("server").unwrap().get("panics").and_then(Json::as_u64),
+        stats
+            .get("server")
+            .unwrap()
+            .get("panics")
+            .and_then(Json::as_u64),
         Some(1),
         "{body}"
     );
@@ -281,7 +306,10 @@ fn write_phase_panic_drops_the_connection_but_not_the_worker() {
 
     let mut client = HttpClient::connect(&addr).unwrap();
     let (status, _) = client.get("/healthz").unwrap();
-    assert_eq!(status, 200, "the worker pool must survive a write-phase panic");
+    assert_eq!(
+        status, 200,
+        "the worker pool must survive a write-phase panic"
+    );
     assert_eq!(app.stats.panics.get(), 1);
 
     handle.shutdown();
@@ -295,8 +323,7 @@ fn client_retries_reconnect_after_a_severed_connection() {
     // keep-alive connection (500s always close); the client's next request
     // hits the dead socket, and with retries armed it must reconnect and
     // succeed instead of surfacing the I/O error.
-    let (handle, _app, addr) =
-        tight_server(FaultPlan::inert().panic_once("serve.handle"));
+    let (handle, _app, addr) = tight_server(FaultPlan::inert().panic_once("serve.handle"));
     let mut client = HttpClient::connect_with(
         &addr,
         ClientConfig {
@@ -311,12 +338,14 @@ fn client_retries_reconnect_after_a_severed_connection() {
     let (status, _) = client.get("/healthz").unwrap();
     assert_eq!(status, 500, "the one-shot panic fires first");
     let (status, body) = client.get("/healthz").unwrap();
-    assert_eq!(status, 200, "retry must reconnect through the dead socket: {body}");
+    assert_eq!(
+        status, 200,
+        "retry must reconnect through the dead socket: {body}"
+    );
 
     // A client without retries surfaces the error instead: same scenario,
     // explicit contract that retries are opt-in.
-    let (handle2, _app2, addr2) =
-        tight_server(FaultPlan::inert().panic_once("serve.handle"));
+    let (handle2, _app2, addr2) = tight_server(FaultPlan::inert().panic_once("serve.handle"));
     let mut bare = HttpClient::connect(&addr2).unwrap();
     let (status, _) = bare.get("/healthz").unwrap();
     assert_eq!(status, 500);

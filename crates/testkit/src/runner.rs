@@ -11,8 +11,8 @@
 //! TESTKIT_CASES=500 cargo test -q         # raise the per-property budget
 //! ```
 
-use crate::rng::SplitMix64;
 use crate::derive_seed;
+use crate::rng::SplitMix64;
 
 /// The outcome of one property evaluation: `Err` carries the assertion
 /// message. Produced by the [`prop_assert!`](crate::prop_assert) family.

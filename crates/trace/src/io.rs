@@ -347,7 +347,8 @@ mod tests {
 
     #[test]
     fn truncate_policy_accepts_and_counts_sub_word_addresses() {
-        let mut it = DinIter::with_alignment("0 1001\n0 1002\n0 1004\n".as_bytes(), Alignment::Truncate);
+        let mut it =
+            DinIter::with_alignment("0 1001\n0 1002\n0 1004\n".as_bytes(), Alignment::Truncate);
         let refs: Vec<MemRef> = it.by_ref().map(|r| r.unwrap()).collect();
         assert_eq!(refs[0].addr, refs[1].addr, "same word");
         assert_ne!(refs[1].addr, refs[2].addr);

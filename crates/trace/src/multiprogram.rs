@@ -3,8 +3,8 @@
 
 use crate::process::{ProcessParams, SyntheticProcess};
 use crate::trace::Trace;
-use cachetime_types::{AccessKind, MemRef, StableHash, StableHasher};
 use cachetime_testkit::SplitMix64;
+use cachetime_types::{AccessKind, MemRef, StableHash, StableHasher};
 use std::collections::HashMap;
 
 /// A complete recipe for one synthetic trace.

@@ -17,10 +17,10 @@
 //!   processes".
 
 use crate::mtf::MtfStack;
+use cachetime_testkit::SplitMix64;
 #[cfg(test)]
 use cachetime_types::AccessKind;
 use cachetime_types::{MemRef, Pid, StableHash, StableHasher, WordAddr};
-use cachetime_testkit::SplitMix64;
 
 /// First word of the code region. Each process's regions are staggered by
 /// a small pid-dependent, non-power-of-two offset: programs share the same

@@ -298,9 +298,15 @@ mod tests {
 
     #[test]
     fn slices_hash_by_content_and_length() {
-        assert_eq!(stable_hash_of(&vec![1u64, 2]), stable_hash_of(&[1u64, 2][..]));
+        assert_eq!(
+            stable_hash_of(&vec![1u64, 2]),
+            stable_hash_of(&[1u64, 2][..])
+        );
         assert_ne!(stable_hash_of(&[1u64][..]), stable_hash_of(&[1u64, 0][..]));
-        assert_ne!(stable_hash_of(&[][..] as &[u64]), stable_hash_of(&[0u64][..]));
+        assert_ne!(
+            stable_hash_of(&[][..] as &[u64]),
+            stable_hash_of(&[0u64][..])
+        );
     }
 
     #[test]

@@ -528,9 +528,7 @@ impl<'a> Parser<'a> {
                 let hi = self.hex4()?;
                 let code = if (0xd800..0xdc00).contains(&hi) {
                     // High surrogate: require a \uXXXX low surrogate next.
-                    if self.peek() == Some(b'\\')
-                        && self.bytes.get(self.pos + 1) == Some(&b'u')
-                    {
+                    if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
                         self.pos += 2;
                         let lo = self.hex4()?;
                         if !(0xdc00..0xe000).contains(&lo) {
@@ -622,7 +620,11 @@ mod tests {
 
     fn roundtrip(text: &str) -> Json {
         let v = Json::parse(text).unwrap();
-        assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "roundtrip of {text}");
+        assert_eq!(
+            Json::parse(&v.to_string()).unwrap(),
+            v,
+            "roundtrip of {text}"
+        );
         v
     }
 
@@ -676,10 +678,7 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            Json::parse(r#""Aé🦀""#).unwrap().as_str(),
-            Some("Aé🦀")
-        );
+        assert_eq!(Json::parse(r#""Aé🦀""#).unwrap().as_str(), Some("Aé🦀"));
         assert!(Json::parse(r#""\ud800""#).is_err(), "unpaired surrogate");
         assert!(Json::parse(r#""\udc00x""#).is_err(), "lone low surrogate");
     }
@@ -696,9 +695,23 @@ mod tests {
     #[test]
     fn malformed_inputs_error_with_position() {
         for bad in [
-            "", "{", "[1,", r#"{"a"}"#, "tru", "01", "1.", "+1", "--2", "[1 2]",
-            r#"{"a": 1,}"#, "\"unterminated", "{\"a\": }", "[]]", "1e",
-            r#"{key: 1}"#, "\"bad \\q escape\"",
+            "",
+            "{",
+            "[1,",
+            r#"{"a"}"#,
+            "tru",
+            "01",
+            "1.",
+            "+1",
+            "--2",
+            "[1 2]",
+            r#"{"a": 1,}"#,
+            "\"unterminated",
+            "{\"a\": }",
+            "[]]",
+            "1e",
+            r#"{key: 1}"#,
+            "\"bad \\q escape\"",
         ] {
             let e = Json::parse(bad).unwrap_err();
             assert!(e.pos <= bad.len(), "{bad:?}: {e}");

@@ -42,8 +42,8 @@ fn simulate_point(p: &GridPoint, trace: &cachetime_trace::Trace) -> SimResult {
 fn job_count_never_changes_grid_results() {
     let trace = catalog::mu3(0.01).generate();
     let points = grid();
-    let serial = sweep::run(&points, 1, |_, p| simulate_point(p, &trace))
-        .expect("serial sweep succeeds");
+    let serial =
+        sweep::run(&points, 1, |_, p| simulate_point(p, &trace)).expect("serial sweep succeeds");
     for jobs in [2, 3, 8, 0] {
         let parallel = sweep::run(&points, jobs, |_, p| simulate_point(p, &trace))
             .expect("parallel sweep succeeds");
