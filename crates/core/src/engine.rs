@@ -65,8 +65,7 @@ impl Simulator {
         refs: impl IntoIterator<Item = MemRef>,
         warm_start: usize,
     ) -> SimResult {
-        let obs = cachetime_obs::global();
-        let mut span = obs.span("core_simulate");
+        let mut span = cachetime_obs::global_span!("core_simulate");
         let timing = self.config.cycle_timing();
         let mut bank = LaneBank::new(std::slice::from_ref(&timing));
         let (walked, behavior) = self.machine.walk(refs, warm_start, |op| bank.apply(&op));

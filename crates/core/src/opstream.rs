@@ -2,8 +2,13 @@
 //!
 //! A recording encodes each [`EventOp`] into a few bytes as the walk
 //! emits it, and those bytes are both what the trace holds in memory and
-//! what a segment payload carries after the codec's header. A replay
-//! decodes each op once and hands it to every lane.
+//! what a segment payload carries after the codec's header.
+//!
+//! One decoder reads the stream, and it builds no [`EventOp`]: it hands
+//! each op to an [`OpSink`] by shape, as a hit run's counts, a couplet's
+//! two halves built on the stack, or the warm boundary. A replay's lane
+//! bank is a sink and prices each op on every lane as it is decoded.
+//! [`Ops::iter`] and [`OpStream::checked`] use a sink that keeps the op.
 //!
 //! Both sides of the stream carry a small state from op to op: the last
 //! address of each couplet side (I and D), the last pid, and the fill
@@ -110,7 +115,9 @@ impl OpStream {
         let mut again = [0; OP_ROOM];
         for _ in 0..len {
             let (start, mut before) = (pos, state);
-            let op = decode_op(bytes, &mut pos, &mut state)?;
+            let mut op = None;
+            decode_op(bytes, &mut pos, &mut state, &mut op)?;
+            let op = op.expect("a decoded op reaches its sink");
             let n = encode_op(&op, &mut before, &mut again);
             if again[..n] != bytes[start..pos] {
                 return Err(CodecError::Invalid("non-canonical op"));
@@ -209,6 +216,46 @@ impl<'a> Ops<'a> {
             left: self.len,
         }
     }
+
+    /// Decodes every op in recorded order into `sink`.
+    #[inline]
+    pub(crate) fn feed(&self, sink: &mut impl OpSink) {
+        let (mut pos, mut state) = (0, State::default());
+        for _ in 0..self.len {
+            decode_op(self.bytes, &mut pos, &mut state, sink).expect(CHECKED);
+        }
+    }
+}
+
+/// Receives decoded ops, one call per op, by shape.
+pub(crate) trait OpSink {
+    /// A run of all-hit couplets, counted per [`CoupletClass::index`].
+    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]);
+    /// One recorded couplet.
+    fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>);
+    /// The warm-start boundary.
+    fn warm_boundary(&mut self);
+}
+
+/// Keeps the op, for [`OpIter`] and [`OpStream::checked`].
+impl OpSink for Option<EventOp> {
+    #[inline(always)]
+    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+        *self = Some(EventOp::HitRun { counts: *counts });
+    }
+
+    #[inline(always)]
+    fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
+        *self = Some(EventOp::Couplet {
+            iref: iref.copied(),
+            dref: dref.copied(),
+        });
+    }
+
+    #[inline(always)]
+    fn warm_boundary(&mut self) {
+        *self = Some(EventOp::WarmBoundary);
+    }
 }
 
 /// Decodes a stream's ops in order; see [`Ops::iter`].
@@ -229,7 +276,9 @@ impl Iterator for OpIter<'_> {
             return None;
         }
         self.left -= 1;
-        Some(decode_op(self.bytes, &mut self.pos, &mut self.state).expect(CHECKED))
+        let mut op = None;
+        decode_op(self.bytes, &mut self.pos, &mut self.state, &mut op).expect(CHECKED);
+        op
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -516,10 +565,16 @@ const PLAIN: [AccessEvent; 8] = [
     AccessEvent::WriteVictimHit { through: true },
 ];
 
-/// Decodes the op at `*pos`, steps past it and advances the stream state.
-/// Never panics: out-of-range reads see zeros and end in `Truncated`.
+/// Decodes the op at `*pos` into `sink`, steps past it and advances the
+/// stream state. Never panics: out-of-range reads see zeros and end in
+/// `Truncated`, and `sink` sees an op only once all of it is in bounds.
 #[inline(always)]
-fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, CodecError> {
+fn decode_op(
+    bytes: &[u8],
+    pos: &mut usize,
+    s: &mut State,
+    sink: &mut impl OpSink,
+) -> Result<(), CodecError> {
     let Some(&h) = bytes.get(*pos) else {
         return Err(CodecError::Truncated);
     };
@@ -534,7 +589,7 @@ fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, Co
         let fetch_start = fetch_start_at(bytes, &mut p, addr, s.fill, (h >> 6) as usize);
         s.addr[side] = addr;
         within(bytes, pos, p)?;
-        let e = Some(RefEvent {
+        let e = RefEvent {
             addr: WordAddr::new(addr),
             pid: Pid(s.pid),
             walk_cycles: 0,
@@ -543,18 +598,12 @@ fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, Co
                 fill_words: s.fill,
                 victim: None,
             },
-        });
-        Ok(if side == 0 {
-            EventOp::Couplet {
-                iref: e,
-                dref: None,
-            }
+        };
+        if side == 0 {
+            sink.couplet(Some(&e), None);
         } else {
-            EventOp::Couplet {
-                iref: None,
-                dref: e,
-            }
-        })
+            sink.couplet(None, Some(&e));
+        }
     } else if h & 0b11 == TAG_HIT_RUN {
         let present = (h >> 2 & 0x1f) as u32;
         let mut counts = [0u32; CoupletClass::COUNT];
@@ -583,7 +632,7 @@ fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, Co
             }
         }
         within(bytes, pos, p)?;
-        Ok(EventOp::HitRun { counts })
+        sink.hit_run(&counts);
     } else if h & 0b111 == TAG_COUPLET {
         let iref = if h & 1 << 3 != 0 {
             Some(get_record(bytes, &mut p, 0, s)?)
@@ -596,13 +645,14 @@ fn decode_op(bytes: &[u8], pos: &mut usize, s: &mut State) -> Result<EventOp, Co
             None
         };
         within(bytes, pos, p)?;
-        Ok(EventOp::Couplet { iref, dref })
+        sink.couplet(iref.as_ref(), dref.as_ref());
     } else if h == TAG_WARM {
         *pos = p;
-        Ok(EventOp::WarmBoundary)
+        sink.warm_boundary();
     } else {
-        Err(CodecError::Invalid("op code"))
+        return Err(CodecError::Invalid("op code"));
     }
+    Ok(())
 }
 
 /// Commits an op that ends at `end`, if it ends within `bytes`.
@@ -686,8 +736,10 @@ fn get_record(
 
 #[cfg(test)]
 mod tests {
+    use super::gen::{gen_ops, Range};
     use super::*;
     use cachetime_testkit::{check, prop_assert, prop_assert_eq, shrink, SplitMix64};
+    use std::collections::BTreeSet;
 
     fn miss(addr: u64, fetch_start: u64, fill_words: u32) -> RefEvent {
         RefEvent {
@@ -708,6 +760,58 @@ mod tests {
             w.push(op);
         }
         w.finish()
+    }
+
+    /// Both ranges of the generator reach every first-byte code within
+    /// the 64 cases a property runs by default: lone misses on both sides,
+    /// with and without a pid change, at every fetch-offset width; narrow
+    /// and wide hit runs; every couplet layout; the warm boundary. Their
+    /// records take every access kind, with walks and victims.
+    #[test]
+    fn generated_streams_reach_every_code() {
+        for range in [Range::Any, Range::Priceable] {
+            let (mut heads, mut kinds) = (BTreeSet::new(), BTreeSet::new());
+            let (mut walks, mut victims) = (0, 0);
+            for case in 0..64 {
+                let s = stream(&gen_ops(&mut SplitMix64::from_seed(case), range));
+                let (mut pos, mut state) = (0, State::default());
+                for _ in 0..s.len {
+                    let h = s.bytes[pos];
+                    // Less a lone miss's delta width and the classes a hit
+                    // run counts.
+                    heads.insert(match h {
+                        _ if h & 1 == 0 => h & !0b11_1000,
+                        _ if h & 0b11 == TAG_HIT_RUN => h & 0x83,
+                        _ => h,
+                    });
+                    let mut op = None;
+                    decode_op(&s.bytes, &mut pos, &mut state, &mut op).unwrap();
+                    let Some(EventOp::Couplet { iref, dref }) = op else {
+                        continue;
+                    };
+                    for e in iref.iter().chain(&dref) {
+                        kinds.insert(kind_of(&e.access));
+                        walks += (e.walk_cycles != 0) as u32;
+                        victims += matches!(
+                            e.access,
+                            AccessEvent::ReadMiss {
+                                victim: Some(_),
+                                ..
+                            } | AccessEvent::WriteMissAllocate {
+                                victim: Some(_),
+                                ..
+                            }
+                        ) as u32;
+                    }
+                }
+            }
+            // Lone misses: 2 sides x 2 pid flags x 4 offset codes. Only
+            // the codec's range holds the couplet without a half.
+            let layouts = if range == Range::Any { 4 } else { 3 };
+            assert_eq!(heads.len(), 16 + 2 + layouts + 1, "{range:?}: {heads:?}");
+            assert_eq!(kinds.len(), 11, "{range:?}: {kinds:?}");
+            assert!(walks > 0 && victims > 0, "{range:?}");
+        }
     }
 
     #[test]
@@ -751,175 +855,16 @@ mod tests {
         assert_eq!(s.bytes.len(), 3);
         let h = s.bytes[0] | 1 << 3;
         let wide = [h, s.bytes[1], 0, s.bytes[2]];
-        let decoded = decode_op(&wide, &mut 0, &mut State::default());
-        assert_eq!(decoded, Ok(op));
+        let mut decoded = None;
+        assert_eq!(
+            decode_op(&wide, &mut 0, &mut State::default(), &mut decoded),
+            Ok(())
+        );
+        assert_eq!(decoded, Some(op));
         assert_eq!(
             OpStream::checked(&wide, 1),
             Err(CodecError::Invalid("non-canonical op"))
         );
-    }
-
-    /// An address: near the last one on its side most of the time, and
-    /// otherwise a jump anywhere, including the ends of the address space.
-    fn gen_addr(rng: &mut SplitMix64, last: &mut u64) -> WordAddr {
-        *last = match rng.gen_range(0u8..8) {
-            0 => 0,
-            1 => u64::MAX - rng.gen_range(0u64..4),
-            2 => rng.next_u64(),
-            3 => *last,
-            _ => last
-                .wrapping_add(rng.gen_range(0u64..600))
-                .wrapping_sub(300),
-        };
-        WordAddr::new(*last)
-    }
-
-    fn gen_u32(rng: &mut SplitMix64) -> u32 {
-        match rng.gen_range(0u8..6) {
-            0 => 0,
-            1 => u32::MAX,
-            2 => rng.next_u64() as u32,
-            3 => rng.gen_range(0u32..70_000),
-            _ => 1 << rng.gen_range(0u32..5),
-        }
-    }
-
-    /// A miss's fetch start, fill size (sometimes a new one) and victim.
-    fn gen_miss(
-        rng: &mut SplitMix64,
-        addr: WordAddr,
-        fill: &mut u32,
-    ) -> (WordAddr, u32, Option<VictimBlock>) {
-        if rng.gen_bool(0.2) {
-            *fill = gen_u32(rng);
-        }
-        let fetch_start = if rng.gen_bool(0.7) {
-            WordAddr::new(aligned(addr.value(), *fill))
-        } else {
-            WordAddr::new(addr.value().wrapping_sub(rng.gen_range(0u64..300)))
-        };
-        let victim = rng.gen_bool(0.4).then(|| VictimBlock {
-            addr: WordAddr::new(if rng.gen_bool(0.5) {
-                addr.value().wrapping_add(rng.gen_range(0u64..100_000))
-            } else {
-                rng.next_u64()
-            }),
-            words: if rng.gen_bool(0.7) {
-                *fill
-            } else {
-                gen_u32(rng)
-            },
-        });
-        (fetch_start, *fill, victim)
-    }
-
-    fn gen_record(rng: &mut SplitMix64, last: &mut u64, pid: &mut u16, fill: &mut u32) -> RefEvent {
-        let addr = gen_addr(rng, last);
-        if rng.gen_bool(0.15) {
-            *pid = if rng.gen_bool(0.5) {
-                rng.next_u64() as u16
-            } else {
-                pid.wrapping_add(1)
-            };
-        }
-        let walk_cycles = if rng.gen_bool(0.15) {
-            [1, 30, u64::MAX, rng.next_u64()][rng.gen_range(0usize..4)]
-        } else {
-            0
-        };
-        let through = rng.gen_bool(0.5);
-        let access = match rng.gen_range(0u8..8) {
-            0 => AccessEvent::ReadHit,
-            1 => {
-                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill);
-                AccessEvent::ReadMiss {
-                    fetch_start,
-                    fill_words,
-                    victim,
-                }
-            }
-            2 => AccessEvent::WriteHit { through },
-            3 => AccessEvent::WriteMissAround,
-            4 => {
-                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill);
-                AccessEvent::WriteMissAllocate {
-                    fetch_start,
-                    fill_words,
-                    victim,
-                    through,
-                }
-            }
-            5 => AccessEvent::ReadSlowHit,
-            6 => AccessEvent::ReadVictimHit,
-            _ => AccessEvent::WriteVictimHit { through },
-        };
-        RefEvent {
-            addr,
-            pid: Pid(*pid),
-            walk_cycles,
-            access,
-        }
-    }
-
-    /// A random op sequence over every shape the stream has a code for,
-    /// lone clean misses (which must match the last fill) included.
-    fn gen_ops(rng: &mut SplitMix64) -> Vec<EventOp> {
-        let (mut last, mut pid, mut fill) = ([0u64; 2], 0u16, 0u32);
-        (0..rng.gen_range(1usize..60))
-            .map(|_| match rng.gen_range(0u8..10) {
-                0..=2 => {
-                    let mut counts = [0u32; CoupletClass::COUNT];
-                    for c in &mut counts {
-                        if rng.gen_bool(0.4) {
-                            *c = if rng.gen_bool(0.8) {
-                                rng.gen_range(1u32..256)
-                            } else {
-                                gen_u32(rng)
-                            };
-                        }
-                    }
-                    EventOp::HitRun { counts }
-                }
-                3..=5 => {
-                    let side = rng.gen_range(0usize..2);
-                    let addr = gen_addr(rng, &mut last[side]);
-                    if rng.gen_bool(0.1) {
-                        pid = rng.next_u64() as u16;
-                    }
-                    let e = Some(RefEvent {
-                        addr,
-                        pid: Pid(pid),
-                        walk_cycles: 0,
-                        access: AccessEvent::ReadMiss {
-                            fetch_start: WordAddr::new(aligned(addr.value(), fill)),
-                            fill_words: fill,
-                            victim: None,
-                        },
-                    });
-                    if side == 0 {
-                        EventOp::Couplet {
-                            iref: e,
-                            dref: None,
-                        }
-                    } else {
-                        EventOp::Couplet {
-                            iref: None,
-                            dref: e,
-                        }
-                    }
-                }
-                6..=8 => {
-                    let iref = rng
-                        .gen_bool(0.6)
-                        .then(|| gen_record(rng, &mut last[0], &mut pid, &mut fill));
-                    let dref = rng
-                        .gen_bool(0.7)
-                        .then(|| gen_record(rng, &mut last[1], &mut pid, &mut fill));
-                    EventOp::Couplet { iref, dref }
-                }
-                _ => EventOp::WarmBoundary,
-            })
-            .collect()
     }
 
     /// Decodes `bytes` as `len` ops; if that succeeds, the ops must
@@ -937,7 +882,7 @@ mod tests {
     fn op_stream_round_trips_and_is_canonical() {
         check(
             "op_stream_round_trips_and_is_canonical",
-            gen_ops,
+            |rng| gen_ops(rng, Range::Any),
             shrink::vec_linear,
             |ops| {
                 let s = stream(ops);
@@ -962,5 +907,256 @@ mod tests {
                 Ok(())
             },
         );
+    }
+}
+
+/// Random op sequences for property tests, over every shape the stream
+/// has a code for.
+#[cfg(test)]
+pub(crate) mod gen {
+    use super::aligned;
+    use cachetime_testkit::SplitMix64;
+    use cachetime_types::{
+        AccessEvent, CoupletClass, EventOp, Pid, RefEvent, VictimBlock, WordAddr,
+    };
+
+    /// The values generated fields take.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Range {
+        /// Every corner of the encoding: the ends of the address space,
+        /// fill and victim sizes up to `u32::MAX`, walks up to `u64::MAX`.
+        Any,
+        /// Ops a lane bank prices without overflow: addresses in
+        /// `[2^20, 2^40)`, fills and victims of 1-16 words, walks under
+        /// 2^40 cycles, every fetch start at or below its address.
+        Priceable,
+    }
+
+    const LOW: u64 = 1 << 20;
+    const HIGH: u64 = 1 << 40;
+
+    /// An address: near the last one on its side most of the time, and
+    /// otherwise a jump, to either end of the range or anywhere in it.
+    fn gen_addr(rng: &mut SplitMix64, last: &mut u64, range: Range) -> WordAddr {
+        let near = last
+            .wrapping_add(rng.gen_range(0u64..600))
+            .wrapping_sub(300);
+        let next = match (range, rng.gen_range(0u8..8)) {
+            (Range::Any, 0) => 0,
+            (Range::Any, 1) => u64::MAX - rng.gen_range(0u64..4),
+            (Range::Any, 2) => rng.next_u64(),
+            (Range::Priceable, 0) => LOW,
+            (Range::Priceable, 1) => HIGH - 1 - rng.gen_range(0u64..4),
+            (Range::Priceable, 2) => rng.gen_range(LOW..HIGH),
+            (_, 3) => *last,
+            _ => near,
+        };
+        *last = match range {
+            Range::Any => next,
+            Range::Priceable => next.clamp(LOW, HIGH - 1),
+        };
+        WordAddr::new(*last)
+    }
+
+    fn gen_u32(rng: &mut SplitMix64) -> u32 {
+        match rng.gen_range(0u8..6) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => rng.next_u64() as u32,
+            3 => rng.gen_range(0u32..70_000),
+            _ => 1 << rng.gen_range(0u32..5),
+        }
+    }
+
+    /// A fill or victim size in words.
+    fn gen_words(rng: &mut SplitMix64, range: Range) -> u32 {
+        match range {
+            Range::Any => gen_u32(rng),
+            Range::Priceable => 1 << rng.gen_range(0u32..5),
+        }
+    }
+
+    /// A miss's fetch start: aligned to the fill most of the time, and
+    /// otherwise an offset below the address of each encoded width.
+    fn gen_fetch_start(rng: &mut SplitMix64, addr: WordAddr, fill: u32) -> WordAddr {
+        let offset = match rng.gen_range(0u8..8) {
+            0 => rng.gen_range(1u64..0x100),
+            1 => rng.gen_range(0x100u64..0x1_0000),
+            2 => rng.gen_range(0x1_0000u64..LOW),
+            _ => return WordAddr::new(aligned(addr.value(), fill)),
+        };
+        WordAddr::new(addr.value().wrapping_sub(offset))
+    }
+
+    /// A miss's fetch start, fill size (sometimes a new one) and victim.
+    fn gen_miss(
+        rng: &mut SplitMix64,
+        addr: WordAddr,
+        fill: &mut u32,
+        range: Range,
+    ) -> (WordAddr, u32, Option<VictimBlock>) {
+        if rng.gen_bool(0.2) {
+            *fill = gen_words(rng, range);
+        }
+        let fetch_start = gen_fetch_start(rng, addr, *fill);
+        let victim = rng.gen_bool(0.4).then(|| {
+            let words = if rng.gen_bool(0.7) {
+                *fill
+            } else {
+                gen_words(rng, range)
+            };
+            let at = match (range, rng.gen_bool(0.5)) {
+                (_, true) => addr.value().wrapping_add(rng.gen_range(0u64..100_000)),
+                (Range::Any, false) => rng.next_u64(),
+                (Range::Priceable, false) => rng.gen_range(LOW..HIGH),
+            };
+            VictimBlock {
+                // A cache evicts whole blocks, aligned to their size.
+                addr: WordAddr::new(match range {
+                    Range::Any => at,
+                    Range::Priceable => aligned(at, words),
+                }),
+                words,
+            }
+        });
+        (fetch_start, *fill, victim)
+    }
+
+    /// A general record for couplet side `side` (0 = the ifetch half,
+    /// which a lane bank prices only as a read).
+    fn gen_record(
+        rng: &mut SplitMix64,
+        side: usize,
+        last: &mut u64,
+        pid: &mut u16,
+        fill: &mut u32,
+        range: Range,
+    ) -> RefEvent {
+        let addr = gen_addr(rng, last, range);
+        if rng.gen_bool(0.15) {
+            *pid = if rng.gen_bool(0.5) {
+                rng.next_u64() as u16
+            } else {
+                pid.wrapping_add(1)
+            };
+        }
+        let walk_cycles = if rng.gen_bool(0.15) {
+            match (range, rng.gen_range(0u8..4)) {
+                (_, 0) => 1,
+                (_, 1) => 30,
+                (Range::Any, 2) => u64::MAX,
+                (Range::Any, _) => rng.next_u64(),
+                (Range::Priceable, _) => rng.gen_range(1u64..HIGH),
+            }
+        } else {
+            0
+        };
+        let through = rng.gen_bool(0.5);
+        let kind = if side == 0 && range == Range::Priceable {
+            [0, 1, 5, 6][rng.gen_range(0usize..4)]
+        } else {
+            rng.gen_range(0u8..8)
+        };
+        let access = match kind {
+            0 => AccessEvent::ReadHit,
+            1 => {
+                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill, range);
+                AccessEvent::ReadMiss {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                }
+            }
+            2 => AccessEvent::WriteHit { through },
+            3 => AccessEvent::WriteMissAround,
+            4 => {
+                let (fetch_start, fill_words, victim) = gen_miss(rng, addr, fill, range);
+                AccessEvent::WriteMissAllocate {
+                    fetch_start,
+                    fill_words,
+                    victim,
+                    through,
+                }
+            }
+            5 => AccessEvent::ReadSlowHit,
+            6 => AccessEvent::ReadVictimHit,
+            _ => AccessEvent::WriteVictimHit { through },
+        };
+        RefEvent {
+            addr,
+            pid: Pid(*pid),
+            walk_cycles,
+            access,
+        }
+    }
+
+    /// A random op sequence: hit runs (some with counts past a byte),
+    /// lone clean misses on either side with pid changes and fetch
+    /// offsets of every width, couplets of general records,
+    /// and warm boundaries.
+    pub(crate) fn gen_ops(rng: &mut SplitMix64, range: Range) -> Vec<EventOp> {
+        let (mut last, mut pid) = ([0u64; 2], 0u16);
+        // The stream starts at fill 0; a priceable sequence's first miss
+        // sets a real fill through a general record.
+        let mut fill = match range {
+            Range::Any => 0,
+            Range::Priceable => 4,
+        };
+        (0..rng.gen_range(1usize..60))
+            .map(|_| match rng.gen_range(0u8..10) {
+                0..=2 => {
+                    let mut counts = [0u32; CoupletClass::COUNT];
+                    for c in &mut counts {
+                        if rng.gen_bool(0.4) {
+                            *c = if rng.gen_bool(0.8) {
+                                rng.gen_range(1u32..256)
+                            } else {
+                                gen_u32(rng)
+                            };
+                        }
+                    }
+                    EventOp::HitRun { counts }
+                }
+                3..=5 => {
+                    let side = rng.gen_range(0usize..2);
+                    let addr = gen_addr(rng, &mut last[side], range);
+                    if rng.gen_bool(0.1) {
+                        pid = rng.next_u64() as u16;
+                    }
+                    let e = Some(RefEvent {
+                        addr,
+                        pid: Pid(pid),
+                        walk_cycles: 0,
+                        access: AccessEvent::ReadMiss {
+                            fetch_start: gen_fetch_start(rng, addr, fill),
+                            fill_words: fill,
+                            victim: None,
+                        },
+                    });
+                    if side == 0 {
+                        EventOp::Couplet {
+                            iref: e,
+                            dref: None,
+                        }
+                    } else {
+                        EventOp::Couplet {
+                            iref: None,
+                            dref: e,
+                        }
+                    }
+                }
+                6..=8 => {
+                    let iref = rng
+                        .gen_bool(0.6)
+                        .then(|| gen_record(rng, 0, &mut last[0], &mut pid, &mut fill, range));
+                    // The walk records no couplet without a half, and a
+                    // lane bank cannot price one.
+                    let dref = (rng.gen_bool(0.7) || range == Range::Priceable && iref.is_none())
+                        .then(|| gen_record(rng, 1, &mut last[1], &mut pid, &mut fill, range));
+                    EventOp::Couplet { iref, dref }
+                }
+                _ => EventOp::WarmBoundary,
+            })
+            .collect()
     }
 }

@@ -44,7 +44,7 @@
 //! ```
 
 use crate::hierarchy::Downstream;
-use crate::opstream::{OpStream, OpWriter, Ops};
+use crate::opstream::{OpSink, OpStream, OpWriter, Ops};
 use crate::result::{CoupletHistogram, SimResult};
 use crate::system::{CycleTiming, FillPolicy, OrgConfig, SystemConfig};
 use cachetime_cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
@@ -219,8 +219,7 @@ impl BehavioralSim {
         refs: impl IntoIterator<Item = MemRef>,
         warm_start: usize,
     ) -> EventTrace {
-        let obs = cachetime_obs::global();
-        let mut span = obs.span("core_record");
+        let mut span = cachetime_obs::global_span!("core_record");
         let refs = refs.into_iter();
         // Hit runs collapse most couplets and the packed ops take a few
         // bytes each: catalog recordings land at 0.6-1.2 bytes per
@@ -512,8 +511,7 @@ pub fn replay_many(
             });
         }
     }
-    let obs = cachetime_obs::global();
-    let mut span = obs.span("core_replay");
+    let mut span = cachetime_obs::global_span!("core_replay");
     // Work stays one unit per priced (reference, configuration) cell, so
     // the span's per-op time compares across grids with any class count.
     span.set_work(events.refs() * configs.len() as u64);
@@ -522,10 +520,9 @@ pub fn replay_many(
     global_counter!("cachetime_replay_configs_total").add(configs.len() as u64);
     global_counter!("cachetime_replay_classes_total").add(classes.len() as u64);
     let mut bank = LaneBank::new(&classes);
-    // Each op is decoded once and priced on every lane.
-    for op in events.ops().iter() {
-        bank.apply(&op);
-    }
+    // Each op is decoded once, straight into the bank, and priced on
+    // every lane.
+    events.ops().feed(&mut bank);
     let lane_ops = bank.couplets * classes.len() as u64;
     global_counter!("cachetime_replay_lane_ops_total", "path" => "kernel").add(bank.kernel_ops);
     global_counter!("cachetime_replay_lane_ops_total", "path" => "general")
@@ -600,10 +597,11 @@ impl ReadMiss {
 /// reads and writes the lane's clock and memory busy-until cycle here, in
 /// place.
 ///
-/// Ops reach the bank through [`apply`](LaneBank::apply), whether they
-/// come out of a stored [`EventTrace`] or straight from a
-/// [`BehavioralSim`] walk, so a stored and a streamed run are priced by
-/// the same code.
+/// The bank is an [`OpSink`]: it prices each op shape in one method. A
+/// stored [`EventTrace`]'s decoder calls those methods as it reads the
+/// packed stream, building no [`EventOp`], and the ops of a
+/// [`BehavioralSim`] walk reach them through [`apply`](LaneBank::apply).
+/// A stored and a streamed run are thus priced by the same code.
 pub(crate) struct LaneBank {
     /// Each lane's clock.
     now: Vec<u64>,
@@ -715,38 +713,17 @@ impl LaneBank {
         }
     }
 
-    /// Prices one op on every lane.
+    /// Prices one op on every lane, through the bank's method for its
+    /// shape: the same method a stored trace's decoder calls.
     ///
     /// Always inlined: in a streamed run the op's kind is then known at
     /// each place the walk emits one, and no call is left per hit run.
-    /// The rare paths it reaches (`warm_reset`, `hit_run_per_lane`) stay
-    /// out of line to keep it small.
     #[inline(always)]
     pub(crate) fn apply(&mut self, op: &EventOp) {
         match op {
             EventOp::HitRun { counts } => self.hit_run(counts),
             EventOp::Couplet { iref, dref } => self.couplet(iref.as_ref(), dref.as_ref()),
-            EventOp::WarmBoundary => self.warm_reset(),
-        }
-    }
-
-    /// Prices one recorded couplet on every lane.
-    #[inline]
-    fn couplet(&mut self, i: Option<&RefEvent>, d: Option<&RefEvent>) {
-        self.couplets += 1;
-        // Recorded couplets are overwhelmingly a lone, walk-free read
-        // miss; decode that shape once here instead of once per lane.
-        let lone_miss = match (i, d) {
-            (Some(e), None) | (None, Some(e)) if e.walk_cycles == 0 => ReadMiss::of(e),
-            _ => None,
-        };
-        match lone_miss {
-            Some(miss) => self.kernel_ops += self.lone_read_miss(&miss),
-            None => {
-                for k in 0..self.lanes.len() {
-                    self.step_couplet(k, i, d);
-                }
-            }
+            EventOp::WarmBoundary => self.warm_boundary(),
         }
     }
 
@@ -777,49 +754,6 @@ impl LaneBank {
             mmu: behavior.mmu,
             latency,
             stall_cycles: Cycles(self.stall_cycles[k]),
-        }
-    }
-
-    /// The warm-start boundary: restarts every lane's timing statistics
-    /// (the behavioral counters were reset in Phase A).
-    #[inline(never)]
-    fn warm_reset(&mut self) {
-        self.warm_couplets = self.couplets;
-        self.hit_counts = [0; CoupletClass::COUNT];
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            lane.warm_cycle = self.now[k];
-            lane.down.reset_stats();
-        }
-        self.latency.fill(CoupletHistogram::default());
-        self.stall_cycles.fill(0);
-        self.clean_reads = 0;
-        self.clean_read_words = 0;
-        self.general_clean.fill((0, 0));
-    }
-
-    /// Reprices a stretch of all-hit couplets in O(classes) per lane, or
-    /// O(classes) plus one add per lane clock when the hit costs are
-    /// shared. Hit-only couplets never touch downstream state and complete
-    /// in exactly their ideal time, so they advance the clock linearly
-    /// with zero stall — in any order, which is why per-class counts
-    /// suffice.
-    #[inline]
-    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
-        // Branchless on purpose: absent classes contribute n = 0 to the
-        // counts and the clock, and the sparsity pattern of `counts` is
-        // unpredictable enough that testing for zero costs more than the
-        // five fused multiply-adds.
-        for (total, &n) in self.hit_counts.iter_mut().zip(counts) {
-            *total += n as u64;
-        }
-        match &self.shared_hits {
-            Some(costs) => {
-                let cycles: u64 = costs.iter().zip(counts).map(|(&c, &n)| c * n as u64).sum();
-                for now in &mut self.now {
-                    *now += cycles;
-                }
-            }
-            None => self.hit_run_per_lane(counts),
         }
     }
 
@@ -957,6 +891,76 @@ impl LaneBank {
         self.now[k] = done;
         let lane = &self.lanes[k];
         self.kernel[k] = lane.kernel_capable && !lane.down.mem_writes_pending();
+    }
+}
+
+/// The bank prices each op as the decoder reaches it: one method per
+/// shape, which [`LaneBank::apply`] calls too.
+impl OpSink for LaneBank {
+    /// Reprices a stretch of all-hit couplets in O(classes) per lane, or
+    /// O(classes) plus one add per lane clock when the hit costs are
+    /// shared. Hit-only couplets never touch downstream state and complete
+    /// in exactly their ideal time, so they advance the clock linearly
+    /// with zero stall — in any order, which is why per-class counts
+    /// suffice.
+    #[inline]
+    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+        // Branchless on purpose: absent classes contribute n = 0 to the
+        // counts and the clock, and the sparsity pattern of `counts` is
+        // unpredictable enough that testing for zero costs more than the
+        // five fused multiply-adds.
+        for (total, &n) in self.hit_counts.iter_mut().zip(counts) {
+            *total += n as u64;
+        }
+        match &self.shared_hits {
+            Some(costs) => {
+                let cycles: u64 = costs.iter().zip(counts).map(|(&c, &n)| c * n as u64).sum();
+                for now in &mut self.now {
+                    *now += cycles;
+                }
+            }
+            None => self.hit_run_per_lane(counts),
+        }
+    }
+
+    /// Prices one recorded couplet on every lane.
+    ///
+    /// Always inlined: where the decoder reads a lone clean miss, the
+    /// halves' shape is then known and the test for it folds away.
+    #[inline(always)]
+    fn couplet(&mut self, i: Option<&RefEvent>, d: Option<&RefEvent>) {
+        self.couplets += 1;
+        // Recorded couplets are overwhelmingly a lone, walk-free read
+        // miss; decode that shape once here instead of once per lane.
+        let lone_miss = match (i, d) {
+            (Some(e), None) | (None, Some(e)) if e.walk_cycles == 0 => ReadMiss::of(e),
+            _ => None,
+        };
+        match lone_miss {
+            Some(miss) => self.kernel_ops += self.lone_read_miss(&miss),
+            None => {
+                for k in 0..self.lanes.len() {
+                    self.step_couplet(k, i, d);
+                }
+            }
+        }
+    }
+
+    /// The warm-start boundary: restarts every lane's timing statistics
+    /// (the behavioral counters were reset in Phase A).
+    #[inline(never)]
+    fn warm_boundary(&mut self) {
+        self.warm_couplets = self.couplets;
+        self.hit_counts = [0; CoupletClass::COUNT];
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            lane.warm_cycle = self.now[k];
+            lane.down.reset_stats();
+        }
+        self.latency.fill(CoupletHistogram::default());
+        self.stall_cycles.fill(0);
+        self.clean_reads = 0;
+        self.clean_read_words = 0;
+        self.general_clean.fill((0, 0));
     }
 }
 
@@ -1265,6 +1269,87 @@ mod tests {
             BehavioralSim::new(&config.organization()).record(&second)
         );
         assert_eq!(sim.record(&second), reused, "a third call starts cold too");
+    }
+
+    /// A one-lane bank, and a mixed one: kernel lanes with and without a
+    /// memory write buffer, non-kernel lanes (the other fill policies,
+    /// an L2), and hit costs that differ per lane.
+    fn sink_banks() -> [Vec<SystemConfig>; 2] {
+        use cachetime_mem::MemoryConfig;
+        let build = |b: &mut crate::SystemConfigBuilder| b.build().unwrap();
+        let unbuffered = MemoryConfig::builder().wb_depth(0).build().unwrap();
+        let l2 = cachetime_cache::CacheConfig::builder(
+            cachetime_types::CacheSize::from_kib(16).unwrap(),
+        )
+        .block(cachetime_types::BlockWords::new(16).unwrap())
+        .build()
+        .unwrap();
+        [
+            vec![SystemConfig::paper_default().unwrap()],
+            vec![
+                SystemConfig::paper_default().unwrap(),
+                build(SystemConfig::builder().memory(unbuffered)),
+                build(
+                    SystemConfig::builder()
+                        .fill_policy(FillPolicy::EarlyContinuation)
+                        .read_hit_cycles(2),
+                ),
+                build(
+                    SystemConfig::builder()
+                        .fill_policy(FillPolicy::LoadForward)
+                        .dual_issue(false),
+                ),
+                build(SystemConfig::builder().l2(crate::LevelTwoConfig::new(l2))),
+            ],
+        ]
+    }
+
+    /// Random op streams priced twice: decoded straight into the bank
+    /// through its `OpSink` methods, and decoded into `EventOp`s that
+    /// `apply` dispatches. Both must leave every lane bit-identical.
+    #[test]
+    fn sink_replay_matches_apply_bit_for_bit() {
+        use crate::opstream::gen::{gen_ops, Range};
+        use cachetime_testkit::{check, prop_assert_eq, shrink};
+        let banks = sink_banks();
+        let behavior = Behavior {
+            refs: 0,
+            couplets: 0,
+            l1i: CacheStats::default(),
+            l1d: CacheStats::default(),
+            mmu: None,
+        };
+        check(
+            "sink_replay_matches_apply_bit_for_bit",
+            |rng| gen_ops(rng, Range::Priceable),
+            shrink::vec_linear,
+            |ops| {
+                let mut writer = OpWriter::with_capacity(0);
+                for op in ops {
+                    writer.push(op);
+                }
+                let stream = writer.finish();
+                for configs in &banks {
+                    let classes: Vec<CycleTiming> =
+                        configs.iter().map(SystemConfig::cycle_timing).collect();
+                    let mut fed = LaneBank::new(&classes);
+                    stream.view().feed(&mut fed);
+                    let mut applied = LaneBank::new(&classes);
+                    for op in stream.view().iter() {
+                        applied.apply(&op);
+                    }
+                    prop_assert_eq!(fed.couplets, applied.couplets);
+                    prop_assert_eq!(fed.kernel_ops, applied.kernel_ops);
+                    for (k, config) in configs.iter().enumerate() {
+                        prop_assert_eq!(
+                            fed.result(k, &behavior, config.cycle_time()),
+                            applied.result(k, &behavior, config.cycle_time())
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -156,7 +156,7 @@ where
     // Registry export of per-task timing (the handles are resolved once
     // here so workers only touch atomics, never the registry lock).
     let obs = cachetime_obs::global();
-    let mut sweep_span = obs.span("sweep_run");
+    let mut sweep_span = cachetime_obs::global_span!("sweep_run");
     sweep_span.set_work(tasks.len() as u64);
     let task_hist = obs.histogram("cachetime_sweep_task_duration_us", &[]);
     let tasks_total = obs.counter("cachetime_sweep_tasks_total", &[]);

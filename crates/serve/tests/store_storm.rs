@@ -85,8 +85,6 @@ fn sharded_store_survives_a_64_thread_storm_bit_identically() {
         .map(|t| {
             let store = Arc::clone(&store);
             let barrier = Arc::clone(&barrier);
-            let config = config.clone();
-            let org = org.clone();
             let workloads = workloads.clone();
             let keys = keys.clone();
             let truth = truth.clone();

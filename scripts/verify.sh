@@ -3,7 +3,11 @@
 #
 #   ./scripts/verify.sh
 #
-# 1. Release build of the whole workspace.
+# 1. Release build of the whole workspace, then the lint gate: rustfmt
+#    (`cargo fmt --all -- --check`) and clippy with every warning an
+#    error (`cargo clippy --offline --workspace --all-targets -- -D
+#    warnings`). The benchmark under perfbench/ is its own workspace and
+#    is not linted here.
 # 2. Full test suite (unit + property + integration).
 # 3. Offline-build guard: the workspace must build with no registry
 #    access at all (zero external dependencies is a hard invariant).
@@ -23,6 +27,12 @@
 #    and single-byte flip errors or re-encodes to itself), the golden
 #    encoding of one recording, and the bytes-per-op bound over the
 #    sweep catalog (`cachetime --lib op_stream`, `--test op_stream`).
+#    Beside them, the decoder's differential property: random op streams
+#    whose generator reaches every first-byte code
+#    (`generated_streams_reach_every_code`) are priced by decoding
+#    straight into a lane bank and by decoding into ops that `apply`
+#    dispatches, on a one-lane and a mixed bank, bit-identically
+#    (`sink_replay_matches_apply_bit_for_bit`).
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -82,6 +92,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> lint gate (rustfmt check; clippy with warnings denied)"
+cargo fmt --all -- --check
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -93,6 +107,8 @@ cargo test --release -q -p cachetime --test reference_engine --test two_phase \
   --test two_phase_prop --test replay_classes_prop --test replay_lanes_prop
 cargo test --release -q -p cachetime-cache --test oracle
 cargo test --release -q -p cachetime --lib op_stream
+cargo test --release -q -p cachetime --lib -- generated_streams_reach_every_code \
+  sink_replay_matches_apply_bit_for_bit
 cargo test --release -q -p cachetime --test op_stream
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
