@@ -68,7 +68,7 @@ impl Simulator {
         let mut span = cachetime_obs::global_span!("core_simulate");
         let timing = self.config.cycle_timing();
         let mut bank = LaneBank::new(std::slice::from_ref(&timing));
-        let (walked, behavior) = self.machine.walk(refs, warm_start, |op| bank.apply(&op));
+        let (walked, behavior) = self.machine.walk(refs, warm_start, &mut bank);
         span.set_work(walked);
         global_counter!("cachetime_simulate_refs_total").add(walked);
         bank.result(0, &behavior, self.config.cycle_time())

@@ -68,7 +68,7 @@ pub mod sweep;
 mod system;
 
 pub use engine::Simulator;
-pub use opstream::{OpIter, Ops};
+pub use opstream::Ops;
 pub use replay::{replay, replay_many, BehavioralSim, EventTrace};
 pub use result::{CoupletHistogram, SimResult};
 pub use system::{

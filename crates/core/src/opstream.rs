@@ -1,22 +1,24 @@
 //! The packed op stream of an [`EventTrace`](crate::EventTrace).
 //!
-//! A recording encodes each [`EventOp`] into a few bytes as the walk
-//! emits it, and those bytes are both what the trace holds in memory and
-//! what a segment payload carries after the codec's header.
-//!
-//! One decoder reads the stream, and it builds no [`EventOp`]: it hands
-//! each op to an [`OpSink`] by shape, as a hit run's counts, a couplet's
-//! two halves built on the stack, or the warm boundary. A replay's lane
-//! bank is a sink and prices each op on every lane as it is decoded.
-//! [`Ops::iter`] and [`OpStream::checked`] use a sink that keeps the op.
+//! An op is one step of a behavioral walk: a run of all-hit couplets
+//! counted per [`CoupletClass`], one recorded couplet (an ifetch and a
+//! data half, each a [`RefEvent`] or absent), or the warm-start boundary.
+//! Every op moves through an [`OpSink`], one method per shape. The walk
+//! calls a sink; [`OpWriter`] is the sink that encodes each op into a few
+//! bytes, a replay's lane bank is the sink that prices it on every lane,
+//! and one decoder reads the bytes back into any sink, each half built on
+//! the stack. The bytes are both what the trace holds in memory and what
+//! a segment payload carries after the codec's header.
 //!
 //! Both sides of the stream carry a small state from op to op: the last
 //! address of each couplet side (I and D), the last pid, and the fill
 //! size of the last miss. Addresses are zigzag deltas against the
 //! previous address on the same side, a pid is written only when it
-//! changes, and a fetch start or victim address is stored relative to its
-//! reference's address. Every multi-byte field is little-endian with a
-//! width the header bits choose, read with one unaligned load and a mask.
+//! changes, and a victim address is stored relative to its reference's
+//! address. A miss's fetch start is not stored: a cache always fetches
+//! the sub-block aligned to its fill. Every multi-byte field is
+//! little-endian with a width the header bits choose, read with one
+//! unaligned load and a mask.
 //!
 //! ```text
 //! first byte     op
@@ -24,8 +26,7 @@
 //!                  bit 1     side: 0 = ifetch half, 1 = data half
 //!                  bit 2     pid changed: 2 pid bytes follow the address
 //!                  bits 3-5  address delta width - 1 (1..8 bytes)
-//!                  bits 6-7  fetch offset: 0 = aligned to the fill,
-//!                            1/2/3 = 1/2/8 bytes of addr - fetch start
+//!                  bits 6-7  must be zero
 //!                walk-free, no victim, fill size as the last miss's
 //! wmmm_mm01      hit run: m = the classes with a nonzero count, in
 //!                CoupletClass order; w = a u16 of 2-bit count widths
@@ -38,9 +39,9 @@
 //!                bit 5     walk: a width byte (1..8) and the walk cycles
 //!                bits 6-7  address delta width: 1/2/4/8 bytes
 //! miss byte      (kinds 8..=10 only, after the walk)
-//!                bits 0-1  fetch offset, as for the lone miss
+//!                bits 0-1  must be zero
 //!                bit 2     fill size changed: 4 bytes follow
-//!                bit 3     victim: its address delta follows the offset
+//!                bit 3     victim: its address delta follows
 //!                bits 4-5  victim delta width: 1/2/4/8 bytes
 //!                bit 6     victim words differ from the fill: 4 bytes
 //! ```
@@ -48,11 +49,15 @@
 //! The stream is canonical: every field takes the narrowest width that
 //! holds it and every shape takes its dedicated code, so equal op
 //! sequences are equal bytes. [`OpStream::checked`] enforces this by
-//! re-encoding each op it decodes and comparing, which rejects overlong
-//! fields, unused flag bits and misplaced shapes alike.
+//! decoding each op into a sink that writes it back through an
+//! [`OpWriter`] and comparing, which rejects overlong fields, set
+//! must-be-zero bits and misplaced shapes alike, so the encoder is the one
+//! definition of canonical form. That sink also refuses the shapes no
+//! walk emits, which a lane bank cannot price (see `walked`).
 
 use crate::codec::CodecError;
-use cachetime_types::{AccessEvent, CoupletClass, EventOp, Pid, RefEvent, VictimBlock, WordAddr};
+use cachetime_cache::MAX_BLOCK_WORDS;
+use cachetime_types::{AccessEvent, CoupletClass, Pid, RefEvent, VictimBlock, WordAddr};
 
 const TAG_HIT_RUN: u8 = 0b01;
 const TAG_COUPLET: u8 = 0b011;
@@ -74,10 +79,6 @@ const MASK: [u64; 9] = [
 /// Widths of a general record's address and victim deltas, by code.
 const DELTA: [usize; 4] = [1, 2, 4, 8];
 
-/// Widths of an explicit fetch offset, by code; code 0 is the aligned
-/// fetch and carries no bytes.
-const OFFSET: [usize; 4] = [0, 1, 2, 8];
-
 /// What both sides of the stream carry from one op to the next.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct State {
@@ -89,8 +90,7 @@ struct State {
 }
 
 /// An encoded op sequence: the packed bytes and the number of ops in
-/// them. Only [`OpWriter`] and [`OpStream::checked`] make one, so its
-/// bytes always decode.
+/// them. Only [`OpWriter`] makes one, so its bytes always decode.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct OpStream {
     bytes: Vec<u8>,
@@ -98,38 +98,41 @@ pub(crate) struct OpStream {
 }
 
 impl OpStream {
-    /// Validates `bytes` as exactly `len` canonical ops and copies them.
+    /// Validates `bytes` as exactly `len` canonical ops a walk could have
+    /// recorded, and returns the stream an [`OpWriter`] writes back from
+    /// them.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] if the bytes end inside an op or hold
-    /// fewer than `len`; [`CodecError::Invalid`] on an undefined code, a
-    /// stream `encode` would not write, or bytes past the last op.
+    /// fewer than `len`; [`CodecError::Invalid`] on an undefined code, an
+    /// op no walk emits, a stream the writer would not write, or bytes
+    /// past the last op.
     pub(crate) fn checked(bytes: &[u8], len: u64) -> Result<Self, CodecError> {
         // Every op is at least one byte, so a larger count is a lie.
         if len > bytes.len() as u64 {
             return Err(CodecError::Truncated);
         }
-        let mut state = State::default();
-        let mut pos = 0;
-        let mut again = [0; OP_ROOM];
+        let mut check = Checker {
+            writer: OpWriter::with_capacity(bytes.len() + OP_ROOM),
+            unwalked: None,
+        };
+        let (mut pos, mut state) = (0, State::default());
         for _ in 0..len {
-            let (start, mut before) = (pos, state);
-            let mut op = None;
-            decode_op(bytes, &mut pos, &mut state, &mut op)?;
-            let op = op.expect("a decoded op reaches its sink");
-            let n = encode_op(&op, &mut before, &mut again);
-            if again[..n] != bytes[start..pos] {
+            let start = pos;
+            decode_op(bytes, &mut pos, &mut state, &mut check)?;
+            if let Some(why) = check.unwalked {
+                return Err(CodecError::Invalid(why));
+            }
+            // The writer holds the ops before this one, byte for byte.
+            if check.writer.stream.bytes[start..] != bytes[start..pos] {
                 return Err(CodecError::Invalid("non-canonical op"));
             }
         }
         if pos != bytes.len() {
             return Err(CodecError::Invalid("trailing bytes"));
         }
-        Ok(OpStream {
-            bytes: bytes.to_vec(),
-            len: len as usize,
-        })
+        Ok(check.writer.finish())
     }
 
     pub(crate) fn view(&self) -> Ops<'_> {
@@ -163,15 +166,18 @@ impl OpWriter {
         }
     }
 
-    /// Appends one op. Out of line, so the walk's loop holds one call per
-    /// op rather than the encoder at each of its three emit sites.
-    #[inline(never)]
-    pub(crate) fn push(&mut self, op: &EventOp) {
+    /// Appends the op `put` writes from the stream state.
+    #[inline(always)]
+    fn append(&mut self, put: impl FnOnce(&mut State, &mut Staged<'_>)) {
         let bytes = &mut self.stream.bytes;
         let start = bytes.len();
         bytes.extend_from_slice(&[0; OP_ROOM]);
-        let room = (&mut bytes[start..]).try_into().expect("room for an op");
-        let n = encode_op(op, &mut self.state, room);
+        let mut out = Staged {
+            buf: (&mut bytes[start..]).try_into().expect("room for an op"),
+            len: 0,
+        };
+        put(&mut self.state, &mut out);
+        let n = out.len;
         bytes.truncate(start + n);
         self.stream.len += 1;
     }
@@ -183,15 +189,34 @@ impl OpWriter {
     }
 }
 
+/// The encoder. Out of line, so the walk's loop holds one call per op
+/// rather than the encoder at each place it emits one.
+impl OpSink for OpWriter {
+    #[inline(never)]
+    fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+        self.append(|_, out| put_hit_run(counts, out));
+    }
+
+    #[inline(never)]
+    fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
+        self.append(|s, out| put_couplet(iref, dref, s, out));
+    }
+
+    #[inline(never)]
+    fn warm_boundary(&mut self) {
+        self.append(|_, out| out.push(TAG_WARM));
+    }
+}
+
 /// The recorded ops of an [`EventTrace`](crate::EventTrace): a borrowed
-/// view of its packed stream that decodes as it iterates.
+/// view of its packed stream.
 #[derive(Debug, Clone, Copy)]
 pub struct Ops<'a> {
     pub(crate) bytes: &'a [u8],
     len: usize,
 }
 
-impl<'a> Ops<'a> {
+impl Ops<'_> {
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
         self.len
@@ -207,16 +232,6 @@ impl<'a> Ops<'a> {
         self.bytes.len()
     }
 
-    /// The ops in recorded order, each decoded as it is reached.
-    pub fn iter(&self) -> OpIter<'a> {
-        OpIter {
-            bytes: self.bytes,
-            pos: 0,
-            state: State::default(),
-            left: self.len,
-        }
-    }
-
     /// Decodes every op in recorded order into `sink`.
     #[inline]
     pub(crate) fn feed(&self, sink: &mut impl OpSink) {
@@ -227,63 +242,82 @@ impl<'a> Ops<'a> {
     }
 }
 
-/// Receives decoded ops, one call per op, by shape.
+/// Receives ops, one call per op, by shape.
 pub(crate) trait OpSink {
-    /// A run of all-hit couplets, counted per [`CoupletClass::index`].
+    /// A maximal stretch of consecutive all-hit couplets (no TLB walks,
+    /// nothing sent downstream), counted per [`CoupletClass::index`].
+    /// Every such couplet has a fixed, state-free cost, so their order
+    /// inside the stretch is immaterial.
     fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]);
-    /// One recorded couplet.
+    /// One couplet with at least one non-trivial half.
     fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>);
-    /// The warm-start boundary.
+    /// The warm-start boundary: timing statistics reset here.
     fn warm_boundary(&mut self);
 }
 
-/// Keeps the op, for [`OpIter`] and [`OpStream::checked`].
-impl OpSink for Option<EventOp> {
-    #[inline(always)]
+/// The sink [`OpStream::checked`] decodes into: it writes each op back
+/// through `writer` and notes an op no walk emits.
+struct Checker {
+    writer: OpWriter,
+    unwalked: Option<&'static str>,
+}
+
+impl OpSink for Checker {
     fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
-        *self = Some(EventOp::HitRun { counts: *counts });
-    }
-
-    #[inline(always)]
-    fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
-        *self = Some(EventOp::Couplet {
-            iref: iref.copied(),
-            dref: dref.copied(),
-        });
-    }
-
-    #[inline(always)]
-    fn warm_boundary(&mut self) {
-        *self = Some(EventOp::WarmBoundary);
-    }
-}
-
-/// Decodes a stream's ops in order; see [`Ops::iter`].
-#[derive(Debug, Clone)]
-pub struct OpIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    state: State,
-    left: usize,
-}
-
-impl Iterator for OpIter<'_> {
-    type Item = EventOp;
-
-    #[inline]
-    fn next(&mut self) -> Option<EventOp> {
-        if self.left == 0 {
-            return None;
+        if counts.iter().all(|&c| c == 0) {
+            self.unwalked = Some("empty hit run");
         }
-        self.left -= 1;
-        let mut op = None;
-        decode_op(self.bytes, &mut self.pos, &mut self.state, &mut op).expect(CHECKED);
-        op
+        self.writer.hit_run(counts);
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+    fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
+        if let Err(why) = walked(iref, dref) {
+            self.unwalked = Some(why);
+        }
+        self.writer.couplet(iref, dref);
     }
+
+    fn warm_boundary(&mut self) {
+        self.writer.warm_boundary();
+    }
+}
+
+/// Whether a walk could have recorded this couplet: it has a half, its
+/// ifetch half reads, and every miss fills and evicts whole, aligned
+/// blocks a cache can have. A lane bank prices nothing else.
+fn walked(iref: Option<&RefEvent>, dref: Option<&RefEvent>) -> Result<(), &'static str> {
+    if iref.is_none() && dref.is_none() {
+        return Err("empty couplet");
+    }
+    if iref.is_some_and(|e| e.access.is_write()) {
+        return Err("store on the ifetch half");
+    }
+    for e in iref.into_iter().chain(dref) {
+        let (AccessEvent::ReadMiss {
+            fill_words, victim, ..
+        }
+        | AccessEvent::WriteMissAllocate {
+            fill_words, victim, ..
+        }) = e.access
+        else {
+            continue;
+        };
+        if !is_block(fill_words) {
+            return Err("fill size");
+        }
+        if victim.is_some_and(|v| {
+            !is_block(v.words) || aligned(v.addr.value(), v.words) != v.addr.value()
+        }) {
+            return Err("victim block");
+        }
+    }
+    Ok(())
+}
+
+/// Whether a cache can fill or evict `words` words at once: a power of
+/// two up to [`MAX_BLOCK_WORDS`].
+fn is_block(words: u32) -> bool {
+    words.is_power_of_two() && words <= MAX_BLOCK_WORDS
 }
 
 // ---------------------------------------------------------------- fields
@@ -294,10 +328,10 @@ fn bytes_of(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).div_ceil(8)
 }
 
-/// The first code from `from` on whose width holds `need` bytes.
+/// The first [`DELTA`] code whose width holds `need` bytes.
 #[inline]
-fn code_for(widths: &[usize; 4], from: usize, need: usize) -> usize {
-    (from..3).find(|&c| widths[c] >= need).unwrap_or(3)
+fn delta_code(need: usize) -> usize {
+    (0..3).find(|&c| DELTA[c] >= need).unwrap_or(3)
 }
 
 #[inline]
@@ -367,32 +401,11 @@ fn take(bytes: &[u8], pos: &mut usize, width: usize) -> u64 {
     v
 }
 
-/// The fetch start a miss of `fill` words at `addr` has when the fill is
-/// aligned to its own size, as every cache in the crate fetches.
+/// The first word of the `words`-word block that holds `addr`: where a
+/// miss of that fill size fetches from, as every cache in the crate does.
 #[inline]
-fn aligned(addr: u64, fill: u32) -> u64 {
-    addr & !(fill as u64).wrapping_sub(1)
-}
-
-/// The fetch-offset code and value for a miss at `addr`.
-#[inline]
-fn offset_of(addr: u64, fetch_start: u64, fill: u32) -> (usize, u64) {
-    if fetch_start == aligned(addr, fill) {
-        (0, 0)
-    } else {
-        let off = addr.wrapping_sub(fetch_start);
-        (code_for(&OFFSET, 1, bytes_of(off)), off)
-    }
-}
-
-/// Reads a fetch offset written under `code` and returns the fetch start.
-#[inline(always)]
-fn fetch_start_at(bytes: &[u8], pos: &mut usize, addr: u64, fill: u32, code: usize) -> u64 {
-    if code == 0 {
-        aligned(addr, fill)
-    } else {
-        addr.wrapping_sub(take(bytes, pos, OFFSET[code]))
-    }
+fn aligned(addr: u64, words: u32) -> u64 {
+    addr & !(words as u64).wrapping_sub(1)
 }
 
 /// A general record's access-kind code.
@@ -411,30 +424,27 @@ fn kind_of(access: &AccessEvent) -> u8 {
 
 // ---------------------------------------------------------------- encode
 
-/// Writes `op`'s encoding to the front of `room`, advances the stream
-/// state, and returns the encoding's length.
+/// Writes a couplet's encoding and advances the stream state.
 #[inline(always)]
-fn encode_op(op: &EventOp, s: &mut State, room: &mut [u8; OP_ROOM]) -> usize {
-    let mut staged = Staged { buf: room, len: 0 };
-    let out = &mut staged;
-    match op {
-        EventOp::HitRun { counts } => put_hit_run(counts, out),
-        EventOp::Couplet { iref, dref } => match (iref, dref) {
-            (Some(e), None) if is_lone_clean_miss(e, s.fill) => put_lone_miss(0, e, s, out),
-            (None, Some(e)) if is_lone_clean_miss(e, s.fill) => put_lone_miss(1, e, s, out),
-            _ => {
-                out.push(TAG_COUPLET | (iref.is_some() as u8) << 3 | (dref.is_some() as u8) << 4);
-                if let Some(e) = iref {
-                    put_record(0, e, s, out);
-                }
-                if let Some(e) = dref {
-                    put_record(1, e, s, out);
-                }
+fn put_couplet(
+    iref: Option<&RefEvent>,
+    dref: Option<&RefEvent>,
+    s: &mut State,
+    out: &mut Staged<'_>,
+) {
+    match (iref, dref) {
+        (Some(e), None) if is_lone_clean_miss(e, s.fill) => put_lone_miss(0, e, s, out),
+        (None, Some(e)) if is_lone_clean_miss(e, s.fill) => put_lone_miss(1, e, s, out),
+        _ => {
+            out.push(TAG_COUPLET | (iref.is_some() as u8) << 3 | (dref.is_some() as u8) << 4);
+            if let Some(e) = iref {
+                put_record(0, e, s, out);
             }
-        },
-        EventOp::WarmBoundary => out.push(TAG_WARM),
+            if let Some(e) = dref {
+                put_record(1, e, s, out);
+            }
+        }
     }
-    staged.len
 }
 
 fn is_lone_clean_miss(e: &RefEvent, fill: u32) -> bool {
@@ -468,22 +478,15 @@ fn put_hit_run(counts: &[u32; CoupletClass::COUNT], out: &mut Staged<'_>) {
 
 #[inline(always)]
 fn put_lone_miss(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
-    let AccessEvent::ReadMiss { fetch_start, .. } = e.access else {
-        unreachable!("a lone clean miss is a read miss")
-    };
     let addr = e.addr.value();
     let delta = zigzag(addr.wrapping_sub(s.addr[side]));
     let width = bytes_of(delta).max(1);
     let pid_changed = e.pid.0 != s.pid;
-    let (code, off) = offset_of(addr, fetch_start.value(), s.fill);
-    out.push(
-        (side as u8) << 1 | (pid_changed as u8) << 2 | ((width - 1) as u8) << 3 | (code as u8) << 6,
-    );
+    out.push((side as u8) << 1 | (pid_changed as u8) << 2 | ((width - 1) as u8) << 3);
     out.put(delta, width);
     if pid_changed {
         out.put(e.pid.0 as u64, 2);
     }
-    out.put(off, OFFSET[code]);
     s.addr[side] = addr;
     s.pid = e.pid.0;
 }
@@ -492,13 +495,11 @@ fn put_lone_miss(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>)
 fn put_record(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
     let addr = e.addr.value();
     let delta = zigzag(addr.wrapping_sub(s.addr[side]));
-    let delta_code = code_for(&DELTA, 0, bytes_of(delta));
+    let code = delta_code(bytes_of(delta));
     let pid_changed = e.pid.0 != s.pid;
     let walk = e.walk_cycles != 0;
-    out.push(
-        kind_of(&e.access) | (pid_changed as u8) << 4 | (walk as u8) << 5 | (delta_code as u8) << 6,
-    );
-    out.put(delta, DELTA[delta_code]);
+    out.push(kind_of(&e.access) | (pid_changed as u8) << 4 | (walk as u8) << 5 | (code as u8) << 6);
+    out.put(delta, DELTA[code]);
     if pid_changed {
         out.put(e.pid.0 as u64, 2);
     }
@@ -507,28 +508,23 @@ fn put_record(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
         out.push(width as u8);
         out.put(e.walk_cycles, width);
     }
-    let miss = match e.access {
-        AccessEvent::ReadMiss {
-            fetch_start,
-            fill_words,
-            victim,
-        }
-        | AccessEvent::WriteMissAllocate {
-            fetch_start,
-            fill_words,
-            victim,
-            ..
-        } => Some((fetch_start.value(), fill_words, victim)),
-        _ => None,
-    };
-    if let Some((fetch_start, fill, victim)) = miss {
-        let (code, off) = offset_of(addr, fetch_start, fill);
+    if let AccessEvent::ReadMiss {
+        fill_words: fill,
+        victim,
+        ..
+    }
+    | AccessEvent::WriteMissAllocate {
+        fill_words: fill,
+        victim,
+        ..
+    } = e.access
+    {
         let fill_changed = fill != s.fill;
         let victim = victim.map(|v| {
             let delta = zigzag(v.addr.value().wrapping_sub(addr));
-            (delta, code_for(&DELTA, 0, bytes_of(delta)), v.words)
+            (delta, delta_code(bytes_of(delta)), v.words)
         });
-        let mut m = code as u8 | (fill_changed as u8) << 2;
+        let mut m = (fill_changed as u8) << 2;
         if let Some((_, vcode, words)) = victim {
             m |= 1 << 3 | (vcode as u8) << 4 | ((words != fill) as u8) << 6;
         }
@@ -536,7 +532,6 @@ fn put_record(side: usize, e: &RefEvent, s: &mut State, out: &mut Staged<'_>) {
         if fill_changed {
             out.put(fill as u64, 4);
         }
-        out.put(off, OFFSET[code]);
         if let Some((delta, vcode, words)) = victim {
             out.put(delta, DELTA[vcode]);
             if words != fill {
@@ -586,7 +581,6 @@ fn decode_op(
         if h & 1 << 2 != 0 {
             s.pid = take(bytes, &mut p, 2) as u16;
         }
-        let fetch_start = fetch_start_at(bytes, &mut p, addr, s.fill, (h >> 6) as usize);
         s.addr[side] = addr;
         within(bytes, pos, p)?;
         let e = RefEvent {
@@ -594,7 +588,7 @@ fn decode_op(
             pid: Pid(s.pid),
             walk_cycles: 0,
             access: AccessEvent::ReadMiss {
-                fetch_start: WordAddr::new(fetch_start),
+                fetch_start: WordAddr::new(aligned(addr, s.fill)),
                 fill_words: s.fill,
                 victim: None,
             },
@@ -696,7 +690,7 @@ fn get_record(
                 s.fill = take(bytes, p, 4) as u32;
             }
             let fill_words = s.fill;
-            let fetch_start = WordAddr::new(fetch_start_at(bytes, p, addr, fill_words, m & 3));
+            let fetch_start = WordAddr::new(aligned(addr, fill_words));
             let victim = (m & 1 << 3 != 0).then(|| {
                 let delta = take(bytes, p, DELTA[m >> 4 & 3]);
                 let words = if m & 1 << 6 != 0 {
@@ -736,7 +730,7 @@ fn get_record(
 
 #[cfg(test)]
 mod tests {
-    use super::gen::{gen_ops, Range};
+    use super::gen::{dispatch, gen_ops, Op, Range};
     use super::*;
     use cachetime_testkit::{check, prop_assert, prop_assert_eq, shrink, SplitMix64};
     use std::collections::BTreeSet;
@@ -754,19 +748,23 @@ mod tests {
         }
     }
 
-    fn stream(ops: &[EventOp]) -> OpStream {
+    fn stream(ops: &[Op]) -> OpStream {
         let mut w = OpWriter::with_capacity(0);
-        for op in ops {
-            w.push(op);
-        }
+        dispatch(ops, &mut w);
         w.finish()
+    }
+
+    fn decoded(s: &OpStream) -> Vec<Op> {
+        let mut ops = Vec::new();
+        s.view().feed(&mut ops);
+        ops
     }
 
     /// Both ranges of the generator reach every first-byte code within
     /// the 64 cases a property runs by default: lone misses on both sides,
-    /// with and without a pid change, at every fetch-offset width; narrow
-    /// and wide hit runs; every couplet layout; the warm boundary. Their
-    /// records take every access kind, with walks and victims.
+    /// with and without a pid change; narrow and wide hit runs; every
+    /// couplet layout; the warm boundary. Their records take every access
+    /// kind, with walks and victims.
     #[test]
     fn generated_streams_reach_every_code() {
         for range in [Range::Any, Range::Priceable] {
@@ -775,6 +773,7 @@ mod tests {
             for case in 0..64 {
                 let s = stream(&gen_ops(&mut SplitMix64::from_seed(case), range));
                 let (mut pos, mut state) = (0, State::default());
+                let mut ops = Vec::new();
                 for _ in 0..s.len {
                     let h = s.bytes[pos];
                     // Less a lone miss's delta width and the classes a hit
@@ -784,12 +783,11 @@ mod tests {
                         _ if h & 0b11 == TAG_HIT_RUN => h & 0x83,
                         _ => h,
                     });
-                    let mut op = None;
-                    decode_op(&s.bytes, &mut pos, &mut state, &mut op).unwrap();
-                    let Some(EventOp::Couplet { iref, dref }) = op else {
+                    decode_op(&s.bytes, &mut pos, &mut state, &mut ops).unwrap();
+                    let Some(Op::Couplet { iref, dref }) = ops.last() else {
                         continue;
                     };
-                    for e in iref.iter().chain(&dref) {
+                    for e in iref.iter().chain(dref) {
                         kinds.insert(kind_of(&e.access));
                         walks += (e.walk_cycles != 0) as u32;
                         victims += matches!(
@@ -805,10 +803,9 @@ mod tests {
                     }
                 }
             }
-            // Lone misses: 2 sides x 2 pid flags x 4 offset codes. Only
-            // the codec's range holds the couplet without a half.
-            let layouts = if range == Range::Any { 4 } else { 3 };
-            assert_eq!(heads.len(), 16 + 2 + layouts + 1, "{range:?}: {heads:?}");
+            // Lone misses: 2 sides x 2 pid flags. Couplets: ifetch half
+            // only, data half only, both.
+            assert_eq!(heads.len(), 4 + 2 + 3 + 1, "{range:?}: {heads:?}");
             assert_eq!(kinds.len(), 11, "{range:?}: {kinds:?}");
             assert!(walks > 0 && victims > 0, "{range:?}");
         }
@@ -816,18 +813,18 @@ mod tests {
 
     #[test]
     fn the_hot_shapes_take_a_few_bytes() {
-        let first = EventOp::Couplet {
+        let first = Op::Couplet {
             iref: None,
             dref: Some(miss(0x1000, 0x1000, 4)),
         };
-        let next = EventOp::Couplet {
+        let next = Op::Couplet {
             iref: None,
             dref: Some(miss(0x1043, 0x1040, 4)),
         };
         let mut counts = [0u32; CoupletClass::COUNT];
         counts[CoupletClass::IfetchLoad.index()] = 9;
         counts[CoupletClass::Ifetch.index()] = 3;
-        let run = EventOp::HitRun { counts };
+        let run = Op::HitRun { counts };
         let s = stream(&[first, run, next]);
         let v = s.view();
         // The first miss sets the fill size through a general record; the
@@ -839,32 +836,68 @@ mod tests {
             &[0b11 << 2 | TAG_HIT_RUN, 3, 9]
         );
         assert_eq!(v.bytes[first_len + 3] & 1, 0, "a lone clean miss");
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![first, run, next]);
+        assert_eq!(decoded(&s), vec![first, run, next]);
         assert_eq!(OpStream::checked(&s.bytes, 3), Ok(s.clone()));
     }
 
     #[test]
     fn an_overlong_field_is_not_canonical() {
-        let op = EventOp::Couplet {
-            iref: Some(miss(5, 4, 0)),
-            dref: None,
-        };
-        let s = stream(&[op]);
-        // One header byte, a one-byte delta, a one-byte offset: widening
-        // the delta to two bytes decodes to the same op but is rejected.
-        assert_eq!(s.bytes.len(), 3);
-        let h = s.bytes[0] | 1 << 3;
-        let wide = [h, s.bytes[1], 0, s.bytes[2]];
-        let mut decoded = None;
+        // A general record sets the fill size, then a lone clean miss.
+        let ops = [
+            Op::Couplet {
+                iref: None,
+                dref: Some(miss(0x40, 0x40, 4)),
+            },
+            Op::Couplet {
+                iref: Some(miss(5, 4, 4)),
+                dref: None,
+            },
+        ];
+        let s = stream(&ops);
+        // The lone miss is one header byte and a one-byte delta: widening
+        // the delta to two bytes decodes to the same ops but is rejected.
+        let at = s.bytes.len() - 2;
+        assert_eq!(s.bytes[at] & 1, 0, "a lone clean miss");
+        let mut wide = s.bytes.clone();
+        wide[at] |= 1 << 3;
+        wide.push(0);
+        let (mut pos, mut state, mut again) = (0, State::default(), Vec::new());
+        for _ in 0..2 {
+            decode_op(&wide, &mut pos, &mut state, &mut again).unwrap();
+        }
+        assert_eq!((pos, again), (wide.len(), ops.to_vec()));
         assert_eq!(
-            decode_op(&wide, &mut 0, &mut State::default(), &mut decoded),
-            Ok(())
-        );
-        assert_eq!(decoded, Some(op));
-        assert_eq!(
-            OpStream::checked(&wide, 1),
+            OpStream::checked(&wide, 2),
             Err(CodecError::Invalid("non-canonical op"))
         );
+    }
+
+    /// Ops the encoder can write but no walk emits, each of which a lane
+    /// bank would misprice or panic on, are refused.
+    #[test]
+    fn a_stream_no_walk_writes_is_rejected() {
+        let cases: [(&[u8], &str); 7] = [
+            // A general couplet with neither half.
+            (&[0x03], "empty couplet"),
+            // A hit run that counts no class.
+            (&[0x01], "empty hit run"),
+            // A general couplet whose ifetch half is a write-back store hit.
+            (&[0x0b, 0x04, 0x00], "store on the ifetch half"),
+            // A lone miss before any miss set the fill size.
+            (&[0x00, 0x00], "fill size"),
+            // A data-half read miss with a fill of 3 words, then of 512.
+            (&[0x13, 0x08, 0x00, 0x04, 3, 0, 0, 0], "fill size"),
+            (&[0x13, 0x08, 0x00, 0x04, 0, 2, 0, 0], "fill size"),
+            // A 4-word fill whose 4-word victim starts at word 2.
+            (&[0x13, 0x08, 0x00, 0x0c, 4, 0, 0, 0, 0x04], "victim block"),
+        ];
+        for (bytes, why) in cases {
+            assert_eq!(
+                OpStream::checked(bytes, 1),
+                Err(CodecError::Invalid(why)),
+                "{bytes:02x?}"
+            );
+        }
     }
 
     /// Decodes `bytes` as `len` ops; if that succeeds, the ops must
@@ -873,8 +906,7 @@ mod tests {
         let Ok(s) = OpStream::checked(bytes, len) else {
             return Ok(());
         };
-        let ops: Vec<EventOp> = s.view().iter().collect();
-        prop_assert_eq!(stream(&ops).bytes, bytes.to_vec());
+        prop_assert_eq!(stream(&decoded(&s)).bytes, bytes.to_vec());
         Ok(())
     }
 
@@ -887,7 +919,7 @@ mod tests {
             |ops| {
                 let s = stream(ops);
                 let n = ops.len() as u64;
-                prop_assert_eq!(s.view().iter().collect::<Vec<_>>(), ops.clone());
+                prop_assert_eq!(decoded(&s), ops.clone());
                 prop_assert_eq!(OpStream::checked(&s.bytes, n), Ok(s.clone()));
                 for cut in 0..s.bytes.len() {
                     prop_assert!(
@@ -910,25 +942,72 @@ mod tests {
     }
 }
 
-/// Random op sequences for property tests, over every shape the stream
-/// has a code for.
+/// The op model of the property tests, and random op sequences over every
+/// shape the stream has a code for.
 #[cfg(test)]
 pub(crate) mod gen {
-    use super::aligned;
+    use super::{aligned, OpSink};
+    use cachetime_cache::MAX_BLOCK_WORDS;
     use cachetime_testkit::SplitMix64;
-    use cachetime_types::{
-        AccessEvent, CoupletClass, EventOp, Pid, RefEvent, VictimBlock, WordAddr,
-    };
+    use cachetime_types::{AccessEvent, CoupletClass, Pid, RefEvent, VictimBlock, WordAddr};
 
-    /// The values generated fields take.
+    /// One op as a test holds it: the [`OpSink`] method it reaches, and
+    /// that method's arguments.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Op {
+        HitRun {
+            counts: [u32; CoupletClass::COUNT],
+        },
+        Couplet {
+            iref: Option<RefEvent>,
+            dref: Option<RefEvent>,
+        },
+        WarmBoundary,
+    }
+
+    /// Hands each of `ops` to `sink`, in order, through the method for its
+    /// shape.
+    pub(crate) fn dispatch(ops: &[Op], sink: &mut impl OpSink) {
+        for op in ops {
+            match op {
+                Op::HitRun { counts } => sink.hit_run(counts),
+                Op::Couplet { iref, dref } => sink.couplet(iref.as_ref(), dref.as_ref()),
+                Op::WarmBoundary => sink.warm_boundary(),
+            }
+        }
+    }
+
+    /// Keeps every op it is handed.
+    impl OpSink for Vec<Op> {
+        fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
+            self.push(Op::HitRun { counts: *counts });
+        }
+
+        fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
+            self.push(Op::Couplet {
+                iref: iref.copied(),
+                dref: dref.copied(),
+            });
+        }
+
+        fn warm_boundary(&mut self) {
+            self.push(Op::WarmBoundary);
+        }
+    }
+
+    /// The values generated fields take. Either way, every op is one a
+    /// walk could emit: a hit run counts something, a couplet has a half
+    /// and its ifetch half reads, a miss fetches the sub-block aligned to
+    /// its fill, and a victim is a whole block aligned to its size.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Range {
         /// Every corner of the encoding: the ends of the address space,
-        /// fill and victim sizes up to `u32::MAX`, walks up to `u64::MAX`.
+        /// fills and victims up to `MAX_BLOCK_WORDS`, walks up to
+        /// `u64::MAX`.
         Any,
         /// Ops a lane bank prices without overflow: addresses in
         /// `[2^20, 2^40)`, fills and victims of 1-16 words, walks under
-        /// 2^40 cycles, every fetch start at or below its address.
+        /// 2^40 cycles.
         Priceable,
     }
 
@@ -970,22 +1049,11 @@ pub(crate) mod gen {
 
     /// A fill or victim size in words.
     fn gen_words(rng: &mut SplitMix64, range: Range) -> u32 {
-        match range {
-            Range::Any => gen_u32(rng),
-            Range::Priceable => 1 << rng.gen_range(0u32..5),
-        }
-    }
-
-    /// A miss's fetch start: aligned to the fill most of the time, and
-    /// otherwise an offset below the address of each encoded width.
-    fn gen_fetch_start(rng: &mut SplitMix64, addr: WordAddr, fill: u32) -> WordAddr {
-        let offset = match rng.gen_range(0u8..8) {
-            0 => rng.gen_range(1u64..0x100),
-            1 => rng.gen_range(0x100u64..0x1_0000),
-            2 => rng.gen_range(0x1_0000u64..LOW),
-            _ => return WordAddr::new(aligned(addr.value(), fill)),
+        let max = match range {
+            Range::Any => MAX_BLOCK_WORDS,
+            Range::Priceable => 16,
         };
-        WordAddr::new(addr.value().wrapping_sub(offset))
+        1 << rng.gen_range(0..max.trailing_zeros() + 1)
     }
 
     /// A miss's fetch start, fill size (sometimes a new one) and victim.
@@ -998,7 +1066,6 @@ pub(crate) mod gen {
         if rng.gen_bool(0.2) {
             *fill = gen_words(rng, range);
         }
-        let fetch_start = gen_fetch_start(rng, addr, *fill);
         let victim = rng.gen_bool(0.4).then(|| {
             let words = if rng.gen_bool(0.7) {
                 *fill
@@ -1011,19 +1078,15 @@ pub(crate) mod gen {
                 (Range::Priceable, false) => rng.gen_range(LOW..HIGH),
             };
             VictimBlock {
-                // A cache evicts whole blocks, aligned to their size.
-                addr: WordAddr::new(match range {
-                    Range::Any => at,
-                    Range::Priceable => aligned(at, words),
-                }),
+                addr: WordAddr::new(aligned(at, words)),
                 words,
             }
         });
-        (fetch_start, *fill, victim)
+        (WordAddr::new(aligned(addr.value(), *fill)), *fill, victim)
     }
 
     /// A general record for couplet side `side` (0 = the ifetch half,
-    /// which a lane bank prices only as a read).
+    /// which only reads).
     fn gen_record(
         rng: &mut SplitMix64,
         side: usize,
@@ -1052,7 +1115,7 @@ pub(crate) mod gen {
             0
         };
         let through = rng.gen_bool(0.5);
-        let kind = if side == 0 && range == Range::Priceable {
+        let kind = if side == 0 {
             [0, 1, 5, 6][rng.gen_range(0usize..4)]
         } else {
             rng.gen_range(0u8..8)
@@ -1091,17 +1154,13 @@ pub(crate) mod gen {
     }
 
     /// A random op sequence: hit runs (some with counts past a byte),
-    /// lone clean misses on either side with pid changes and fetch
-    /// offsets of every width, couplets of general records,
-    /// and warm boundaries.
-    pub(crate) fn gen_ops(rng: &mut SplitMix64, range: Range) -> Vec<EventOp> {
+    /// lone clean misses on either side with pid changes, couplets of
+    /// general records, and warm boundaries.
+    pub(crate) fn gen_ops(rng: &mut SplitMix64, range: Range) -> Vec<Op> {
         let (mut last, mut pid) = ([0u64; 2], 0u16);
-        // The stream starts at fill 0; a priceable sequence's first miss
-        // sets a real fill through a general record.
-        let mut fill = match range {
-            Range::Any => 0,
-            Range::Priceable => 4,
-        };
+        // The stream starts at fill 0, which no miss has, so the first
+        // miss sets a real fill through a general record.
+        let mut fill = 4;
         (0..rng.gen_range(1usize..60))
             .map(|_| match rng.gen_range(0u8..10) {
                 0..=2 => {
@@ -1115,7 +1174,10 @@ pub(crate) mod gen {
                             };
                         }
                     }
-                    EventOp::HitRun { counts }
+                    if counts == [0; CoupletClass::COUNT] {
+                        counts[rng.gen_range(0..CoupletClass::COUNT)] = 1;
+                    }
+                    Op::HitRun { counts }
                 }
                 3..=5 => {
                     let side = rng.gen_range(0usize..2);
@@ -1128,18 +1190,18 @@ pub(crate) mod gen {
                         pid: Pid(pid),
                         walk_cycles: 0,
                         access: AccessEvent::ReadMiss {
-                            fetch_start: gen_fetch_start(rng, addr, fill),
+                            fetch_start: WordAddr::new(aligned(addr.value(), fill)),
                             fill_words: fill,
                             victim: None,
                         },
                     });
                     if side == 0 {
-                        EventOp::Couplet {
+                        Op::Couplet {
                             iref: e,
                             dref: None,
                         }
                     } else {
-                        EventOp::Couplet {
+                        Op::Couplet {
                             iref: None,
                             dref: e,
                         }
@@ -1149,13 +1211,11 @@ pub(crate) mod gen {
                     let iref = rng
                         .gen_bool(0.6)
                         .then(|| gen_record(rng, 0, &mut last[0], &mut pid, &mut fill, range));
-                    // The walk records no couplet without a half, and a
-                    // lane bank cannot price one.
-                    let dref = (rng.gen_bool(0.7) || range == Range::Priceable && iref.is_none())
+                    let dref = (rng.gen_bool(0.7) || iref.is_none())
                         .then(|| gen_record(rng, 1, &mut last[1], &mut pid, &mut fill, range));
-                    EventOp::Couplet { iref, dref }
+                    Op::Couplet { iref, dref }
                 }
-                _ => EventOp::WarmBoundary,
+                _ => Op::WarmBoundary,
             })
             .collect()
     }

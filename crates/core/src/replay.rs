@@ -52,8 +52,7 @@ use cachetime_mem::clean_fill;
 use cachetime_mmu::{Mmu, MmuStats};
 use cachetime_trace::Trace;
 use cachetime_types::{
-    AccessEvent, ConfigError, CoupletClass, CycleTime, Cycles, EventOp, MemRef, RefEvent,
-    VictimBlock,
+    AccessEvent, ConfigError, CoupletClass, CycleTime, Cycles, MemRef, RefEvent, VictimBlock,
 };
 use std::collections::HashMap;
 
@@ -226,7 +225,7 @@ impl BehavioralSim {
         // reference, so the stream grows at most about once from here.
         // `finish` trims it, which costs under 0.1 ns per reference.
         let mut ops = OpWriter::with_capacity(refs.size_hint().0);
-        let (walked, behavior) = self.walk(refs, warm_start, |op| ops.push(&op));
+        let (walked, behavior) = self.walk(refs, warm_start, &mut ops);
         let ops = ops.finish();
 
         // Phase accounting: the span's duration histogram plus raw
@@ -244,9 +243,9 @@ impl BehavioralSim {
         }
     }
 
-    /// Walks `refs` from power-on state and hands each op to `emit`, in
+    /// Walks `refs` from power-on state and hands each op to `sink`, in
     /// order: the one place couplets are formed, translated and turned
-    /// into events. Returns the references walked and the behavioral
+    /// into ops. Returns the references walked and the behavioral
     /// statistics of the measured window.
     ///
     /// A machine that has already walked is rebuilt first.
@@ -254,7 +253,7 @@ impl BehavioralSim {
         &mut self,
         refs: impl IntoIterator<Item = MemRef>,
         warm_start: usize,
-        mut emit: impl FnMut(EventOp),
+        sink: &mut impl OpSink,
     ) -> (u64, Behavior) {
         if self.spent {
             *self = BehavioralSim::new(&self.org);
@@ -268,13 +267,13 @@ impl BehavioralSim {
         let mut warmed = warm_start == 0;
         // The open hit run accumulates in a register-resident array and is
         // emitted only when a non-trivial couplet (or the warm boundary)
-        // ends the stretch — all-hit couplets never reach `emit` alone.
+        // ends the stretch — all-hit couplets never reach `sink` alone.
         let mut pending = [0u32; CoupletClass::COUNT];
         while let Some(a) = refs.next() {
             if !warmed && i >= warm_start {
                 warmed = true;
-                flush_hits(&mut emit, &mut pending);
-                emit(EventOp::WarmBoundary);
+                flush_hits(sink, &mut pending);
+                sink.warm_boundary();
                 self.l1i.reset_stats();
                 self.l1d.reset_stats();
                 if let Some(mmu) = &mut self.mmu {
@@ -292,18 +291,18 @@ impl BehavioralSim {
                     .is_some_and(|d| d.kind.is_data() && d.pid == a.pid);
             if pairable {
                 let d = refs.next().expect("peeked");
-                self.couplet(&mut emit, &mut pending, Some(a), Some(d));
+                self.couplet(sink, &mut pending, Some(a), Some(d));
                 i += 2;
             } else if a.kind.is_data() {
-                self.couplet(&mut emit, &mut pending, None, Some(a));
+                self.couplet(sink, &mut pending, None, Some(a));
                 i += 1;
             } else {
-                self.couplet(&mut emit, &mut pending, Some(a), None);
+                self.couplet(sink, &mut pending, Some(a), None);
                 i += 1;
             }
             couplets += 1;
         }
-        flush_hits(&mut emit, &mut pending);
+        flush_hits(sink, &mut pending);
 
         let behavior = Behavior {
             refs: (i - warm_start.min(i)) as u64,
@@ -319,7 +318,7 @@ impl BehavioralSim {
     /// the resulting op (or extends the open hit run).
     fn couplet(
         &mut self,
-        emit: &mut impl FnMut(EventOp),
+        sink: &mut impl OpSink,
         pending: &mut [u32; CoupletClass::COUNT],
         iref: Option<MemRef>,
         dref: Option<MemRef>,
@@ -357,13 +356,13 @@ impl BehavioralSim {
             Some(class) => {
                 let i = class.index();
                 if pending[i] == u32::MAX {
-                    flush_hits(emit, pending);
+                    flush_hits(sink, pending);
                 }
                 pending[i] += 1;
             }
             None => {
-                flush_hits(emit, pending);
-                emit(EventOp::Couplet { iref: ie, dref: de });
+                flush_hits(sink, pending);
+                sink.couplet(ie.as_ref(), de.as_ref());
             }
         }
     }
@@ -426,9 +425,9 @@ impl BehavioralSim {
 
 /// Closes the open hit run, if any, by emitting it.
 #[inline]
-fn flush_hits(emit: &mut impl FnMut(EventOp), pending: &mut [u32; CoupletClass::COUNT]) {
+fn flush_hits(sink: &mut impl OpSink, pending: &mut [u32; CoupletClass::COUNT]) {
     if pending.iter().any(|&c| c != 0) {
-        emit(EventOp::HitRun { counts: *pending });
+        sink.hit_run(pending);
         *pending = [0u32; CoupletClass::COUNT];
     }
 }
@@ -599,9 +598,8 @@ impl ReadMiss {
 ///
 /// The bank is an [`OpSink`]: it prices each op shape in one method. A
 /// stored [`EventTrace`]'s decoder calls those methods as it reads the
-/// packed stream, building no [`EventOp`], and the ops of a
-/// [`BehavioralSim`] walk reach them through [`apply`](LaneBank::apply).
-/// A stored and a streamed run are thus priced by the same code.
+/// packed stream, and a [`BehavioralSim`] walk calls them as it emits
+/// each op. A stored and a streamed run are thus priced by the same code.
 pub(crate) struct LaneBank {
     /// Each lane's clock.
     now: Vec<u64>,
@@ -710,20 +708,6 @@ impl LaneBank {
                 .all(|l| l.hit_costs == hit_costs)
                 .then_some(hit_costs),
             lanes,
-        }
-    }
-
-    /// Prices one op on every lane, through the bank's method for its
-    /// shape: the same method a stored trace's decoder calls.
-    ///
-    /// Always inlined: in a streamed run the op's kind is then known at
-    /// each place the walk emits one, and no call is left per hit run.
-    #[inline(always)]
-    pub(crate) fn apply(&mut self, op: &EventOp) {
-        match op {
-            EventOp::HitRun { counts } => self.hit_run(counts),
-            EventOp::Couplet { iref, dref } => self.couplet(iref.as_ref(), dref.as_ref()),
-            EventOp::WarmBoundary => self.warm_boundary(),
         }
     }
 
@@ -894,8 +878,8 @@ impl LaneBank {
     }
 }
 
-/// The bank prices each op as the decoder reaches it: one method per
-/// shape, which [`LaneBank::apply`] calls too.
+/// The bank prices each op as the decoder or the walk reaches it: one
+/// method per shape.
 impl OpSink for LaneBank {
     /// Reprices a stretch of all-hit couplets in O(classes) per lane, or
     /// O(classes) plus one add per lane clock when the hit costs are
@@ -1304,12 +1288,24 @@ mod tests {
         ]
     }
 
-    /// Random op streams priced twice: decoded straight into the bank
-    /// through its `OpSink` methods, and decoded into `EventOp`s that
-    /// `apply` dispatches. Both must leave every lane bit-identical.
+    /// A bank per [`sink_banks`] configuration list.
+    fn banks_of(banks: &[Vec<SystemConfig>]) -> Vec<LaneBank> {
+        banks
+            .iter()
+            .map(|configs| {
+                let classes: Vec<CycleTiming> =
+                    configs.iter().map(SystemConfig::cycle_timing).collect();
+                LaneBank::new(&classes)
+            })
+            .collect()
+    }
+
+    /// Random op streams priced twice: encoded and decoded straight into
+    /// the bank, and handed to the bank's `OpSink` methods as generated,
+    /// with no decode. Both must leave every lane bit-identical.
     #[test]
     fn sink_replay_matches_apply_bit_for_bit() {
-        use crate::opstream::gen::{gen_ops, Range};
+        use crate::opstream::gen::{dispatch, gen_ops, Range};
         use cachetime_testkit::{check, prop_assert_eq, shrink};
         let banks = sink_banks();
         let behavior = Behavior {
@@ -1325,19 +1321,12 @@ mod tests {
             shrink::vec_linear,
             |ops| {
                 let mut writer = OpWriter::with_capacity(0);
-                for op in ops {
-                    writer.push(op);
-                }
+                dispatch(ops, &mut writer);
                 let stream = writer.finish();
-                for configs in &banks {
-                    let classes: Vec<CycleTiming> =
-                        configs.iter().map(SystemConfig::cycle_timing).collect();
-                    let mut fed = LaneBank::new(&classes);
-                    stream.view().feed(&mut fed);
-                    let mut applied = LaneBank::new(&classes);
-                    for op in stream.view().iter() {
-                        applied.apply(&op);
-                    }
+                let (mut fed, mut applied) = (banks_of(&banks), banks_of(&banks));
+                for ((configs, fed), applied) in banks.iter().zip(&mut fed).zip(&mut applied) {
+                    stream.view().feed(fed);
+                    dispatch(ops, applied);
                     prop_assert_eq!(fed.couplets, applied.couplets);
                     prop_assert_eq!(fed.kernel_ops, applied.kernel_ops);
                     for (k, config) in configs.iter().enumerate() {
@@ -1345,6 +1334,40 @@ mod tests {
                             fed.result(k, &behavior, config.cycle_time()),
                             applied.result(k, &behavior, config.cycle_time())
                         );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// A stream that passes `OpStream::checked` prices on any bank: every
+    /// single-byte flip of a random priceable stream that the check
+    /// accepts prices on both test banks without a panic (in a debug
+    /// build, also without an arithmetic overflow or a debug assertion).
+    #[test]
+    fn checked_streams_price_without_panicking() {
+        use crate::opstream::gen::{dispatch, gen_ops, Range};
+        use cachetime_testkit::{check, shrink};
+        let banks = sink_banks();
+        check(
+            "checked_streams_price_without_panicking",
+            |rng| gen_ops(rng, Range::Priceable),
+            shrink::vec_linear,
+            |ops| {
+                let mut writer = OpWriter::with_capacity(0);
+                dispatch(ops, &mut writer);
+                let stream = writer.finish();
+                let mut bytes = stream.view().bytes.to_vec();
+                for at in 0..bytes.len() {
+                    for mask in [0x01, 0x08, 0x20, 0x80, 0xff] {
+                        bytes[at] ^= mask;
+                        if let Ok(flipped) = OpStream::checked(&bytes, ops.len() as u64) {
+                            for bank in &mut banks_of(&banks) {
+                                flipped.view().feed(bank);
+                            }
+                        }
+                        bytes[at] ^= mask;
                     }
                 }
                 Ok(())

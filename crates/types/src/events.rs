@@ -4,9 +4,9 @@
 //! (which caches hit, which blocks fill, which victims write back — a
 //! function of the cache *organization* and the reference stream alone)
 //! and a **timing replay** that prices those events under a particular
-//! clock, memory, and buffer configuration. The types here are the wire
-//! format between the two phases: one [`EventOp`] per CPU issue slot,
-//! with runs of all-hit couplets collapsed to a single counter.
+//! clock, memory, and buffer configuration. The types here are what the
+//! two phases exchange: each recorded couplet is a [`RefEvent`] per half,
+//! and a run of all-hit couplets is one count per [`CoupletClass`].
 //!
 //! The factoring is sound because nothing *above* the write buffers is
 //! timing-dependent: cache lookup, replacement, and TLB state advance per
@@ -140,55 +140,6 @@ impl CoupletClass {
     }
 }
 
-/// One step of an event trace.
-///
-/// Hot paths are dominated by all-hit couplets (hit ratios in the high
-/// 90s), so those are run-length encoded: a `HitRun` summarizes a maximal
-/// stretch of consecutive trivial couplets as per-class counts and
-/// reprices in O(classes). The order *inside* such a stretch is immaterial
-/// — every trivial couplet has a fixed, state-free cost — which is what
-/// lets interleaved shapes (ifetch, ifetch+load, …) share one op instead
-/// of breaking the run at every alternation. Everything that can interact
-/// with downstream timing — misses, write-throughs, write-arounds, TLB
-/// walks — is recorded as a full [`EventOp::Couplet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventOp {
-    /// A maximal stretch of consecutive all-hit couplets (no TLB walks,
-    /// nothing sent downstream), counted per shape.
-    HitRun {
-        /// Couplets of each shape, indexed by [`CoupletClass::index`].
-        counts: [u32; CoupletClass::COUNT],
-    },
-    /// One couplet with at least one non-trivial half.
-    Couplet {
-        /// The instruction-fetch half, if present.
-        iref: Option<RefEvent>,
-        /// The data half, if present.
-        dref: Option<RefEvent>,
-    },
-    /// The warm-start boundary: timing statistics reset here.
-    WarmBoundary,
-}
-
-impl EventOp {
-    /// Number of couplets this op represents.
-    pub const fn couplets(&self) -> u64 {
-        match self {
-            EventOp::HitRun { counts } => {
-                let mut total = 0u64;
-                let mut i = 0;
-                while i < counts.len() {
-                    total += counts[i] as u64;
-                    i += 1;
-                }
-                total
-            }
-            EventOp::Couplet { .. } => 1,
-            EventOp::WarmBoundary => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,27 +175,5 @@ mod tests {
         for (i, class) in CoupletClass::ALL.iter().enumerate() {
             assert_eq!(class.index(), i);
         }
-    }
-
-    #[test]
-    fn event_op_couplet_counts() {
-        let mut counts = [0u32; CoupletClass::COUNT];
-        counts[CoupletClass::IfetchLoad.index()] = 12;
-        counts[CoupletClass::Store.index()] = 5;
-        assert_eq!(EventOp::HitRun { counts }.couplets(), 17);
-        assert_eq!(
-            EventOp::Couplet {
-                iref: None,
-                dref: Some(RefEvent {
-                    addr: WordAddr::new(1),
-                    pid: Pid(0),
-                    walk_cycles: 0,
-                    access: AccessEvent::ReadHit,
-                }),
-            }
-            .couplets(),
-            1
-        );
-        assert_eq!(EventOp::WarmBoundary.couplets(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Stable 64-bit content hashing for configuration values.
 //!
-//! The simulation server addresses recorded [`EventOp`](crate::EventOp)
-//! streams by *what they are*: a 64-bit digest of the organization and
+//! The simulation server addresses recorded event traces (the packed op
+//! streams of the behavioral pass) by *what they are*: a 64-bit digest of the organization and
 //! workload that produced them. That key must be **stable** — equal across
 //! processes, platforms, and field-construction order — which rules out
 //! `std::hash::Hash` (`DefaultHasher`'s keys are randomized per process

@@ -46,7 +46,7 @@ mod time;
 
 pub use addr::{BlockAddr, WordAddr, BYTES_PER_WORD};
 pub use error::ConfigError;
-pub use events::{AccessEvent, CoupletClass, EventOp, RefEvent, VictimBlock};
+pub use events::{AccessEvent, CoupletClass, RefEvent, VictimBlock};
 pub use hash::{stable_hash_of, StableHash, StableHasher};
 pub use json::{json_object, Json, JsonError};
 pub use lru::BudgetLru;

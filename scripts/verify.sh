@@ -30,9 +30,13 @@
 #    Beside them, the decoder's differential property: random op streams
 #    whose generator reaches every first-byte code
 #    (`generated_streams_reach_every_code`) are priced by decoding
-#    straight into a lane bank and by decoding into ops that `apply`
-#    dispatches, on a one-lane and a mixed bank, bit-identically
-#    (`sink_replay_matches_apply_bit_for_bit`).
+#    straight into a lane bank and by handing the generated ops to the
+#    bank with no decode, on a one-lane and a mixed bank, bit-identically
+#    (`sink_replay_matches_apply_bit_for_bit`). The stream check refuses
+#    the op shapes no walk emits (`a_stream_no_walk_writes_is_rejected`),
+#    and every byte flip of a stream that it accepts prices on both banks
+#    without a panic (`checked_streams_price_without_panicking`). Each
+#    name-filtered run fails if its filter matched no test.
 # 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
 #    full speed-size grid and refreshes BENCH_sweep.json with the current
 #    grid-repricing numbers.
@@ -102,13 +106,25 @@ cargo test --workspace -q
 echo "==> cargo build --offline --workspace (zero-dependency guard)"
 cargo build --offline --workspace
 
+# A name-filtered `cargo test` that fails when the filter matched no
+# test: cargo itself passes such a run with "0 passed".
+filtered_test() {
+  local out
+  out="$(cargo test "$@" 2>&1)" || { printf '%s\n' "$out"; return 1; }
+  printf '%s\n' "$out"
+  grep -Eo '[0-9]+ passed' <<<"$out" | awk '{ n += $1 } END { exit !(n > 0) }' \
+    || { echo "no test matched: cargo test $*"; return 1; }
+}
+
 echo "==> pricing cross-check (timing oracle; stored vs streamed pricing)"
 cargo test --release -q -p cachetime --test reference_engine --test two_phase \
   --test two_phase_prop --test replay_classes_prop --test replay_lanes_prop
 cargo test --release -q -p cachetime-cache --test oracle
-cargo test --release -q -p cachetime --lib op_stream
-cargo test --release -q -p cachetime --lib -- generated_streams_reach_every_code \
-  sink_replay_matches_apply_bit_for_bit
+filtered_test --release -q -p cachetime --lib op_stream
+for name in generated_streams_reach_every_code sink_replay_matches_apply_bit_for_bit \
+  a_stream_no_walk_writes_is_rejected checked_streams_price_without_panicking; do
+  filtered_test --release -q -p cachetime --lib -- "$name"
+done
 cargo test --release -q -p cachetime --test op_stream
 
 echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
