@@ -13,8 +13,9 @@
 //! store), and a batched `/v1/replay` leg; writes `BENCH_serve.json`.
 //! `cachetime-bench serve-check <addr>` is the non-timing version — a
 //! smoke client that asserts a running server answers simulate/replay
-//! bit-identically to an in-process `Simulator::run` (used by
-//! `scripts/verify.sh`).
+//! bit-identically to an in-process `Simulator::run`, and that the result
+//! bytes on the wire are exactly `api::sim_result_to_json(..).to_string()`
+//! (used by `scripts/verify.sh`).
 //!
 //! For A/B comparisons between commits, use the repository benchmark in
 //! `perfbench/` (`run` and `compare`; see `perfbench/README.md`).
@@ -980,7 +981,8 @@ fn run_restart_leg(scale: f64) -> Json {
 
 /// Smoke-checks a running server at `addr`: health, simulate, replay, and
 /// stats — with the simulate/replay answers compared bit-for-bit against
-/// an in-process `Simulator::run` of the same configuration. Exits
+/// an in-process `Simulator::run` of the same configuration, both as
+/// parsed trees and as the raw result bytes of each body. Exits
 /// nonzero on the first mismatch; `scripts/verify.sh` runs this against a
 /// freshly started `ctserve`.
 fn run_serve_check(addr: &str) {
@@ -1022,6 +1024,18 @@ fn run_serve_check(addr: &str) {
             "server result differs from a direct Simulator::run",
         );
     }
+    // The server writes results with no `Json` tree; the bytes on the wire
+    // must still be exactly the tree's.
+    let expected_text = expected.to_string();
+    let raw_result = body
+        .split_once("\"result\":")
+        .and_then(|(_, rest)| rest.strip_suffix('}'));
+    if raw_result != Some(expected_text.as_str()) {
+        fail(
+            "simulate",
+            "raw result bytes differ from sim_result_to_json(..).to_string()",
+        );
+    }
 
     // Replay at the same 40 ns point must be bit-identical too; a second
     // point must move the numbers.
@@ -1040,6 +1054,15 @@ fn run_serve_check(addr: &str) {
     if results.first() != Some(&expected) {
         fail("replay", "replayed result differs from Simulator::run");
     }
+    let raw_first = body
+        .split_once("\"results\":[")
+        .and_then(|(_, rest)| rest.strip_prefix(expected_text.as_str()));
+    if !raw_first.is_some_and(|after| after.starts_with(',')) {
+        fail(
+            "replay",
+            "raw first result bytes differ from sim_result_to_json(..).to_string()",
+        );
+    }
     if results.get(1) == Some(&expected) {
         fail("replay", "a 20 ns replay cannot equal the 40 ns result");
     }
@@ -1052,7 +1075,10 @@ fn run_serve_check(addr: &str) {
         fail("stats", &format!("status {status}: {body}"));
     }
 
-    println!("serve-check: OK ({addr}: simulate + replay bit-identical to Simulator::run)");
+    println!(
+        "serve-check: OK ({addr}: simulate + replay bit-identical to Simulator::run, \
+         byte-identical to sim_result_to_json)"
+    );
 }
 
 /// Ingestion smoke-check against a running server at `addr`

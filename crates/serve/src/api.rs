@@ -15,7 +15,10 @@ use cachetime_cache::{
 use cachetime_mem::{MemoryConfig, TransferRate};
 use cachetime_mmu::TranslationConfig;
 use cachetime_trace::{catalog, WorkloadSpec};
-use cachetime_types::{json_object, Assoc, BlockWords, CacheSize, CycleTime, Json, Nanos};
+use cachetime_types::{
+    json_object, write_json_f64, Assoc, BlockWords, CacheSize, CycleTime, Json, Nanos,
+};
+use std::fmt::Write;
 
 /// A content key rendered for the wire.
 pub fn key_hex(key: u64) -> String {
@@ -397,10 +400,16 @@ fn cache_stats_json(s: &cachetime_cache::CacheStats) -> Json {
     ])
 }
 
-/// Serializes a [`SimResult`] with every counter intact.
+/// Serializes a [`SimResult`] with every counter intact, as a [`Json`]
+/// tree.
 ///
-/// Byte-for-byte deterministic for equal results, so clients may compare
-/// serialized results for bit-identity (the verify smoke test does).
+/// This is the reference form of a result on the wire. The server does
+/// not build it: it answers with [`write_sim_result`], whose bytes equal
+/// this tree's `to_string()` exactly (a property test pins that). Callers
+/// that check answers compare against this, either as parsed trees or as
+/// bytes: `cachetime-bench serve-check` does both over the socket.
+/// Deterministic for equal results, so serialized results may be
+/// compared for bit-identity.
 pub fn sim_result_to_json(r: &SimResult) -> Json {
     let buckets: Vec<Json> = (0..16).map(|i| Json::from(r.latency.bucket(i))).collect();
     json_object([
@@ -452,10 +461,117 @@ pub fn sim_result_to_json(r: &SimResult) -> Json {
     ])
 }
 
+/// Appends `r` to `out` as compact JSON, with no [`Json`] tree between:
+/// exactly the bytes of `sim_result_to_json(r).to_string()`, with the
+/// same keys in the same order and no whitespace.
+///
+/// Integers are written in decimal and floats by [`write_json_f64`], the
+/// tree's own float rule. The server writes every result it answers with
+/// this, straight into the response buffer.
+pub fn write_sim_result(r: &SimResult, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"cycle_time_ns\":{},\"cycles\":{},\"refs\":{},\"couplets\":{},\
+         \"exec_time_ns\":{},\"cycles_per_ref\":",
+        r.cycle_time.ns(),
+        r.cycles.0,
+        r.refs,
+        r.couplets,
+        r.exec_time().0,
+    );
+    write_json_f64(r.cycles_per_ref(), out);
+    out.push_str(",\"time_per_ref_ns\":");
+    write_json_f64(r.time_per_ref_ns(), out);
+    out.push_str(",\"read_miss_ratio\":");
+    write_json_f64(r.read_miss_ratio(), out);
+    let _ = write!(
+        out,
+        ",\"stall_cycles\":{},\"stall_fraction\":",
+        r.stall_cycles.0
+    );
+    write_json_f64(r.stall_fraction(), out);
+    out.push_str(",\"l1i\":");
+    write_cache_stats(Some(&r.l1i), out);
+    out.push_str(",\"l1d\":");
+    write_cache_stats(Some(&r.l1d), out);
+    out.push_str(",\"l2\":");
+    write_cache_stats(r.l2.as_ref(), out);
+    out.push_str(",\"l3\":");
+    write_cache_stats(r.l3.as_ref(), out);
+    let m = &r.mem;
+    let _ = write!(
+        out,
+        ",\"mem\":{{\"reads\":{},\"read_words\":{},\"writes\":{},\"write_words\":{},\
+         \"read_match_stalls\":{},\"full_stalls\":{},\"coalesced_writes\":{}}},\"mmu\":",
+        m.reads,
+        m.read_words,
+        m.writes,
+        m.write_words,
+        m.read_match_stalls,
+        m.full_stalls,
+        m.coalesced_writes,
+    );
+    match &r.mmu {
+        Some(m) => {
+            let _ = write!(
+                out,
+                "{{\"accesses\":{},\"misses\":{}}}",
+                m.accesses, m.misses
+            );
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"latency_buckets\":[");
+    for i in 0..16 {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}", r.latency.bucket(i));
+    }
+    out.push_str("]}");
+}
+
+/// [`cache_stats_json`]'s bytes, written straight into `out`; `None` is
+/// `null`.
+fn write_cache_stats(s: Option<&cachetime_cache::CacheStats>, out: &mut String) {
+    let Some(s) = s else {
+        out.push_str("null");
+        return;
+    };
+    let _ = write!(
+        out,
+        "{{\"reads\":{},\"read_misses\":{},\"writes\":{},\"write_misses\":{},\"fills\":{},\
+         \"fill_words\":{},\"evictions\":{},\"dirty_evictions\":{},\"write_back_words\":{},\
+         \"dirty_words_written_back\":{},\"word_writes_downstream\":{},\"victim_hits\":{},\
+         \"way_first_hits\":{},\"way_slow_hits\":{},\"way_probe_rounds\":{}}}",
+        s.reads,
+        s.read_misses,
+        s.writes,
+        s.write_misses,
+        s.fills,
+        s.fill_words,
+        s.evictions,
+        s.dirty_evictions,
+        s.write_back_words,
+        s.dirty_words_written_back,
+        s.word_writes_downstream,
+        s.victim_hits,
+        s.way_first_hits,
+        s.way_slow_hits,
+        s.way_probe_rounds,
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachetime::Simulator;
+    use cachetime::{CoupletHistogram, Simulator};
+    use cachetime_cache::CacheStats;
+    use cachetime_mem::MemStats;
+    use cachetime_mmu::MmuStats;
+    use cachetime_testkit::SplitMix64;
+    use cachetime_types::Cycles;
 
     #[test]
     fn key_hex_round_trips() {
@@ -583,5 +699,159 @@ mod tests {
         );
         assert_eq!(parsed.get("refs").and_then(Json::as_u64), Some(r.refs));
         assert!(parsed.get("mmu").unwrap().is_null());
+    }
+
+    /// A counter: zero, small, above `i64::MAX`, or anywhere in `u64`, so
+    /// both integer forms of the tree (`Int` and `UInt`) show up.
+    fn arb_count(rng: &mut SplitMix64) -> u64 {
+        match rng.next_u64() % 4 {
+            0 => 0,
+            1 => rng.next_u64() % 1000,
+            2 => i64::MAX as u64 + 1 + rng.next_u64() % (1 << 62),
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn arb_cache_stats(rng: &mut SplitMix64) -> CacheStats {
+        CacheStats {
+            reads: arb_count(rng),
+            read_misses: arb_count(rng),
+            writes: arb_count(rng),
+            write_misses: arb_count(rng),
+            fills: arb_count(rng),
+            fill_words: arb_count(rng),
+            evictions: arb_count(rng),
+            dirty_evictions: arb_count(rng),
+            write_back_words: arb_count(rng),
+            dirty_words_written_back: arb_count(rng),
+            word_writes_downstream: arb_count(rng),
+            victim_hits: arb_count(rng),
+            way_first_hits: arb_count(rng),
+            way_slow_hits: arb_count(rng),
+            way_probe_rounds: arb_count(rng),
+        }
+    }
+
+    /// A result with every field drawn at random. The derived ratios stay
+    /// computable: `exec_time` and the summed L1 read counters cannot
+    /// overflow. A quarter of the results have no references, and a
+    /// quarter take a whole number of cycles per reference, so the
+    /// ratios include `0.0` and integral floats like `1.0`.
+    fn arb_sim_result(rng: &mut SplitMix64) -> SimResult {
+        let ns = if rng.gen_bool(0.25) {
+            1
+        } else {
+            1 + (rng.next_u64() % 200) as u32
+        };
+        let mut l1i = arb_cache_stats(rng);
+        let mut l1d = arb_cache_stats(rng);
+        l1i.reads = l1i.reads.min(u64::MAX - l1d.reads);
+        l1i.read_misses = l1i.read_misses.min(u64::MAX - l1d.read_misses);
+        if rng.gen_bool(0.25) {
+            (l1i.reads, l1d.reads) = (0, 0);
+        }
+        let max_cycles = u64::MAX / u64::from(ns);
+        let (refs, cycles) = match rng.next_u64() % 4 {
+            0 => (0, arb_count(rng).min(max_cycles)),
+            1 => {
+                let per_ref = 1 + rng.next_u64() % 4;
+                let refs = 1 + rng.next_u64() % (max_cycles / per_ref);
+                (refs, refs * per_ref)
+            }
+            _ => (arb_count(rng), arb_count(rng).min(max_cycles)),
+        };
+        let mut latency = CoupletHistogram::default();
+        for i in 0..16 {
+            latency.record_n(1 << i, arb_count(rng));
+        }
+        SimResult {
+            cycle_time: CycleTime::from_ns(ns).unwrap(),
+            cycles: Cycles(cycles),
+            refs,
+            couplets: arb_count(rng),
+            l1i,
+            l1d,
+            l2: rng.gen_bool(0.5).then(|| arb_cache_stats(rng)),
+            l3: rng.gen_bool(0.5).then(|| arb_cache_stats(rng)),
+            mem: MemStats {
+                reads: arb_count(rng),
+                read_words: arb_count(rng),
+                writes: arb_count(rng),
+                write_words: arb_count(rng),
+                read_match_stalls: arb_count(rng),
+                full_stalls: arb_count(rng),
+                coalesced_writes: arb_count(rng),
+            },
+            mmu: rng.gen_bool(0.5).then(|| MmuStats {
+                accesses: arb_count(rng),
+                misses: arb_count(rng),
+            }),
+            latency,
+            stall_cycles: Cycles(arb_count(rng)),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_tree_byte_for_byte() {
+        use cachetime_testkit::{check, prop_assert_eq, shrink};
+        check(
+            "write_sim_result_matches_tree",
+            arb_sim_result,
+            shrink::none,
+            |r| {
+                let mut written = String::from("prefix:");
+                write_sim_result(r, &mut written);
+                let want = sim_result_to_json(r).to_string();
+                prop_assert_eq!(&written["prefix:".len()..], want.as_str());
+                Ok(())
+            },
+        );
+        // The edges, each at least once: an all-zero result (no levels
+        // below L1, no references), an all-maximum one with every level,
+        // and a simulated one. A result with no references or no reads
+        // prices its ratios at `0.0`, not NaN (`SimResult` guards each
+        // division), so `null` never appears here; the float rule's
+        // `null` is `cachetime_types`' own test.
+        let zero = SimResult {
+            cycle_time: CycleTime::from_ns(1).unwrap(),
+            cycles: Cycles(0),
+            refs: 0,
+            couplets: 0,
+            l1i: CacheStats::default(),
+            l1d: CacheStats::default(),
+            l2: None,
+            l3: None,
+            mem: MemStats::default(),
+            mmu: None,
+            latency: CoupletHistogram::default(),
+            stall_cycles: Cycles(0),
+        };
+        let max = CacheStats {
+            reads: u64::MAX / 2,
+            read_misses: u64::MAX / 2,
+            ..arb_cache_stats(&mut SplitMix64::from_seed(7))
+        };
+        let full = SimResult {
+            cycles: Cycles(u64::MAX),
+            refs: u64::MAX,
+            couplets: u64::MAX,
+            l1i: max,
+            l1d: max,
+            l2: Some(max),
+            l3: Some(max),
+            mmu: Some(MmuStats {
+                accesses: u64::MAX,
+                misses: u64::MAX,
+            }),
+            stall_cycles: Cycles(u64::MAX),
+            ..zero
+        };
+        let config = SystemConfig::paper_default().unwrap();
+        let simulated = Simulator::new(&config).run(&catalog::mu3(0.005).generate());
+        for r in [zero, full, simulated] {
+            let mut written = String::new();
+            write_sim_result(&r, &mut written);
+            assert_eq!(written, sim_result_to_json(&r).to_string());
+        }
     }
 }

@@ -70,6 +70,7 @@ use client::{ClientConfig, HttpClient, ShardRing};
 use fault::{DiskFaultAction, FaultPlan};
 use stats::{FleetMetrics, IngestMetrics, ServerStats};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use store::{Fetch, StoreMetrics, TraceStore, TryGet};
@@ -113,11 +114,20 @@ pub struct Response {
     pub retry_after: Option<u32>,
 }
 
+/// Room for one serialized [`SimResult`](cachetime::SimResult) (about
+/// 1.1 KB with no level below L1), so writing one rarely reallocates.
+const RESULT_JSON_CAPACITY: usize = 2048;
+
 impl Response {
     fn ok(v: Json) -> Self {
+        Response::ok_json(v.to_string())
+    }
+
+    /// A `200` whose body is JSON already written as text.
+    fn ok_json(body: String) -> Self {
         Response {
             status: 200,
-            body: v.to_string(),
+            body,
             chunks: None,
             raw: None,
             content_type: CONTENT_TYPE_JSON,
@@ -1178,11 +1188,17 @@ fn simulate_response(
     config: &SystemConfig,
 ) -> Response {
     match cachetime::replay(events, config) {
-        Ok(result) => Response::ok(json_object([
-            ("key", Json::Str(api::key_hex(key))),
-            ("cached", Json::Bool(cached)),
-            ("result", api::sim_result_to_json(&result)),
-        ])),
+        Ok(result) => {
+            let mut body = String::with_capacity(64 + RESULT_JSON_CAPACITY);
+            let _ = write!(
+                body,
+                "{{\"key\":\"{}\",\"cached\":{cached},\"result\":",
+                api::key_hex(key)
+            );
+            api::write_sim_result(&result, &mut body);
+            body.push('}');
+            Response::ok_json(body)
+        }
         // Unreachable unless two pairings collide on the 64-bit key.
         Err(e) => Response::error(500, &e.to_string()),
     }
@@ -1264,16 +1280,13 @@ fn replay_response(key: u64, events: &EventTrace, timings: &[TimingConfig]) -> R
         Err(e) => return Response::error(400, &e.to_string()),
     };
     let mut chunks = Vec::with_capacity(results.len() + 2);
-    let mut prefix = String::from("{\"key\":");
-    prefix.push_str(&Json::Str(api::key_hex(key)).to_string());
-    prefix.push_str(",\"results\":[");
-    chunks.push(prefix);
+    chunks.push(format!("{{\"key\":\"{}\",\"results\":[", api::key_hex(key)));
     for (i, r) in results.iter().enumerate() {
-        let mut chunk = String::new();
+        let mut chunk = String::with_capacity(RESULT_JSON_CAPACITY);
         if i > 0 {
             chunk.push(',');
         }
-        chunk.push_str(&api::sim_result_to_json(r).to_string());
+        api::write_sim_result(r, &mut chunk);
         chunks.push(chunk);
     }
     chunks.push("]}".into());

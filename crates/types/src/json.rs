@@ -180,7 +180,7 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Int(v) => out.push_str(&v.to_string()),
             Json::UInt(v) => out.push_str(&v.to_string()),
-            Json::Float(v) => write_f64(*v, out),
+            Json::Float(v) => write_json_f64(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -265,17 +265,23 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-/// Emits a finite float so it round-trips (`1.0` stays `1.0`, not `1`);
-/// non-finite values have no JSON representation and become `null`.
-fn write_f64(v: f64, out: &mut String) {
-    if !v.is_finite() {
-        out.push_str("null");
+/// Appends `v` as a JSON number, exactly as [`Json::Float`] serializes:
+/// a finite float round-trips (`1.0` stays `1.0`, not `1`), and a
+/// non-finite value, which JSON cannot represent, becomes `null`.
+///
+/// The one float rule for every JSON writer, so code that writes JSON
+/// straight into a buffer matches the tree byte for byte.
+pub fn write_json_f64(v: f64, out: &mut String) {
+    use fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = if !v.is_finite() {
+        out.write_str("null")
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        out.push_str(&format!("{v:.1}"));
+        write!(out, "{v:.1}")
     } else {
         // `{}` on f64 prints the shortest digits that round-trip.
-        out.push_str(&format!("{v}"));
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// Emits a quoted, escape-correct JSON string.

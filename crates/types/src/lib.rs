@@ -48,7 +48,7 @@ pub use addr::{BlockAddr, WordAddr, BYTES_PER_WORD};
 pub use error::ConfigError;
 pub use events::{AccessEvent, CoupletClass, RefEvent, VictimBlock};
 pub use hash::{stable_hash_of, StableHash, StableHasher};
-pub use json::{json_object, Json, JsonError};
+pub use json::{json_object, write_json_f64, Json, JsonError};
 pub use lru::BudgetLru;
 pub use refs::{AccessKind, MemRef, Pid};
 pub use size::{Assoc, BlockWords, CacheSize};

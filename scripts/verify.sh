@@ -43,7 +43,12 @@
 # 6. Server smoke test: start `ctserve` on an ephemeral port, drive
 #    simulate + replay + stats through `cachetime-bench serve-check`
 #    (which asserts the responses are bit-identical to a direct
-#    Simulator::run), then shut it down cleanly.
+#    Simulator::run, and that the raw result bytes of the simulate body
+#    and of the first replay result are exactly
+#    `sim_result_to_json(..).to_string()`: the server writes them with
+#    no `Json` tree), then shut it down cleanly. The property
+#    `writer_matches_the_tree_byte_for_byte`, which pins the writer to
+#    the tree over generated results, runs by name first.
 # 7. Ingestion leg: against the same smoke-test server, `cachetime-bench
 #    ingest-check` chunked-uploads a din trace to `POST /v1/traces`
 #    (stable content digest, dedup on re-upload), simulates and replays
@@ -131,6 +136,7 @@ echo "==> cachetime-bench sweep (small scale; writes BENCH_sweep.json)"
 cargo run --release -q -p cachetime-bench -- sweep "${BENCH_SCALE:-0.05}"
 
 echo "==> ctserve smoke test (ephemeral port; durable store; replay bit-identity)"
+filtered_test -q -p cachetime-serve --lib -- writer_matches_the_tree_byte_for_byte
 PORT_FILE="$(mktemp)"
 rm -f "$PORT_FILE" # ctserve recreates it; its presence means "listening"
 SMOKE_DATA_DIR="$(mktemp -d)"
