@@ -1015,9 +1015,16 @@ fn run_serve_check(addr: &str) {
         .unwrap_or_else(|| fail("simulate", "response has no key"))
         .to_string();
 
-    let config = SystemConfig::paper_default().expect("paper default");
-    let direct = Simulator::new(&config).run(&catalog::mu3(scale).generate());
-    let expected = api::sim_result_to_json(&direct);
+    let trace = catalog::mu3(scale).generate();
+    let direct_at = |ct_ns: u32| {
+        let config = SystemConfig::builder()
+            .cycle_time(CycleTime::from_ns(ct_ns).expect("nonzero"))
+            .build()
+            .expect("paper default");
+        api::sim_result_to_json(&Simulator::new(&config).run(&trace))
+    };
+    // The paper default runs at 40 ns.
+    let expected = direct_at(40);
     if v.get("result") != Some(&expected) {
         fail(
             "simulate",
@@ -1038,7 +1045,9 @@ fn run_serve_check(addr: &str) {
     }
 
     // Replay at the same 40 ns point must be bit-identical too; a second
-    // point must move the numbers.
+    // point must move the numbers and match its own direct run. The whole
+    // raw body must be exactly the envelope around each point's
+    // `sim_result_to_json(..).to_string()`.
     let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 20]}}"#);
     let (status, body) = client
         .post("/v1/replay", &replay_body)
@@ -1054,17 +1063,23 @@ fn run_serve_check(addr: &str) {
     if results.first() != Some(&expected) {
         fail("replay", "replayed result differs from Simulator::run");
     }
-    let raw_first = body
-        .split_once("\"results\":[")
-        .and_then(|(_, rest)| rest.strip_prefix(expected_text.as_str()));
-    if !raw_first.is_some_and(|after| after.starts_with(',')) {
-        fail(
-            "replay",
-            "raw first result bytes differ from sim_result_to_json(..).to_string()",
-        );
-    }
     if results.get(1) == Some(&expected) {
         fail("replay", "a 20 ns replay cannot equal the 40 ns result");
+    }
+    let expected_20 = direct_at(20);
+    if results.get(1) != Some(&expected_20) {
+        fail(
+            "replay",
+            "the 20 ns replay differs from Simulator::run at 20 ns",
+        );
+    }
+    let expected_body =
+        format!("{{\"key\":\"{key}\",\"results\":[{expected_text},{expected_20}]}}");
+    if body != expected_body {
+        fail(
+            "replay",
+            "raw body differs from the envelope around each sim_result_to_json(..).to_string()",
+        );
     }
 
     let (status, body) = client
@@ -1245,38 +1260,20 @@ fn run_ingest_check(addr: &str) {
 
     // A lying chunked upload — the size line claims more than the body
     // cap — must be refused 413 on the claim, before any payload exists
-    // to buffer.
-    {
-        use std::io::{Read as _, Write as _};
-        let mut s = std::net::TcpStream::connect(addr)
-            .unwrap_or_else(|e| fail("raw connect", &e.to_string()));
-        s.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        s.write_all(
-            b"POST /v1/traces HTTP/1.1\r\nHost: ctserve\r\nTransfer-Encoding: chunked\r\n\r\nfffffff\r\n",
-        )
-        .unwrap_or_else(|e| fail("raw write", &e.to_string()));
-        let mut head = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match s.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&chunk[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                        break;
-                    }
-                }
-                Err(e) => fail("raw read", &e.to_string()),
-            }
-        }
-        let head = String::from_utf8_lossy(&head);
-        if !head.starts_with("HTTP/1.1 413") {
-            fail(
-                "oversize claim",
-                &format!("expected 413, got: {}", head.lines().next().unwrap_or("")),
-            );
-        }
+    // to buffer. It gets its own connection, which the 413 closes.
+    let raw_client = ClientConfig {
+        read_timeout: Duration::from_secs(10),
+        ..ClientConfig::default()
+    };
+    let (status, _) = HttpClient::connect_with(addr, raw_client)
+        .and_then(|mut c| {
+            c.send_raw(
+                b"POST /v1/traces HTTP/1.1\r\nHost: ctserve\r\nTransfer-Encoding: chunked\r\n\r\nfffffff\r\n",
+            )
+        })
+        .unwrap_or_else(|e| fail("oversize claim", &e.to_string()));
+    if status != 413 {
+        fail("oversize claim", &format!("expected 413, got {status}"));
     }
 
     // The ingest counter families must be on /v1/metrics.

@@ -1,7 +1,11 @@
 //! A tiny blocking HTTP/1.1 client for talking to `ctserve` — used by the
-//! bench load generator and the verify smoke test, so neither needs curl
-//! or an HTTP crate. Keep-alive: one [`HttpClient`] holds one connection
-//! and issues requests serially over it.
+//! bench load generator, the verify smoke test and the chaos client, so
+//! none needs curl or an HTTP crate. Keep-alive: one [`HttpClient`] holds
+//! one connection and issues requests serially over it. It is the one
+//! response reader in the tree: every answer it accepts is framed by
+//! `Content-Length`, the only framing the server sends, and
+//! [`HttpClient::send_raw`] reads the answer to hand-built (even
+//! deliberately malformed) request bytes through the same reader.
 //!
 //! The client is deliberately retry-aware but conservative about it:
 //! only **idempotent** requests (`GET`s, and `POST /v1/replay`, which is
@@ -161,22 +165,36 @@ impl HttpClient {
                     return Ok((status, resp_body));
                 }
                 Err(e) => {
-                    // The connection is in an unknown state (torn response,
-                    // reset): reconnect before any further attempt, even if
-                    // this request is out of retries, so the next call on
-                    // this client starts clean.
-                    self.buf.clear();
-                    match open_stream(&self.addr, &self.config) {
-                        Ok(s) => self.stream = s,
-                        Err(conn_err) => last_err = Some(conn_err),
-                    }
-                    if last_err.is_none() {
-                        last_err = Some(e);
-                    }
+                    // Reconnect before any further attempt, even if this
+                    // request is out of retries.
+                    last_err = Some(self.reset().err().unwrap_or(e));
                 }
             }
         }
         Err(last_err.unwrap_or_else(|| std::io::Error::other("request failed")))
+    }
+
+    /// Writes `bytes` verbatim and reads one framed response; returns
+    /// `(status, body)`. For requests [`request`](Self::request) cannot
+    /// build — a lying chunk-size claim, an oversized `Content-Length`,
+    /// garbage. Never retried.
+    ///
+    /// # Errors
+    ///
+    /// Write/read failures, or a response the client cannot frame; the
+    /// client has reconnected by then, as after any failed request.
+    pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
+        let answer = self
+            .stream
+            .write_all(bytes)
+            .and_then(|()| self.read_response());
+        match answer {
+            Ok((status, _, body)) => Ok((status, body)),
+            Err(e) => {
+                let _ = self.reset();
+                Err(e)
+            }
+        }
     }
 
     /// `POST` with a JSON body.
@@ -259,6 +277,16 @@ impl HttpClient {
     /// stream so schedules replay identically for a given seed.
     fn jittered(&mut self, delay: Duration) -> Duration {
         delay.mul_f64(0.5 + self.rng.next_f64())
+    }
+
+    /// Drops whatever is buffered and redials. After a failed exchange
+    /// the connection is in an unknown state (torn or refused response,
+    /// reset), and bytes still in flight on it must never be read as the
+    /// next answer; the next call on this client starts clean.
+    fn reset(&mut self) -> std::io::Result<()> {
+        self.buf.clear();
+        self.stream = open_stream(&self.addr, &self.config)?;
+        Ok(())
     }
 
     fn read_response(&mut self) -> std::io::Result<(u16, Option<u32>, Vec<u8>)> {
@@ -667,10 +695,12 @@ fn open_stream(addr: &str, config: &ClientConfig) -> std::io::Result<TcpStream> 
 /// A framed response: bytes consumed, status, Retry-After secs, body.
 type Framed = (usize, u16, Option<u32>, Vec<u8>);
 
-/// Frames one response at the front of `buf` — `Content-Length` or
-/// `Transfer-Encoding: chunked` — and returns it as a [`Framed`] when
-/// complete. Chunked bodies are de-chunked: the caller always sees the
-/// plain body. Bodies are raw bytes; text callers convert at the edge.
+/// Frames one response at the front of `buf` and returns it as a
+/// [`Framed`] when complete. The body is `Content-Length` bytes (none
+/// without the header); a response carrying `Transfer-Encoding` is
+/// refused, since the server never sends one and its body would
+/// otherwise be misread as empty. Bodies are raw bytes; text callers
+/// convert at the edge.
 fn frame_response(buf: &[u8]) -> std::io::Result<Option<Framed>> {
     let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
         return Ok(None);
@@ -685,7 +715,6 @@ fn frame_response(buf: &[u8]) -> std::io::Result<Option<Framed>> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| invalid("bad status line"))?;
     let mut content_length = 0usize;
-    let mut chunked = false;
     let mut retry_after = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
@@ -695,19 +724,13 @@ fn frame_response(buf: &[u8]) -> std::io::Result<Option<Framed>> {
                     .parse()
                     .map_err(|_| invalid("bad Content-Length"))?;
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = value.trim().eq_ignore_ascii_case("chunked");
+                return Err(invalid("Transfer-Encoding responses are not supported"));
             } else if name.eq_ignore_ascii_case("retry-after") {
                 retry_after = value.trim().parse().ok();
             }
         }
     }
     let body_start = head_end + 4;
-    if chunked {
-        let Some((consumed, body)) = dechunk(&buf[body_start..])? else {
-            return Ok(None);
-        };
-        return Ok(Some((body_start + consumed, status, retry_after, body)));
-    }
     if buf.len() < body_start + content_length {
         return Ok(None);
     }
@@ -718,51 +741,6 @@ fn frame_response(buf: &[u8]) -> std::io::Result<Option<Framed>> {
         retry_after,
         body,
     )))
-}
-
-/// Decodes a chunked body at the front of `buf`: `Ok(None)` while
-/// incomplete, otherwise the bytes consumed (through the terminating
-/// empty chunk's CRLF) and the reassembled payload.
-fn dechunk(buf: &[u8]) -> std::io::Result<Option<(usize, Vec<u8>)>> {
-    let mut pos = 0usize;
-    let mut body = Vec::new();
-    loop {
-        let Some(line_end) = find_crlf(&buf[pos..]) else {
-            return Ok(None);
-        };
-        let size_line = std::str::from_utf8(&buf[pos..pos + line_end])
-            .map_err(|_| invalid("non-UTF-8 chunk size"))?;
-        // Chunk extensions (";ext=val") are permitted noise; ignore them.
-        let size_hex = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_hex, 16).map_err(|_| invalid("bad chunk size"))?;
-        pos += line_end + 2;
-        if size == 0 {
-            // The terminator: a zero chunk followed by (no) trailers and
-            // a blank line. The server sends no trailers; tolerate them
-            // anyway by scanning to the blank line.
-            loop {
-                let Some(t_end) = find_crlf(&buf[pos..]) else {
-                    return Ok(None);
-                };
-                pos += t_end + 2;
-                if t_end == 0 {
-                    return Ok(Some((pos, body)));
-                }
-            }
-        }
-        if buf.len() < pos + size + 2 {
-            return Ok(None);
-        }
-        body.extend_from_slice(&buf[pos..pos + size]);
-        if &buf[pos + size..pos + size + 2] != b"\r\n" {
-            return Err(invalid("chunk not CRLF-terminated"));
-        }
-        pos += size + 2;
-    }
-}
-
-fn find_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == b"\r\n")
 }
 
 fn invalid(msg: &'static str) -> std::io::Error {
@@ -791,36 +769,39 @@ mod tests {
     }
 
     #[test]
-    fn frames_a_chunked_response() {
-        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n{\"a\r\n4\r\n\":1}\r\n0\r\n\r\ntail";
-        let (consumed, status, _, body) = frame_response(raw).unwrap().unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, b"{\"a\":1}");
-        assert_eq!(&raw[consumed..], b"tail");
-    }
+    fn a_chunked_response_is_refused_and_what_follows_is_never_read() {
+        // The chunk payload is itself a complete response: a client that
+        // skipped the refused head and kept reading would take it for the
+        // next answer.
+        let chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+            2b\r\nHTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstale\r\n0\r\n\r\n";
+        let err = frame_response(chunked).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-    #[test]
-    fn waits_for_the_full_chunked_body() {
-        // Truncated at every prefix: never a panic, never a partial frame.
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n{\"a\r\n4\r\n\":1}\r\n0\r\n\r\n";
-        for cut in 0..raw.len() {
-            assert!(frame_response(&raw[..cut]).unwrap().is_none(), "cut={cut}");
-        }
-        assert!(frame_response(raw).unwrap().is_some());
-    }
-
-    #[test]
-    fn chunk_extensions_and_trailers_are_tolerated() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2;ext=1\r\nok\r\n0\r\nX-Trailer: v\r\n\r\n";
-        let (consumed, _, _, body) = frame_response(raw).unwrap().unwrap();
-        assert_eq!(body, b"ok");
-        assert_eq!(consumed, raw.len());
-    }
-
-    #[test]
-    fn garbage_chunk_sizes_error_out() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n";
-        assert!(frame_response(raw).is_err());
+        // Over a socket: the first connection answers chunked, the redial
+        // answers plainly; the second request must see only the latter.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let answers: [&[u8]; 2] = [
+                chunked,
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh",
+            ];
+            for answer in answers {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).unwrap() == 1 {
+                    head.push(byte[0]);
+                }
+                conn.write_all(answer).unwrap();
+            }
+        });
+        let mut client = HttpClient::connect(&addr).unwrap();
+        let err = client.get("/first").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(client.get("/second").unwrap(), (200, "fresh".to_string()));
+        server.join().unwrap();
     }
 
     #[test]

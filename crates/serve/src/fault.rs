@@ -35,15 +35,17 @@
 //!
 //! # Client-side chaos
 //!
-//! [`run_chaos_client`] speaks raw TCP at a running server and, per
-//! seeded round, either behaves (simulate / replay / stats / health) or
-//! misbehaves: half-written request heads, mid-body disconnects, torn
-//! response reads, dribbled writes, garbage bytes, and oversized
-//! `Content-Length` claims. It returns a [`ChaosReport`] and fails fast
+//! [`run_chaos_client`] drives a running server and, per seeded round,
+//! either behaves (simulate / replay / stats / health, each one request
+//! on a fresh [`HttpClient`]) or misbehaves: half-written request heads,
+//! mid-body disconnects and torn response reads on bare sockets, and
+//! garbage bytes and oversized `Content-Length` claims sent through
+//! [`HttpClient::send_raw`]. It returns a [`ChaosReport`] and fails fast
 //! (with a message) on any *protocol violation* — a well-formed request
 //! answered with anything but `200`/`503`, or a malformed one answered
 //! with anything but its proper `4xx`.
 
+use crate::client::{ClientConfig, HttpClient};
 use cachetime_testkit::SplitMix64;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -398,56 +400,22 @@ pub fn grid_body(size_kib: u64, ct_ns: u32, scale: f64) -> String {
     )
 }
 
-/// One short-lived raw connection; chaos rounds intentionally leak/break
-/// these, so nothing is pooled.
-fn dial(addr: &str) -> std::io::Result<TcpStream> {
-    let s = TcpStream::connect(addr)?;
-    s.set_nodelay(true)?;
-    s.set_read_timeout(Some(Duration::from_secs(30)))?;
-    s.set_write_timeout(Some(Duration::from_secs(30)))?;
-    Ok(s)
-}
+/// Every chaos connection's read timeout: a round the server never
+/// answers fails the run instead of hanging it.
+const CHAOS_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn send_request(s: &mut TcpStream, method: &str, path: &str, body: &str) -> std::io::Result<()> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: chaos\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    s.write_all(head.as_bytes())?;
-    s.write_all(body.as_bytes())
-}
-
-/// Reads the whole `Connection: close` response and returns `(status, body)`.
-fn read_response(s: &mut TcpStream) -> std::io::Result<(u16, String)> {
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match s.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(e),
-        }
-    }
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no response head"))?;
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 head"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let body = String::from_utf8_lossy(&raw[head_end + 4..]).into_owned();
-    Ok((status, body))
-}
-
-/// One well-formed round trip on a fresh connection.
-fn roundtrip(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    let mut s = dial(addr)?;
-    send_request(&mut s, method, path, body)?;
-    read_response(&mut s)
+/// A fresh client with no retries, so each round it serves is exactly one
+/// request on its own connection; chaos rounds break connections on
+/// purpose, so nothing is pooled.
+fn chaos_client(addr: &str) -> std::io::Result<HttpClient> {
+    HttpClient::connect_with(
+        addr,
+        ClientConfig {
+            read_timeout: CHAOS_READ_TIMEOUT,
+            retries: 0,
+            ..ClientConfig::default()
+        },
+    )
 }
 
 /// Extracts `"key": "<hex>"` from a simulate response without a JSON
@@ -497,7 +465,8 @@ pub fn run_chaos_client(
         match rng.gen_range(0u32..10) {
             // 0–3: well-formed simulate (the bulk of the traffic).
             0..=3 => {
-                let (status, resp) = roundtrip(addr, "POST", "/v1/simulate", &body)
+                let (status, resp) = chaos_client(addr)
+                    .and_then(|mut c| c.post("/v1/simulate", &body))
                     .map_err(|e| format!("simulate round {round}: {e}"))?;
                 match status {
                     200 => {
@@ -523,7 +492,8 @@ pub fn run_chaos_client(
                     continue;
                 };
                 let rbody = format!(r#"{{"key": "{k}", "cycle_times_ns": [{ct_ns}]}}"#);
-                let (status, resp) = roundtrip(addr, "POST", "/v1/replay", &rbody)
+                let (status, resp) = chaos_client(addr)
+                    .and_then(|mut c| c.post("/v1/replay", &rbody))
                     .map_err(|e| format!("replay round {round}: {e}"))?;
                 match status {
                     200 => report.ok += 1,
@@ -545,7 +515,8 @@ pub fn run_chaos_client(
                 } else {
                     "/v1/stats"
                 };
-                let (status, resp) = roundtrip(addr, "GET", path, "")
+                let (status, resp) = chaos_client(addr)
+                    .and_then(|mut c| c.get(path))
                     .map_err(|e| format!("probe round {round}: {e}"))?;
                 if is_injected_panic(status, &resp) {
                     report.panicked += 1;
@@ -560,7 +531,7 @@ pub fn run_chaos_client(
             // 6: half-written head, then hang up.
             6 => {
                 report.faulted += 1;
-                if let Ok(mut s) = dial(addr) {
+                if let Ok(mut s) = TcpStream::connect(addr) {
                     let head = format!(
                         "POST /v1/simulate HTTP/1.1\r\nContent-Length: {}\r\n",
                         body.len()
@@ -574,7 +545,7 @@ pub fn run_chaos_client(
             // 7: full head, mid-body disconnect.
             7 => {
                 report.faulted += 1;
-                if let Ok(mut s) = dial(addr) {
+                if let Ok(mut s) = TcpStream::connect(addr) {
                     let head = format!(
                         "POST /v1/simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
                         body.len()
@@ -588,8 +559,11 @@ pub fn run_chaos_client(
             // response, vanish. The server's write must not wedge.
             8 => {
                 report.faulted += 1;
-                if let Ok(mut s) = dial(addr) {
-                    if send_request(&mut s, "GET", "/v1/stats", "").is_ok() {
+                if let Ok(mut s) = TcpStream::connect(addr) {
+                    let _ = s.set_read_timeout(Some(CHAOS_READ_TIMEOUT));
+                    if s.write_all(b"GET /v1/stats HTTP/1.1\r\nHost: chaos\r\n\r\n")
+                        .is_ok()
+                    {
                         let mut tiny = [0u8; 3];
                         let _ = s.read(&mut tiny);
                     }
@@ -601,28 +575,27 @@ pub fn run_chaos_client(
                 if rng.gen_bool(0.5) {
                     let mut garbage = vec![0u8; rng.gen_range(1usize..512)];
                     rng.fill(&mut garbage);
+                    garbage.extend_from_slice(b"\r\n\r\n");
                     report.faulted += 1;
-                    if let Ok(mut s) = dial(addr) {
-                        let _ = s.write_all(&garbage);
-                        let _ = s.write_all(b"\r\n\r\n");
-                        // Any answer (400/431) or a close is acceptable for
-                        // arbitrary bytes; never a hang (read timeout guards).
-                        let _ = read_response(&mut s);
+                    // Any answer (400/431) or a close is acceptable for
+                    // arbitrary bytes; never a hang (the read timeout guards).
+                    if let Ok(mut c) = chaos_client(addr) {
+                        let _ = c.send_raw(&garbage);
                     }
                 } else {
-                    let mut s = dial(addr).map_err(|e| format!("oversize round {round}: {e}"))?;
-                    let head = "POST /v1/simulate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
-                    if s.write_all(head.as_bytes()).is_ok() {
-                        match read_response(&mut s) {
-                            Ok((413, _)) => report.rejected += 1,
-                            Ok((other, resp)) => {
-                                return Err(format!(
-                                    "oversize round {round}: expected 413, got {other}: {resp}"
-                                ))
-                            }
-                            // The server may also just drop us.
-                            Err(_) => report.faulted += 1,
+                    let mut c =
+                        chaos_client(addr).map_err(|e| format!("oversize round {round}: {e}"))?;
+                    let head = b"POST /v1/simulate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
+                    match c.send_raw(head) {
+                        Ok((413, _)) => report.rejected += 1,
+                        Ok((other, resp)) => {
+                            return Err(format!(
+                                "oversize round {round}: expected 413, got {other}: {}",
+                                String::from_utf8_lossy(&resp)
+                            ))
                         }
+                        // The server may also just drop us.
+                        Err(_) => report.faulted += 1,
                     }
                 }
             }

@@ -1019,43 +1019,18 @@ fn encode_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
         None => String::new(),
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    if let Some(chunks) = &resp.chunks {
-        // Chunked transfer: each application chunk becomes one HTTP chunk
-        // (hex length + CRLF framing), closed by the zero-length chunk.
-        // The body is never concatenated into a single string.
-        let head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\n{}Connection: {}\r\n\r\n",
-            resp.status, reason, resp.content_type, retry_after, connection,
-        );
-        let payload: usize = chunks.iter().map(|c| c.len() + 16).sum();
-        let mut out = Vec::with_capacity(head.len() + payload + 8);
-        out.extend_from_slice(head.as_bytes());
-        for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-            out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-            out.extend_from_slice(chunk.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"0\r\n\r\n");
-        return out;
-    }
-    // Raw binary bodies (segment transfers) and text bodies share the
-    // Content-Length framing; only the byte source differs.
-    let payload: &[u8] = match &resp.raw {
-        Some(bytes) => bytes,
-        None => resp.body.as_bytes(),
-    };
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n",
         resp.status,
         reason,
         resp.content_type,
-        payload.len(),
+        resp.body.len(),
         retry_after,
         connection,
     );
-    let mut out = Vec::with_capacity(head.len() + payload.len());
+    let mut out = Vec::with_capacity(head.len() + resp.body.len());
     out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&resp.body);
     out
 }
 
@@ -1204,24 +1179,6 @@ mod tests {
         assert!(reqs[0].body.is_empty());
         assert!(reqs[0].deadline_ms.is_none());
         assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn chunked_responses_frame_each_chunk_and_terminate() {
-        let resp = Response {
-            chunks: Some(vec!["{\"a\":".into(), "1}".into()]),
-            body: String::new(),
-            ..Response::error(200, "")
-        };
-        let bytes = encode_response(&resp, true);
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"), "{text}");
-        assert!(!text.contains("Content-Length"), "{text}");
-        // 5-byte and 2-byte chunks, then the zero terminator.
-        assert!(
-            text.ends_with("5\r\n{\"a\":\r\n2\r\n1}\r\n0\r\n\r\n"),
-            "{text}"
-        );
     }
 
     #[test]
@@ -1424,5 +1381,19 @@ mod tests {
         let text = String::from_utf8(encode_response(&ok, true)).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_multi_kilobyte_body_is_framed_by_content_length() {
+        let resp = Response {
+            body: vec![b'x'; 40 * 1024],
+            ..Response::error(200, "")
+        };
+        let bytes = encode_response(&resp, true);
+        let head_end = find_head_end(&bytes).expect("a complete head");
+        let head = std::str::from_utf8(&bytes[..head_end]).unwrap();
+        assert!(head.contains("Content-Length: 40960\r\n"), "{head}");
+        assert!(!head.contains("Transfer-Encoding"), "{head}");
+        assert_eq!(&bytes[head_end + 4..], &resp.body[..]);
     }
 }

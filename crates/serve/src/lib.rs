@@ -28,11 +28,15 @@
 //! |---|---|---|
 //! | `POST /v1/traces` | raw trace text (din/ChampSim/lackey; chunked upload supported) | content digest + representative-interval selection |
 //! | `POST /v1/simulate` | `{"config": {...}, "trace": {"name": "mu3"}}` — or `{"trace": {"upload": "<digest>"}}` | full `SimResult` + the pairing's key |
-//! | `POST /v1/replay` | `{"key": "<hex>", "cycle_times_ns": [20, ...]}` | one `SimResult` per timing point |
+//! | `POST /v1/replay` | `{"key": "<hex>", "cycle_times_ns": [20, ...]}` — at most [`MAX_REPLAY_POINTS`] points | one `SimResult` per timing point |
 //! | `GET /v1/stats` | — | store hits/misses/evictions, in-flight, per-endpoint latency |
 //! | `GET /v1/metrics` | — | the same counters as Prometheus text exposition |
 //! | `GET /healthz` | — | `{"status": "ok"}` |
 //! | `POST /v1/shutdown` | — | acknowledges, then stops the server |
+//!
+//! Requests may be framed by `Content-Length` or (uploads)
+//! `Transfer-Encoding: chunked`; every answer is one body framed by
+//! `Content-Length`.
 //!
 //! ```no_run
 //! let handle = cachetime_serve::serve(cachetime_serve::ServerConfig {
@@ -93,19 +97,10 @@ pub const CONTENT_TYPE_OCTET: &str = "application/octet-stream";
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Response body (JSON everywhere except `/v1/metrics`). Empty when
-    /// [`chunks`](Self::chunks) carries the body instead.
-    pub body: String,
-    /// A pre-split body for `Transfer-Encoding: chunked` transport: each
-    /// element becomes one HTTP chunk. `Some` only on `/v1/replay`, whose
-    /// per-point results can be framed as they come instead of first
-    /// concatenating one monolithic JSON string. Concatenated, the chunks
-    /// are exactly the JSON that `body` would have held.
-    pub chunks: Option<Vec<String>>,
-    /// A raw binary body (`Some` only on `GET /v1/segments/<key>`, whose
-    /// sealed segment container is not UTF-8). Takes precedence over
-    /// `body`/`chunks` at the transport.
-    pub raw: Option<Vec<u8>>,
+    /// Response body: JSON everywhere except `/v1/metrics` (Prometheus
+    /// text) and `GET /v1/segments/<key>` (a sealed segment container).
+    /// The transport frames it with `Content-Length`.
+    pub body: Vec<u8>,
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Whether the server should stop after sending this response.
@@ -118,6 +113,12 @@ pub struct Response {
 /// 1.1 KB with no level below L1), so writing one rarely reallocates.
 const RESULT_JSON_CAPACITY: usize = 2048;
 
+/// The most timing points one `/v1/replay` may ask for. Each point costs
+/// about 1 KB of answer for a few bytes of request, so without a cap a
+/// body under the 8 MiB request limit could demand a multi-gigabyte
+/// answer. The paper's whole cycle-time axis is 16 points.
+pub const MAX_REPLAY_POINTS: usize = 1024;
+
 impl Response {
     fn ok(v: Json) -> Self {
         Response::ok_json(v.to_string())
@@ -125,53 +126,15 @@ impl Response {
 
     /// A `200` whose body is JSON already written as text.
     fn ok_json(body: String) -> Self {
+        Response::ok_bytes(body.into_bytes(), CONTENT_TYPE_JSON)
+    }
+
+    /// A `200` with the given body and `Content-Type`.
+    fn ok_bytes(body: Vec<u8>, content_type: &'static str) -> Self {
         Response {
             status: 200,
             body,
-            chunks: None,
-            raw: None,
-            content_type: CONTENT_TYPE_JSON,
-            shutdown: false,
-            retry_after: None,
-        }
-    }
-
-    /// A `200` with a raw binary body (a sealed segment container).
-    fn ok_bytes(bytes: Vec<u8>) -> Self {
-        Response {
-            status: 200,
-            body: String::new(),
-            chunks: None,
-            raw: Some(bytes),
-            content_type: CONTENT_TYPE_OCTET,
-            shutdown: false,
-            retry_after: None,
-        }
-    }
-
-    /// A `200` whose body ships as `Transfer-Encoding: chunked`, one HTTP
-    /// chunk per element. Empty elements are dropped (an empty chunk would
-    /// terminate the chunked stream early).
-    fn ok_chunked(chunks: Vec<String>) -> Self {
-        Response {
-            status: 200,
-            body: String::new(),
-            chunks: Some(chunks.into_iter().filter(|c| !c.is_empty()).collect()),
-            raw: None,
-            content_type: CONTENT_TYPE_JSON,
-            shutdown: false,
-            retry_after: None,
-        }
-    }
-
-    /// A `200` with a plain-text body (the metrics exposition).
-    fn ok_text(body: String) -> Self {
-        Response {
-            status: 200,
-            body,
-            chunks: None,
-            raw: None,
-            content_type: CONTENT_TYPE_PROMETHEUS,
+            content_type,
             shutdown: false,
             retry_after: None,
         }
@@ -181,33 +144,15 @@ impl Response {
     pub fn error(status: u16, msg: &str) -> Self {
         Response {
             status,
-            body: json_object([("error", Json::Str(msg.into()))]).to_string(),
-            chunks: None,
-            raw: None,
-            content_type: CONTENT_TYPE_JSON,
-            shutdown: false,
-            retry_after: None,
+            ..Response::ok(json_object([("error", Json::Str(msg.into()))]))
         }
     }
 
-    /// The complete body, whichever representation holds it: `body`
-    /// itself, or the chunk sequence concatenated. In-process callers
-    /// (tests, the bench harness) use this; the HTTP layer writes the
-    /// chunked framing without ever building this string.
-    pub fn body_text(&self) -> String {
-        match &self.chunks {
-            Some(chunks) => chunks.concat(),
-            None => self.body.clone(),
-        }
-    }
-
-    /// The complete body as bytes, whichever representation holds it —
-    /// the raw binary payload when present, the text body otherwise.
-    pub fn body_bytes(&self) -> Vec<u8> {
-        match &self.raw {
-            Some(bytes) => bytes.clone(),
-            None => self.body_text().into_bytes(),
-        }
+    /// The body as text, for in-process callers (tests, the bench
+    /// harness); invalid UTF-8 is replaced, which only a segment body
+    /// holds.
+    pub fn body_text(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
     }
 
     /// A `503` carrying `Retry-After` — the load-shedding answer.
@@ -580,9 +525,12 @@ impl App {
             ("GET", "/v1/metrics") => {
                 self.stats.degraded.set(self.is_degraded() as i64);
                 match metrics_family_filter(req.query.as_deref()) {
-                    Ok(prefix) => {
-                        Response::ok_text(self.registry.render_prometheus_filtered(prefix))
-                    }
+                    Ok(prefix) => Response::ok_bytes(
+                        self.registry
+                            .render_prometheus_filtered(prefix)
+                            .into_bytes(),
+                        CONTENT_TYPE_PROMETHEUS,
+                    ),
                     Err(msg) => Response::error(400, msg),
                 }
             }
@@ -661,7 +609,7 @@ impl App {
             return Response::error(404, "this server has no durable store");
         };
         match disk.read_sealed(key) {
-            Some(bytes) => Response::ok_bytes(bytes),
+            Some(bytes) => Response::ok_bytes(bytes, CONTENT_TYPE_OCTET),
             None => Response::error(404, "no such segment"),
         }
     }
@@ -1160,6 +1108,15 @@ fn decode_replay(body: &[u8]) -> Result<(u64, Vec<TimingConfig>), Response> {
             ))
         }
     };
+    if cts.len() > MAX_REPLAY_POINTS {
+        return Err(Response::error(
+            400,
+            &format!(
+                "cycle_times_ns has {} points; MAX_REPLAY_POINTS allows at most {MAX_REPLAY_POINTS} per request",
+                cts.len()
+            ),
+        ));
+    }
     // The timing base the axis perturbs: defaults to the paper's, or the
     // request's `timing` object (same schema as `config`; its
     // organization half is ignored — the key names the organization).
@@ -1267,30 +1224,21 @@ fn fetch_segment(
 
 /// The `/v1/replay` answer: `events` replayed at every timing point, or
 /// the `400` for an axis the recording cannot be replayed under.
-///
-/// A success is a chunk sequence: one chunk of envelope prefix, one per
-/// `SimResult` (with its separating comma), one closing chunk.
-/// Concatenated, the chunks are byte-identical to the monolithic
-/// `{"key":...,"results":[...]}` object this endpoint used to build — but
-/// a long cycle-time axis is framed result-by-result instead of first
-/// assembling the full body string.
 fn replay_response(key: u64, events: &EventTrace, timings: &[TimingConfig]) -> Response {
     let results = match keyed::replay_timings(events, timings) {
         Ok(results) => results,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    let mut chunks = Vec::with_capacity(results.len() + 2);
-    chunks.push(format!("{{\"key\":\"{}\",\"results\":[", api::key_hex(key)));
+    let mut body = String::with_capacity(64 + results.len() * RESULT_JSON_CAPACITY);
+    let _ = write!(body, "{{\"key\":\"{}\",\"results\":[", api::key_hex(key));
     for (i, r) in results.iter().enumerate() {
-        let mut chunk = String::with_capacity(RESULT_JSON_CAPACITY);
         if i > 0 {
-            chunk.push(',');
+            body.push(',');
         }
-        api::write_sim_result(r, &mut chunk);
-        chunks.push(chunk);
+        api::write_sim_result(r, &mut body);
     }
-    chunks.push("]}".into());
-    Response::ok_chunked(chunks)
+    body.push_str("]}");
+    Response::ok_json(body)
 }
 
 /// Resolves the `/v1/metrics` query into a family-name prefix: no query
@@ -1359,7 +1307,7 @@ mod tests {
         let app = App::new(usize::MAX);
         let body = r#"{"trace": {"name": "mu3", "scale": 0.005}}"#;
         let first = app.handle(&req("POST", "/v1/simulate", body));
-        assert_eq!(first.status, 200, "{}", first.body);
+        assert_eq!(first.status, 200, "{}", first.body_text());
         let first = parse(&first);
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
         let key = first.get("key").and_then(Json::as_str).unwrap().to_string();
@@ -1372,7 +1320,7 @@ mod tests {
         // simulate result bit-for-bit.
         let replay_body = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 20]}}"#);
         let r = app.handle(&req("POST", "/v1/replay", &replay_body));
-        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.status, 200, "{}", r.body_text());
         let r = parse(&r);
         let results = r.get("results").and_then(Json::as_array).unwrap();
         assert_eq!(results.len(), 2);
@@ -1401,13 +1349,44 @@ mod tests {
             r#"{"trace": {"name": "mu3"}, "config": {"cycle_time_ns": 0}}"#,
         ] {
             let r = app.handle(&req("POST", "/v1/simulate", body));
-            assert_eq!(r.status, 400, "body {body:?} -> {}", r.body);
+            assert_eq!(r.status, 400, "body {body:?} -> {}", r.body_text());
             assert!(parse(&r).get("error").is_some());
         }
         let r = app.handle(&req("POST", "/v1/replay", r#"{"cycle_times_ns": [40]}"#));
         assert_eq!(r.status, 400);
         let r = app.handle(&req("POST", "/v1/replay", r#"{"key": "ff"}"#));
         assert_eq!(r.status, 400);
+
+        // The replay axis is capped: MAX_REPLAY_POINTS points are priced,
+        // one more is refused with a message naming the cap.
+        let sim = app.handle(&req(
+            "POST",
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.002}}"#,
+        ));
+        let key = parse(&sim)
+            .get("key")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        let axis = |points: usize| {
+            let cts = vec!["20"; points].join(",");
+            format!(r#"{{"key": "{key}", "cycle_times_ns": [{cts}]}}"#)
+        };
+        let r = app.handle(&req("POST", "/v1/replay", &axis(MAX_REPLAY_POINTS)));
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        let results = parse(&r)
+            .get("results")
+            .and_then(Json::as_array)
+            .map(|a| a.len());
+        assert_eq!(results, Some(MAX_REPLAY_POINTS));
+        let r = app.handle(&req("POST", "/v1/replay", &axis(MAX_REPLAY_POINTS + 1)));
+        assert_eq!(r.status, 400);
+        assert!(
+            r.body_text().contains("MAX_REPLAY_POINTS"),
+            "{}",
+            r.body_text()
+        );
     }
 
     #[test]
@@ -1492,7 +1471,7 @@ mod tests {
             &format!("warm={warm}"),
             body.clone(),
         ));
-        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.status, 200, "{}", r.body_text());
         let up = parse(&r);
         assert_eq!(up.get("format").and_then(Json::as_str), Some("din"));
         assert_eq!(
@@ -1518,7 +1497,7 @@ mod tests {
         // Simulate by digest: bit-identical to a direct Simulator run.
         let sim_body = format!(r#"{{"trace": {{"upload": "{digest}"}}}}"#);
         let first = app.handle(&req("POST", "/v1/simulate", &sim_body));
-        assert_eq!(first.status, 200, "{}", first.body);
+        assert_eq!(first.status, 200, "{}", first.body_text());
         let first = parse(&first);
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
         let config = cachetime::SystemConfig::paper_default().unwrap();
@@ -1540,7 +1519,7 @@ mod tests {
             "/v1/simulate",
             r#"{"trace": {"upload": "00000000deadbeef"}}"#,
         ));
-        assert_eq!(r.status, 404, "{}", r.body);
+        assert_eq!(r.status, 404, "{}", r.body_text());
         let r = app.handle(&req(
             "POST",
             "/v1/simulate",
@@ -1559,7 +1538,7 @@ mod tests {
             ("warm=soon", b"0 1000\n"),
         ] {
             let r = app.handle(&req_q("POST", "/v1/traces", query, body.to_vec()));
-            assert_eq!(r.status, 400, "query={query:?}: {}", r.body);
+            assert_eq!(r.status, 400, "query={query:?}: {}", r.body_text());
         }
         assert_eq!(app.ingest_stats.rejected.get(), 4);
         assert_eq!(app.ingest_stats.uploads.get(), 0);

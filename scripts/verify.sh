@@ -43,10 +43,11 @@
 # 6. Server smoke test: start `ctserve` on an ephemeral port, drive
 #    simulate + replay + stats through `cachetime-bench serve-check`
 #    (which asserts the responses are bit-identical to a direct
-#    Simulator::run, and that the raw result bytes of the simulate body
-#    and of the first replay result are exactly
-#    `sim_result_to_json(..).to_string()`: the server writes them with
-#    no `Json` tree), then shut it down cleanly. The property
+#    Simulator::run, that the raw result bytes of the simulate body are
+#    exactly `sim_result_to_json(..).to_string()`, and that the whole raw
+#    replay body is exactly the `{"key":...,"results":[...]}` envelope
+#    around each point's `sim_result_to_json(..).to_string()`: the server
+#    writes them with no `Json` tree), then shut it down cleanly. The property
 #    `writer_matches_the_tree_byte_for_byte`, which pins the writer to
 #    the tree over generated results, runs by name first.
 # 7. Ingestion leg: against the same smoke-test server, `cachetime-bench
@@ -121,6 +122,25 @@ filtered_test() {
     || { echo "no test matched: cargo test $*"; return 1; }
 }
 
+# Waits up to 10 s for a ctserve started in the background to write its
+# port file (its presence means "listening"); fails at once if process
+# PID dies first. NAME (default "ctserve") labels the failure messages.
+wait_for_port_file() { # FILE PID [NAME]
+  local file="$1" pid="$2" name="${3:-ctserve}"
+  for _ in $(seq 1 100); do
+    [ -s "$file" ] && return 0
+    kill -0 "$pid" 2>/dev/null || { echo "$name died on startup"; exit 1; }
+    sleep 0.1
+  done
+  [ -s "$file" ] || { echo "$name never wrote its port file"; exit 1; }
+}
+
+# Asks the ctserve listening on PORT to stop; the caller waits for it.
+shutdown_ctserve() { # PORT
+  printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
+    > "/dev/tcp/127.0.0.1/$1"
+}
+
 echo "==> pricing cross-check (timing oracle; stored vs streamed pricing)"
 cargo test --release -q -p cachetime --test reference_engine --test two_phase \
   --test two_phase_prop --test replay_classes_prop --test replay_lanes_prop
@@ -149,12 +169,7 @@ cleanup_serve() {
   rm -rf "$SMOKE_DATA_DIR"
 }
 trap cleanup_serve EXIT
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { echo "ctserve died on startup"; exit 1; }
-  sleep 0.1
-done
-[ -s "$PORT_FILE" ] || { echo "ctserve never wrote its port file"; exit 1; }
+wait_for_port_file "$PORT_FILE" "$SERVE_PID"
 SERVE_PORT="$(cat "$PORT_FILE")"
 ./target/release/cachetime-bench serve-check "127.0.0.1:$SERVE_PORT"
 
@@ -210,8 +225,7 @@ fi
 echo "all required metric families present"
 
 # Ask the server to stop and require a clean, prompt exit.
-printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-  > "/dev/tcp/127.0.0.1/$SERVE_PORT"
+shutdown_ctserve "$SERVE_PORT"
 wait "$SERVE_PID"
 trap - EXIT
 rm -f "$PORT_FILE"
@@ -225,17 +239,11 @@ rm -f "$PORT_FILE"
   --max-queue 64 --max-inflight-recordings 2 --request-deadline-ms 5000 &
 SERVE_PID=$!
 trap cleanup_serve EXIT
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { echo "ctserve died on startup"; exit 1; }
-  sleep 0.1
-done
-[ -s "$PORT_FILE" ] || { echo "ctserve never wrote its port file"; exit 1; }
+wait_for_port_file "$PORT_FILE" "$SERVE_PID"
 SERVE_PORT="$(cat "$PORT_FILE")"
 # 3315621613 == 0xC5A05EED, the same fixed seed the chaos tests use.
 ./target/release/cachetime-bench serve-chaos "127.0.0.1:$SERVE_PORT" "${CHAOS_SEED:-3315621613}"
-printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-  > "/dev/tcp/127.0.0.1/$SERVE_PORT"
+shutdown_ctserve "$SERVE_PORT"
 wait "$SERVE_PID"
 trap - EXIT
 rm -f "$PORT_FILE"
@@ -253,12 +261,7 @@ cleanup_restart() {
   rm -rf "$DATA_DIR"
 }
 trap cleanup_restart EXIT
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { echo "ctserve died on startup"; exit 1; }
-  sleep 0.1
-done
-[ -s "$PORT_FILE" ] || { echo "ctserve never wrote its port file"; exit 1; }
+wait_for_port_file "$PORT_FILE" "$SERVE_PID"
 SERVE_PORT="$(cat "$PORT_FILE")"
 # Record a small grid of distinct pairings (each spills a segment).
 for SCALE in 0.004 0.005 0.006 0.007 0.008; do
@@ -272,12 +275,7 @@ rm -f "$PORT_FILE"
 # Reboot on the same directory.
 ./target/release/ctserve --addr 127.0.0.1:0 --port-file "$PORT_FILE" --data-dir "$DATA_DIR" &
 SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { echo "rebooted ctserve died on startup"; exit 1; }
-  sleep 0.1
-done
-[ -s "$PORT_FILE" ] || { echo "rebooted ctserve never wrote its port file"; exit 1; }
+wait_for_port_file "$PORT_FILE" "$SERVE_PID" "rebooted ctserve"
 SERVE_PORT="$(cat "$PORT_FILE")"
 # Re-ask the same grid: every answer must be a store hit.
 for SCALE in 0.004 0.005 0.006 0.007 0.008; do
@@ -294,8 +292,7 @@ grep -q '"recovered":5' <<<"$STATS" \
 # Bit-identity against an in-process Simulator::run (serve-check replays
 # the 0.005 pairing, which is part of the recovered grid).
 ./target/release/cachetime-bench serve-check "127.0.0.1:$SERVE_PORT"
-printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-  > "/dev/tcp/127.0.0.1/$SERVE_PORT"
+shutdown_ctserve "$SERVE_PORT"
 wait "$SERVE_PID"
 trap - EXIT
 rm -f "$PORT_FILE"
@@ -316,17 +313,12 @@ cleanup_fleet() {
   rm -rf "$FLEET_DIR_A" "$FLEET_DIR_B"
 }
 trap cleanup_fleet EXIT
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE_A" ] && [ -s "$PORT_FILE_B" ] && break
-  sleep 0.1
-done
-[ -s "$PORT_FILE_A" ] && [ -s "$PORT_FILE_B" ] \
-  || { echo "a fleet shard never wrote its port file"; exit 1; }
+wait_for_port_file "$PORT_FILE_A" "$FLEET_PID_A" "a fleet shard"
+wait_for_port_file "$PORT_FILE_B" "$FLEET_PID_B" "a fleet shard"
 ./target/release/cachetime-bench serve-check \
   "127.0.0.1:$(cat "$PORT_FILE_A"),127.0.0.1:$(cat "$PORT_FILE_B")"
 for PORT_FILE_X in "$PORT_FILE_A" "$PORT_FILE_B"; do
-  printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-    > "/dev/tcp/127.0.0.1/$(cat "$PORT_FILE_X")"
+  shutdown_ctserve "$(cat "$PORT_FILE_X")"
 done
 wait "$FLEET_PID_A" "$FLEET_PID_B"
 trap - EXIT
@@ -346,17 +338,12 @@ for i in 0 1 2; do
   ./target/release/ctserve --addr 127.0.0.1:0 --port-file "$PF" &
   RES_PIDS+=($!); RES_FILES+=("$PF")
 done
-for PF in "${RES_FILES[@]}"; do
-  for _ in $(seq 1 100); do
-    [ -s "$PF" ] && break
-    sleep 0.1
-  done
-  [ -s "$PF" ] || { echo "a port-reserving ctserve never came up"; exit 1; }
-  RES_PORTS+=("$(cat "$PF")")
+for i in 0 1 2; do
+  wait_for_port_file "${RES_FILES[$i]}" "${RES_PIDS[$i]}" "a port-reserving ctserve"
+  RES_PORTS+=("$(cat "${RES_FILES[$i]}")")
 done
 for PORT in "${RES_PORTS[@]}"; do
-  printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-    > "/dev/tcp/127.0.0.1/$PORT"
+  shutdown_ctserve "$PORT"
 done
 wait "${RES_PIDS[@]}"
 rm -f "${RES_FILES[@]}"
@@ -375,12 +362,7 @@ start_drill_shard() { # $1 = shard index; uses (and may recreate) its dir
   ./target/release/ctserve --addr "127.0.0.1:$PORT" --port-file "$PF" \
     --data-dir "${DRILL_DIRS[$1]}" --peers "$PEERS" --replication 2 &
   DRILL_PIDS[$1]=$!
-  for _ in $(seq 1 100); do
-    [ -s "$PF" ] && break
-    kill -0 "${DRILL_PIDS[$1]}" 2>/dev/null || { echo "drill shard $1 died on startup"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$PF" ] || { echo "drill shard $1 never wrote its port file"; exit 1; }
+  wait_for_port_file "$PF" "${DRILL_PIDS[$1]}" "drill shard $1"
   rm -f "$PF"
 }
 for i in 0 1 2; do
@@ -403,8 +385,7 @@ start_drill_shard "$VICTIM"
 curl -fsS -X POST "http://127.0.0.1:${RES_PORTS[$VICTIM]}/v1/rebalance" >/dev/null
 ./target/release/cachetime-bench fleet-drill "$PEERS" after-rejoin "$VICTIM"
 for PORT in "${RES_PORTS[@]}"; do
-  printf 'POST /v1/shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
-    > "/dev/tcp/127.0.0.1/$PORT"
+  shutdown_ctserve "$PORT"
 done
 wait "${DRILL_PIDS[@]}" 2>/dev/null || true
 trap - EXIT
