@@ -854,13 +854,11 @@ impl App {
         let refs = trace.len() as u64;
         let warm_start = trace.warm_start() as u64;
         let (profile, selection) = upload::select_intervals(&trace, window, picks);
-        let bytes = upload::trace_bytes(&trace);
         let inserted = self.uploads.insert(upload::UploadedTrace {
             digest,
             trace: Arc::new(trace),
             format,
             truncated,
-            bytes,
         });
         self.ingest_stats.uploads.inc();
         if !inserted.fresh {

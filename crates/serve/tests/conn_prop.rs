@@ -16,7 +16,7 @@
 //! On the hermetic testkit runner (`TESTKIT_SEED=… cargo test` reproduces
 //! any failure).
 
-use cachetime_serve::conn::{Connection, ReadEvent, WriteEvent};
+use cachetime_serve::conn::{Connection, ReadEvent, WriteEvent, READ_CHUNK};
 use cachetime_testkit::{check, prop_assert, prop_assert_eq, shrink, SplitMix64};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -129,15 +129,18 @@ struct ReqSpec {
     doa: bool,
     /// `Connection: close` — the response closes the connection.
     close: bool,
+    /// Send the body `Transfer-Encoding: chunked`, in chunks of these
+    /// sizes (they sum to its length), instead of `Content-Length`.
+    chunks: Option<Vec<usize>>,
 }
 
 impl ReqSpec {
     fn to_bytes(&self) -> Vec<u8> {
-        let mut head = format!(
-            "POST {} HTTP/1.1\r\nContent-Length: {}\r\n",
-            self.path,
-            self.body.len()
-        );
+        let mut head = format!("POST {} HTTP/1.1\r\n", self.path);
+        match self.chunks {
+            Some(_) => head.push_str("Transfer-Encoding: chunked\r\n"),
+            None => head.push_str(&format!("Content-Length: {}\r\n", self.body.len())),
+        }
         if self.doa {
             head.push_str("X-Deadline-Ms: 0\r\n");
         }
@@ -146,9 +149,33 @@ impl ReqSpec {
         }
         head.push_str("\r\n");
         let mut out = head.into_bytes();
-        out.extend_from_slice(&self.body);
+        let Some(chunks) = &self.chunks else {
+            out.extend_from_slice(&self.body);
+            return out;
+        };
+        let mut rest = &self.body[..];
+        for &len in chunks {
+            let (chunk, tail) = rest.split_at(len);
+            out.extend_from_slice(format!("{len:x}\r\n").as_bytes());
+            out.extend_from_slice(chunk);
+            out.extend_from_slice(b"\r\n");
+            rest = tail;
+        }
+        out.extend_from_slice(b"0\r\n\r\n");
         out
     }
+}
+
+/// Cuts `len` bytes into random nonempty chunk sizes.
+fn gen_chunks(rng: &mut SplitMix64, len: usize) -> Vec<usize> {
+    let mut chunks = Vec::new();
+    let mut left = len;
+    while left > 0 {
+        let take = rng.gen_range(1usize..24).min(left);
+        chunks.push(take);
+        left -= take;
+    }
+    chunks
 }
 
 /// A full scenario: requests, how their byte stream is chopped and
@@ -173,11 +200,13 @@ fn gen_plan(rng: &mut SplitMix64) -> Plan {
             for b in &mut body {
                 *b = rng.gen_range(0x20u64..0x7f) as u8;
             }
+            let chunks = rng.gen_bool(0.3).then(|| gen_chunks(rng, body_len));
             ReqSpec {
                 path: format!("/req/{i}"),
                 body,
                 doa: !clean && rng.gen_bool(0.15),
                 close: if clean { false } else { rng.gen_bool(0.2) },
+                chunks,
             }
         })
         .collect();
@@ -247,13 +276,14 @@ type Driven = (Outcome, Vec<(String, Vec<u8>)>, Vec<Vec<u8>>);
 fn drive(conn: &mut Connection<FakeSock>, expected: &[ReqSpec]) -> Result<Driven, String> {
     let mut seen: Vec<(String, Vec<u8>)> = Vec::new();
     let mut queued: Vec<Vec<u8>> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
     for _step in 0..100_000 {
         if conn.is_closed() {
             return Ok((Outcome::Closed, seen, queued));
         }
         if conn.is_writing() {
             // Spurious read-readiness while writing must be a no-op.
-            if !matches!(conn.on_readable(), ReadEvent::NotReading) {
+            if !matches!(conn.on_readable(&mut scratch), ReadEvent::NotReading) {
                 return Err("on_readable while Writing must be NotReading".into());
             }
             match conn.on_writable(Instant::now()) {
@@ -271,14 +301,14 @@ fn drive(conn: &mut Connection<FakeSock>, expected: &[ReqSpec]) -> Result<Driven
         if !matches!(conn.on_writable(Instant::now()), WriteEvent::NotWriting) {
             return Err("on_writable while Reading must be NotWriting".into());
         }
-        match conn.on_readable() {
+        match conn.on_readable(&mut scratch) {
             ReadEvent::Request(req) => {
                 // Exercise the Dispatched parking state the real loop uses
                 // while a handler owns the request.
                 if !conn.is_dispatched() {
                     return Err("a parsed request must leave the machine Dispatched".into());
                 }
-                if !matches!(conn.on_readable(), ReadEvent::NotReading) {
+                if !matches!(conn.on_readable(&mut scratch), ReadEvent::NotReading) {
                     return Err("on_readable while Dispatched must be NotReading".into());
                 }
                 seen.push((req.path.clone(), req.body.clone()));
@@ -370,6 +400,7 @@ fn a_doa_request_is_answered_408_and_closed() {
         body: b"xx".to_vec(),
         doa: true,
         close: false,
+        chunks: None,
     };
     let sock = FakeSock::new(vec![ReadStep::Chunk(spec.to_bytes())], Vec::new());
     let mut conn = Connection::new(sock);
@@ -396,4 +427,57 @@ fn begin_response_while_writing_is_a_loud_bug() {
         second.is_err(),
         "double answer must panic at the source, not corrupt the wire"
     );
+}
+
+/// A transport that always has data: every `read` fills the whole buffer
+/// from the stream, then from endless filler, and counts itself.
+struct Firehose {
+    stream: Vec<u8>,
+    pos: usize,
+    reads: usize,
+}
+
+impl Read for Firehose {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        for b in buf.iter_mut() {
+            *b = self.stream.get(self.pos).copied().unwrap_or(b'x');
+            self.pos += 1;
+        }
+        Ok(buf.len())
+    }
+}
+
+impl Write for Firehose {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_mebibyte_chunked_body_frames_in_seventeen_reads() {
+    let body: Vec<u8> = (0..1usize << 20).map(|i| b"0 1a2b3c\n"[i % 9]).collect();
+    let spec = ReqSpec {
+        path: "/v1/traces".into(),
+        body: body.clone(),
+        doa: false,
+        close: false,
+        chunks: Some(vec![256 << 10; 4]),
+    };
+    let mut conn = Connection::new(Firehose {
+        stream: spec.to_bytes(),
+        pos: 0,
+        reads: 0,
+    });
+    let mut scratch = vec![0u8; READ_CHUNK];
+    match conn.on_readable(&mut scratch) {
+        ReadEvent::Request(req) => assert!(req.body == body, "the body frames intact"),
+        other => panic!("expected the upload, got {other:?}"),
+    }
+    let reads = conn.transport().reads;
+    assert!(reads <= 17, "{reads} reads for a 1 MiB body");
 }

@@ -57,15 +57,13 @@ impl ProbeCache {
         }
     }
 
-    /// Returns `true` on a miss (and installs the block).
-    fn probe(&mut self, r: MemRef) -> bool {
-        // Tag on (block, pid) so multiprogrammed uploads conflict the way
-        // the virtual caches in the simulator do.
-        let block = r.addr.block(PROBE_BLOCK_WORDS as u32).value();
-        let tag = (block << 16) | u64::from(r.pid.0);
-        let set = (block & self.mask) as usize;
-        let miss = self.tags[set] != tag;
-        self.tags[set] = tag;
+    /// Probes the set of `block` for `tag`: 1 on a miss (which installs
+    /// the tag), 0 on a hit.
+    #[inline]
+    fn probe(&mut self, block: u64, tag: u64) -> u64 {
+        let set = &mut self.tags[(block & self.mask) as usize];
+        let miss = u64::from(*set != tag);
+        *set = tag;
         miss
     }
 }
@@ -111,8 +109,8 @@ pub struct IntervalProfiler {
     // Accumulators for the window being filled.
     cur_len: usize,
     cur_miss: [u64; 3],
-    cur_ifetch: u64,
-    cur_store: u64,
+    /// References by kind, indexed by `AccessKind as usize`.
+    cur_kinds: [u64; 3],
     total_refs: usize,
 }
 
@@ -130,22 +128,24 @@ impl IntervalProfiler {
             windows: Vec::new(),
             cur_len: 0,
             cur_miss: [0; 3],
-            cur_ifetch: 0,
-            cur_store: 0,
+            cur_kinds: [0; 3],
             total_refs: 0,
         }
     }
 
-    /// Feeds one reference.
+    /// Feeds one reference. Branch-free but for the window's end: the
+    /// probes run as one loop and the kinds are counted by index, since a
+    /// trace's kinds follow no pattern a branch predictor could learn.
+    #[inline]
     pub fn push(&mut self, r: MemRef) {
-        for (i, p) in self.probes.iter_mut().enumerate() {
-            self.cur_miss[i] += u64::from(p.probe(r));
+        // Tag on (block, pid) so multiprogrammed uploads conflict the way
+        // the virtual caches in the simulator do.
+        let block = r.addr.block(PROBE_BLOCK_WORDS as u32).value();
+        let tag = (block << 16) | u64::from(r.pid.0);
+        for (probe, misses) in self.probes.iter_mut().zip(&mut self.cur_miss) {
+            *misses += probe.probe(block, tag);
         }
-        match r.kind {
-            AccessKind::IFetch => self.cur_ifetch += 1,
-            AccessKind::Store => self.cur_store += 1,
-            AccessKind::Load => {}
-        }
+        self.cur_kinds[r.kind as usize] += 1;
         self.cur_len += 1;
         self.total_refs += 1;
         if self.cur_len == self.window_refs {
@@ -167,13 +167,12 @@ impl IntervalProfiler {
                 self.cur_miss[1] as f64 / n,
                 self.cur_miss[2] as f64 / n,
             ],
-            ifetch_frac: self.cur_ifetch as f64 / n,
-            store_frac: self.cur_store as f64 / n,
+            ifetch_frac: self.cur_kinds[AccessKind::IFetch as usize] as f64 / n,
+            store_frac: self.cur_kinds[AccessKind::Store as usize] as f64 / n,
         });
         self.cur_len = 0;
         self.cur_miss = [0; 3];
-        self.cur_ifetch = 0;
-        self.cur_store = 0;
+        self.cur_kinds = [0; 3];
     }
 
     /// Seals any partial final window and returns the profile.

@@ -25,7 +25,7 @@
 //! which drops the sub-word bits and counts how many lines were affected
 //! so callers can surface the loss instead of hiding it.
 
-use crate::lines::{self, LineReader, LineRefs};
+use crate::lines::{Dialect, Grammar, LineRefs, RefReader};
 use crate::trace::Trace;
 use cachetime_types::{AccessKind, MemRef, Pid, WordAddr, BYTES_PER_WORD};
 use std::error::Error;
@@ -191,10 +191,7 @@ pub fn write_din<W: Write>(mut writer: W, refs: &[MemRef]) -> io::Result<()> {
 /// ```
 #[derive(Debug)]
 pub struct DinIter<R> {
-    lines: LineReader<R>,
-    alignment: Alignment,
-    truncated: u64,
-    done: bool,
+    refs: RefReader<R, Alignment>,
 }
 
 impl<R: BufRead> DinIter<R> {
@@ -207,54 +204,43 @@ impl<R: BufRead> DinIter<R> {
     /// Wraps a buffered reader with an explicit sub-word address policy.
     pub fn with_alignment(reader: R, alignment: Alignment) -> Self {
         DinIter {
-            lines: LineReader::new(reader),
-            alignment,
-            truncated: 0,
-            done: false,
+            refs: RefReader::new(reader, alignment),
         }
     }
 
     /// How many yielded references lost sub-word address bits so far
     /// (always 0 under [`Alignment::Reject`]).
     pub fn truncated(&self) -> u64 {
-        self.truncated
+        self.refs.truncated()
+    }
+}
+
+/// `din` under an [`Alignment`], for the shared line path.
+impl Grammar for Alignment {
+    type Error = ParseDinError;
+
+    fn dialect(&self) -> Dialect {
+        Dialect::din(*self)
     }
 
-    /// The 1-based number of the last line examined.
-    pub fn line(&self) -> usize {
-        self.lines.line()
+    fn parse_str(&self, line: &str, lineno: usize) -> Result<LineRefs, ParseDinError> {
+        parse_line(line, lineno, *self)
+    }
+
+    fn read_failed(&self, e: io::Error, line: usize) -> ParseDinError {
+        ParseDinError {
+            line,
+            message: format!("read failed: {e}"),
+        }
     }
 }
 
 impl<R: BufRead> Iterator for DinIter<R> {
     type Item = Result<MemRef, ParseDinError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let alignment = self.alignment;
-        match self.lines.next_refs(
-            |line| lines::din(line, alignment),
-            |line, lineno| parse_line(line, lineno, alignment),
-            |e, line| ParseDinError {
-                line,
-                message: format!("read failed: {e}"),
-            },
-        ) {
-            Some(Ok((r, _, truncated))) => {
-                self.truncated += u64::from(truncated);
-                Some(Ok(r))
-            }
-            Some(Err(e)) => {
-                self.done = true;
-                Some(Err(e))
-            }
-            None => {
-                self.done = true;
-                None
-            }
-        }
+        self.refs.next()
     }
 }
 
@@ -401,6 +387,36 @@ mod tests {
         assert!(it.next().unwrap().is_ok());
         assert!(it.next().is_none());
         assert!(it.next().is_none());
+    }
+
+    #[test]
+    fn lines_that_have_arrived_are_yielded_without_reading_again() {
+        /// A pipe that has delivered two lines and would block on a
+        /// further read.
+        struct Pipe {
+            data: &'static [u8],
+            pos: usize,
+        }
+        impl io::Read for Pipe {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                unreachable!("read through fill_buf")
+            }
+        }
+        impl BufRead for Pipe {
+            fn fill_buf(&mut self) -> io::Result<&[u8]> {
+                assert!(self.pos < self.data.len(), "read past what arrived");
+                Ok(&self.data[self.pos..])
+            }
+            fn consume(&mut self, n: usize) {
+                self.pos += n;
+            }
+        }
+        let mut it = DinIter::new(Pipe {
+            data: b"0 10\n1 20\n",
+            pos: 0,
+        });
+        assert_eq!(it.next().unwrap().unwrap().addr, WordAddr::new(4));
+        assert_eq!(it.next().unwrap().unwrap().addr, WordAddr::new(8));
     }
 
     #[test]

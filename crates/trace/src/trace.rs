@@ -45,6 +45,12 @@ impl Trace {
         &self.refs
     }
 
+    /// The bytes this trace holds on the heap: its reference vector's
+    /// whole allocation (its capacity, not its length) and its name's.
+    pub fn heap_bytes(&self) -> usize {
+        self.refs.capacity() * std::mem::size_of::<MemRef>() + self.name.capacity()
+    }
+
     /// References after the warm-start boundary (the measured window).
     pub fn warm_refs(&self) -> &[MemRef] {
         &self.refs[self.warm_start..]

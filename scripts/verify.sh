@@ -50,7 +50,15 @@
 #    writes them with no `Json` tree), then shut it down cleanly. The property
 #    `writer_matches_the_tree_byte_for_byte`, which pins the writer to
 #    the tree over generated results, runs by name first.
-# 7. Ingestion leg: against the same smoke-test server, `cachetime-bench
+# 7. Ingestion leg. The property
+#    `ingest_and_selection_match_the_reference_composition` runs by name
+#    first (failing if the filter matches no test): random din, ChampSim
+#    and lackey bodies (CRLF, comments, banners, pids, `M` lines,
+#    sub-word addresses, random warm boundaries) must ingest to the refs,
+#    digest, truncation count and interval selection of a reference
+#    composition written in the test (text parsers line by line,
+#    `keyed::upload_digest`, a naive per-window profile), bit for bit.
+#    Then, against the same smoke-test server, `cachetime-bench
 #    ingest-check` chunked-uploads a din trace to `POST /v1/traces`
 #    (stable content digest, dedup on re-upload), simulates and replays
 #    by digest bit-identically to a direct `Simulator::run`, uploads a
@@ -174,6 +182,8 @@ SERVE_PORT="$(cat "$PORT_FILE")"
 ./target/release/cachetime-bench serve-check "127.0.0.1:$SERVE_PORT"
 
 echo "==> ingestion leg (chunked POST /v1/traces; simulate-by-digest bit-identity; interval selection)"
+filtered_test -q -p cachetime-serve --test ingest_reference -- \
+  ingest_and_selection_match_the_reference_composition
 ./target/release/cachetime-bench ingest-check "127.0.0.1:$SERVE_PORT"
 
 echo "==> /v1/metrics scrape (required families present, no NaN samples)"
