@@ -25,5 +25,5 @@ mod registry;
 mod span;
 
 pub use metric::{Counter, Exemplar, Gauge, Histogram, BUCKETS};
-pub use registry::{global, Registry};
+pub use registry::{global, Registry, Sample};
 pub use span::{JsonlSink, Span, SpanRecord, SpanSink};

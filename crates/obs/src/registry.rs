@@ -1,5 +1,6 @@
 //! The metric registry: named families of counters, gauges, and
-//! histograms, plus the Prometheus text renderer.
+//! histograms, one read-only [`walk`](Registry::walk) over them, and the
+//! Prometheus text renderer built on that walk.
 //!
 //! Registration is get-or-create: the first `counter("x", ...)` call
 //! creates the series, later calls hand back the same `Arc`. The mutex
@@ -14,37 +15,29 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// What a metric family holds. A family's kind is fixed by its first
-/// registration; re-registering under a different kind panics (it is a
-/// programmer error, not a runtime condition).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl Kind {
-    fn as_str(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
+/// One series' live handle, as [`Registry::walk`] visits it. Every
+/// series of a family is of the kind its first registration chose;
+/// re-registering a name under another kind panics (a programmer error,
+/// not a runtime condition).
 #[derive(Clone)]
-enum Handle {
+pub enum Sample {
+    /// A counter series.
     Counter(Arc<Counter>),
+    /// A gauge series.
     Gauge(Arc<Gauge>),
+    /// A histogram series.
     Histogram(Arc<Histogram>),
 }
 
-struct Family {
-    kind: Kind,
-    /// Rendered label set (`key="value",...`, possibly empty) → series.
-    series: BTreeMap<String, Handle>,
+impl Sample {
+    /// The family type a `# TYPE` line names.
+    fn kind(&self) -> &'static str {
+        match self {
+            Sample::Counter(_) => "counter",
+            Sample::Gauge(_) => "gauge",
+            Sample::Histogram(_) => "histogram",
+        }
+    }
 }
 
 /// A process- or component-scoped collection of metrics.
@@ -53,7 +46,9 @@ struct Family {
 /// isolated; binaries share [`global()`](crate::global) so one scrape
 /// sees the whole process.
 pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
+    /// Family name → rendered label set (`key="value",...`, possibly
+    /// empty) → series.
+    families: Mutex<BTreeMap<String, BTreeMap<String, Sample>>>,
     sink: Mutex<Option<Arc<dyn SpanSink>>>,
     /// Whether `sink` holds one, so a finished span takes no lock when
     /// there is nothing to emit to. Relaxed: the flag publishes nothing,
@@ -82,59 +77,54 @@ impl Registry {
     /// Get or register a counter. `labels` distinguish series within
     /// the family; label order does not matter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.handle(name, labels, Kind::Counter) {
-            Handle::Counter(c) => c,
+        match self.handle(name, labels, "counter", || Sample::Counter(Arc::default())) {
+            Sample::Counter(c) => c,
             _ => unreachable!(),
         }
     }
 
     /// Get or register a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        match self.handle(name, labels, Kind::Gauge) {
-            Handle::Gauge(g) => g,
+        match self.handle(name, labels, "gauge", || Sample::Gauge(Arc::default())) {
+            Sample::Gauge(g) => g,
             _ => unreachable!(),
         }
     }
 
     /// Get or register a histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        match self.handle(name, labels, Kind::Histogram) {
-            Handle::Histogram(h) => h,
+        match self.handle(name, labels, "histogram", || {
+            Sample::Histogram(Arc::default())
+        }) {
+            Sample::Histogram(h) => h,
             _ => unreachable!(),
         }
     }
 
-    fn handle(&self, name: &str, labels: &[(&str, &str)], kind: Kind) -> Handle {
+    fn handle(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        kind: &str,
+        new: fn() -> Sample,
+    ) -> Sample {
         debug_assert!(valid_name(name), "invalid metric name {name:?}");
         let key = label_key(labels);
         let mut families = self.families.lock().unwrap();
         // Look the family up by `&str` first: only its first registration
         // allocates the name.
         if !families.contains_key(name) {
-            families.insert(
-                name.to_string(),
-                Family {
-                    kind,
-                    series: BTreeMap::new(),
-                },
+            families.insert(name.to_string(), BTreeMap::new());
+        }
+        let series = families.get_mut(name).expect("inserted above");
+        if let Some(first) = series.values().next() {
+            assert!(
+                first.kind() == kind,
+                "metric {name:?} registered as {} and again as {kind}",
+                first.kind()
             );
         }
-        let family = families.get_mut(name).expect("inserted above");
-        assert!(
-            family.kind == kind,
-            "metric {name:?} registered as {} and again as {}",
-            family.kind.as_str(),
-            kind.as_str()
-        );
-        family
-            .series
-            .entry(key)
-            .or_insert_with(|| match kind {
-                Kind::Counter => Handle::Counter(Arc::new(Counter::new())),
-                Kind::Gauge => Handle::Gauge(Arc::new(Gauge::new())),
-                Kind::Histogram => Handle::Histogram(Arc::new(Histogram::new())),
-            })
-            .clone()
+        series.entry(key).or_insert_with(new).clone()
     }
 
     /// Start a span. Its duration lands in the
@@ -196,26 +186,41 @@ impl Registry {
     /// query). The empty prefix renders everything; an unmatched prefix
     /// renders an empty exposition, which is valid Prometheus text.
     pub fn render_prometheus_filtered(&self, prefix: &str) -> String {
-        let families = self.families.lock().unwrap();
         let mut out = String::new();
-        for (name, family) in families.iter() {
+        let mut family = String::new();
+        self.walk(|name, labels, sample| {
             if !name.starts_with(prefix) {
-                continue;
+                return;
             }
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
-            for (labels, handle) in family.series.iter() {
-                match handle {
-                    Handle::Counter(c) => {
-                        let _ = writeln!(out, "{name}{} {}", braced(labels), c.get());
-                    }
-                    Handle::Gauge(g) => {
-                        let _ = writeln!(out, "{name}{} {}", braced(labels), g.get());
-                    }
-                    Handle::Histogram(h) => render_histogram(&mut out, name, labels, h),
+            if name != family {
+                family.replace_range(.., name);
+                let _ = writeln!(out, "# TYPE {name} {}", sample.kind());
+            }
+            match sample {
+                Sample::Counter(c) => {
+                    let _ = writeln!(out, "{name}{} {}", braced(labels), c.get());
                 }
+                Sample::Gauge(g) => {
+                    let _ = writeln!(out, "{name}{} {}", braced(labels), g.get());
+                }
+                Sample::Histogram(h) => render_histogram(&mut out, name, labels, h),
+            }
+        });
+        out
+    }
+
+    /// Visits every series as `(family, labels, sample)`, in family-name
+    /// order and, within a family, in label order. `labels` is the
+    /// rendered label set (`key="value",...`), empty for an unlabelled
+    /// series; every family holds at least one series. Runs under the
+    /// registry lock, so `visit` must not register metrics.
+    pub fn walk(&self, mut visit: impl FnMut(&str, &str, &Sample)) {
+        let families = self.families.lock().unwrap();
+        for (name, series) in families.iter() {
+            for (labels, sample) in series.iter() {
+                visit(name, labels, sample);
             }
         }
-        out
     }
 }
 

@@ -160,9 +160,9 @@ fn main() {
             .with_fleet(FleetConfig {
                 peers,
                 self_addr: config.addr.clone(),
-                replication,
                 client: ClientConfig {
                     read_timeout: std::time::Duration::from_secs(30),
+                    replication,
                     ..ClientConfig::default()
                 },
             })

@@ -10,22 +10,22 @@
 //! # Server-side fault points
 //!
 //! The server consults its plan (inert by default — a single relaxed
-//! atomic load) at three named points:
+//! atomic load) at six named points:
 //!
 //! | point | where |
 //! |---|---|
-//! | `serve.handle` | entry of [`App::handle`](crate::App::handle), before routing |
+//! | `serve.handle` | entry of [`App::try_handle`](crate::App::try_handle), before routing |
 //! | `serve.record` | inside the store's recording closure, before the behavioral pass |
-//! | `serve.write` | in the worker, before the response bytes are written |
+//! | `serve.write` | in the event loop, before a response is queued on its connection |
 //! | `disk.write` | in the segment store, before a spill touches the disk |
 //! | `disk.read` | in the segment store, after a read-through's bytes arrive |
 //! | `peer.fetch` | in a rebalance pass, after a peer's segment bytes arrive and before adoption |
 //!
 //! The disk points (and `peer.fetch`, which reuses their machinery) use
-//! [`decide_disk`](FaultPlan::decide_disk) / [`DiskFaultAction`] instead
-//! of [`FaultAction`]: their failure mode is torn, shortened, or
-//! bit-flipped bytes (a crash image recovery — or a segment adoption —
-//! must quarantine), not a panic or a delay.
+//! [`decide_disk`](FaultPlan::decide_disk), which answers in the disk
+//! layer's own [`DiskFault`] instead of a [`FaultAction`]: their failure
+//! mode is torn, shortened, or bit-flipped bytes (a crash image recovery
+//! — or a segment adoption — must quarantine), not a panic or a delay.
 //!
 //! A [`FaultAction::Panic`] at `serve.handle` or `serve.record` exercises
 //! the panic-isolation path: the worker's `catch_unwind` turns it into a
@@ -46,6 +46,7 @@
 //! with anything but its proper `4xx`.
 
 use crate::client::{ClientConfig, HttpClient};
+use cachetime_disk::DiskFault;
 use cachetime_testkit::SplitMix64;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -63,30 +64,6 @@ pub enum FaultAction {
     Delay(Duration),
     /// Panic with a recognizable message (`"injected fault panic"`).
     Panic,
-}
-
-/// What an armed disk fault point does when hit — the `FaultPlan` side of
-/// the `cachetime-disk` fault hook. The server adapts these into
-/// `cachetime_disk::DiskFault`s (which carry concrete byte counts) once
-/// the I/O size is known.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DiskFaultAction {
-    /// No fault.
-    Proceed,
-    /// Keep only this fraction of the bytes — a torn write (fraction
-    /// lands mid-payload) or a short write (fraction lands inside the
-    /// header). Uniform in `[0, 1)`, so both cases occur.
-    Torn {
-        /// Fraction of the I/O that survives.
-        frac: f64,
-    },
-    /// Flip one bit at this (modular) byte offset — silent corruption.
-    BitFlip {
-        /// Byte offset, reduced modulo the I/O length by the disk layer.
-        offset: u64,
-    },
-    /// Fail the whole operation with an I/O error.
-    Error,
 }
 
 #[derive(Debug, Clone)]
@@ -284,41 +261,45 @@ impl FaultPlan {
         action
     }
 
-    /// Decides what a disk I/O at `point` (`disk.write` / `disk.read`)
-    /// suffers on this hit, consuming fault budget like
-    /// [`decide`](Self::decide). The draw order is torn → bit-flip →
-    /// error, each evaluated only if the previous missed.
-    pub fn decide_disk(&self, point: &str) -> DiskFaultAction {
+    /// Decides what a disk I/O of `len` bytes at `point` (`disk.write`,
+    /// `disk.read` or `peer.fetch`) suffers on this hit, consuming fault
+    /// budget like [`decide`](Self::decide). The draw order is torn →
+    /// bit-flip → error, each evaluated only if the previous missed. A
+    /// tear keeps a uniform fraction in `[0, 1)` of the bytes, so it
+    /// lands mid-payload (a torn write) or inside the header (a short
+    /// one); a flip's offset is reduced modulo the length by the disk
+    /// layer.
+    pub fn decide_disk(&self, point: &str, len: usize) -> DiskFault {
         if !self.armed.load(Ordering::Acquire) {
-            return DiskFaultAction::Proceed;
+            return DiskFault::None;
         }
         let mut points = self.points.lock().unwrap();
         let Some(p) = points.get_mut(point) else {
-            return DiskFaultAction::Proceed;
+            return DiskFault::None;
         };
         if p.rule.budget == Some(0) {
-            return DiskFaultAction::Proceed;
+            return DiskFault::None;
         }
-        let action = if p.rule.torn_p > 0.0 && p.rng.gen_bool(p.rule.torn_p) {
-            DiskFaultAction::Torn {
-                frac: p.rng.next_f64(),
+        let fault = if p.rule.torn_p > 0.0 && p.rng.gen_bool(p.rule.torn_p) {
+            DiskFault::Torn {
+                keep: (p.rng.next_f64() * len as f64) as usize,
             }
         } else if p.rule.flip_p > 0.0 && p.rng.gen_bool(p.rule.flip_p) {
-            DiskFaultAction::BitFlip {
-                offset: p.rng.next_u64(),
+            DiskFault::BitFlip {
+                offset: p.rng.next_u64() as usize,
             }
         } else if p.rule.error_p > 0.0 && p.rng.gen_bool(p.rule.error_p) {
-            DiskFaultAction::Error
+            DiskFault::Error
         } else {
-            DiskFaultAction::Proceed
+            DiskFault::None
         };
-        if action != DiskFaultAction::Proceed {
+        if fault != DiskFault::None {
             if let Some(b) = &mut p.rule.budget {
                 *b -= 1;
             }
             self.injected.fetch_add(1, Ordering::Relaxed);
         }
-        action
+        fault
     }
 
     /// Acts on [`decide`](Self::decide): sleeps on a delay, panics on a

@@ -29,8 +29,8 @@
 //! | `POST /v1/traces` | raw trace text (din/ChampSim/lackey; chunked upload supported) | content digest + representative-interval selection |
 //! | `POST /v1/simulate` | `{"config": {...}, "trace": {"name": "mu3"}}` — or `{"trace": {"upload": "<digest>"}}` | full `SimResult` + the pairing's key |
 //! | `POST /v1/replay` | `{"key": "<hex>", "cycle_times_ns": [20, ...]}` — at most [`MAX_REPLAY_POINTS`] points | one `SimResult` per timing point |
-//! | `GET /v1/stats` | — | store hits/misses/evictions, in-flight, per-endpoint latency |
-//! | `GET /v1/metrics` | — | the same counters as Prometheus text exposition |
+//! | `GET /v1/stats` | — | the registry's store, disk, fleet, ingest and server families as JSON, plus per-endpoint latency |
+//! | `GET /v1/metrics` | — | the same registry as Prometheus text exposition |
 //! | `GET /healthz` | — | `{"status": "ok"}` |
 //! | `POST /v1/shutdown` | — | acknowledges, then stops the server |
 //!
@@ -66,12 +66,12 @@ pub mod upload;
 pub use http::{serve, serve_with_app, Request, ServerConfig, ServerHandle};
 
 use cachetime::{keyed, EventTrace, SystemConfig, TimingConfig};
-use cachetime_disk::{AdoptOutcome, DiskFault, DiskOp, ScanReport, SegmentStore};
+use cachetime_disk::{AdoptOutcome, DiskOp, ScanReport, SegmentStore};
 use cachetime_obs::Registry;
 use cachetime_trace::import::TraceFormat;
 use cachetime_types::{json_object, Json};
 use client::{ClientConfig, HttpClient, ShardRing};
-use fault::{DiskFaultAction, FaultPlan};
+use fault::FaultPlan;
 use stats::{FleetMetrics, IngestMetrics, ServerStats};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
@@ -205,10 +205,9 @@ pub struct FleetConfig {
     /// This server's own endpoint string; must appear in `peers` exactly
     /// as written there (the ring identifies members by string).
     pub self_addr: String,
-    /// How many endpoints of a key's preference order hold its segment —
-    /// the fleet-wide replication factor rebalancing preserves.
-    pub replication: usize,
-    /// Tuning for the peer-fetch HTTP client.
+    /// Tuning for the peer-fetch HTTP client. Its `replication` is the
+    /// fleet-wide replication factor rebalancing preserves: how many
+    /// endpoints of a key's preference order hold its segment.
     pub client: ClientConfig,
 }
 
@@ -362,16 +361,7 @@ impl App {
                 DiskOp::Write => "disk.write",
                 DiskOp::Read => "disk.read",
             };
-            match plan.decide_disk(point) {
-                DiskFaultAction::Proceed => DiskFault::None,
-                DiskFaultAction::Torn { frac } => DiskFault::Torn {
-                    keep: (frac * len as f64) as usize,
-                },
-                DiskFaultAction::BitFlip { offset } => DiskFault::BitFlip {
-                    offset: offset as usize,
-                },
-                DiskFaultAction::Error => DiskFault::Error,
-            }
+            plan.decide_disk(point, len)
         }));
         self.disk = Some(Arc::new(disk));
         self
@@ -408,7 +398,7 @@ impl App {
                 ),
             ));
         };
-        let replication = config.replication.clamp(1, ring.endpoints().len());
+        let replication = config.client.replication.clamp(1, ring.endpoints().len());
         self.fleet = Some(FleetState {
             ring,
             self_ix,
@@ -451,6 +441,19 @@ impl App {
     /// reports `"degraded"` until the gauge drops.
     pub fn is_degraded(&self) -> bool {
         self.store.stats().in_flight >= self.limits.max_inflight_recordings
+    }
+
+    /// Sets the gauges that a scrape reads but no request path updates:
+    /// the load-shedding state, the store's byte budget, and the upload
+    /// store's residency. `/v1/stats` and `/v1/metrics` both call it
+    /// before reading the registry.
+    fn refresh_gauges(&self) {
+        self.stats.degraded.set(self.is_degraded() as i64);
+        let budget = i64::try_from(self.store.budget_bytes()).unwrap_or(i64::MAX);
+        self.stats.store_budget.set(budget);
+        let (entries, bytes) = self.uploads.stats();
+        self.ingest_stats.resident_entries.set(entries as i64);
+        self.ingest_stats.resident_bytes.set(bytes as i64);
     }
 
     /// The wall-clock deadline for a request arriving now: the server cap,
@@ -510,20 +513,11 @@ impl App {
                 if self.is_degraded() { "degraded" } else { "ok" },
             )])),
             ("GET", "/v1/stats") => {
-                let degraded = self.is_degraded();
-                self.stats.degraded.set(degraded as i64);
-                let disk = self.disk.as_ref().map(|d| d.metrics());
-                let ingest = self.ingest_stats.to_json(self.uploads.stats());
-                Response::ok(self.stats.to_json(
-                    &self.store,
-                    disk,
-                    &self.fleet_stats,
-                    ingest,
-                    degraded,
-                ))
+                self.refresh_gauges();
+                Response::ok(stats::stats_json(&self.registry))
             }
             ("GET", "/v1/metrics") => {
-                self.stats.degraded.set(self.is_degraded() as i64);
+                self.refresh_gauges();
                 match metrics_family_filter(req.query.as_deref()) {
                     Ok(prefix) => Response::ok_bytes(
                         self.registry
@@ -700,8 +694,10 @@ impl App {
                     }
                 };
                 // The peer.fetch fault point: chaos tests tear, bit-flip,
-                // or fail the transfer between the wire and adoption.
-                let sealed = match self.mangle_transfer(&sealed) {
+                // or fail (`None`) the transfer between the wire and
+                // adoption.
+                let fault = self.faults.decide_disk("peer.fetch", sealed.len());
+                let sealed = match cachetime_disk::mangle(&sealed, fault) {
                     Some(bytes) => bytes,
                     None => {
                         report.fetch_failures += 1;
@@ -761,22 +757,6 @@ impl App {
     /// disk). An index read, never segment I/O.
     fn on_disk(&self, key: u64) -> bool {
         self.disk.as_ref().is_some_and(|d| d.contains(key))
-    }
-
-    /// Applies the `peer.fetch` fault rule (if armed) to fetched segment
-    /// bytes; `None` models a transfer that failed outright.
-    fn mangle_transfer(&self, bytes: &[u8]) -> Option<Vec<u8>> {
-        let fault = match self.faults.decide_disk("peer.fetch") {
-            DiskFaultAction::Proceed => DiskFault::None,
-            DiskFaultAction::Torn { frac } => DiskFault::Torn {
-                keep: (frac * bytes.len() as f64) as usize,
-            },
-            DiskFaultAction::BitFlip { offset } => DiskFault::BitFlip {
-                offset: offset as usize,
-            },
-            DiskFaultAction::Error => DiskFault::Error,
-        };
-        cachetime_disk::mangle(bytes, fault)
     }
 
     /// `POST /v1/traces`: ingest one uploaded trace body.
@@ -1416,7 +1396,6 @@ mod tests {
         let fleet = |peers: &[&str], self_addr: &str| FleetConfig {
             peers: peers.iter().map(|s| s.to_string()).collect(),
             self_addr: self_addr.into(),
-            replication: 2,
             client: ClientConfig::default(),
         };
         // No durable store: refused.

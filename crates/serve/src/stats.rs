@@ -1,15 +1,13 @@
-//! Server-side observability: request counters, in-flight gauge, and
-//! per-endpoint latency histograms.
+//! Server-side observability: request counters, in-flight gauge,
+//! per-endpoint latency histograms, and the `/v1/stats` report.
 //!
 //! Everything here is a [`cachetime_obs`] handle registered in the
-//! `App`'s [`Registry`], so `GET /v1/metrics` (Prometheus exposition)
-//! and `GET /v1/stats` (this module's JSON report) read the *same
-//! atomics* — the two can never drift apart. The log₂ latency
-//! histogram that used to live here is now `cachetime_obs::Histogram`;
-//! it also fixed the `quantile(0.0)` empty-bucket bug (the rank is
-//! clamped to ≥ 1 so only occupied buckets are ever reported).
+//! `App`'s [`Registry`]. `GET /v1/metrics` renders the registry as
+//! Prometheus text, and `GET /v1/stats` is [`stats_json`], a fixed
+//! projection of the same [`Registry::walk`]: the registry is the only
+//! list of metrics, so the two reports can never disagree.
 
-use cachetime_obs::{Counter, Gauge, Histogram, Registry};
+use cachetime_obs::{Counter, Gauge, Histogram, Registry, Sample};
 use cachetime_types::{json_object, Json};
 use std::sync::Arc;
 
@@ -30,6 +28,8 @@ pub struct ServerStats {
     /// Load-shedding state at the last scrape (1 = degraded). Refreshed
     /// by the stats/metrics handlers, not on the request path.
     pub degraded: Arc<Gauge>,
+    /// The trace store's byte budget, refreshed with `degraded`.
+    pub store_budget: Arc<Gauge>,
     /// Latency of `POST /v1/simulate` (µs).
     pub simulate: Arc<Histogram>,
     /// Latency of `POST /v1/replay` (µs).
@@ -44,7 +44,8 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Handles registered in `registry` under the `cachetime_server_*`
-    /// and `cachetime_request_duration_us` families.
+    /// and `cachetime_request_duration_us` families, plus
+    /// `cachetime_store_budget_bytes`.
     pub fn in_registry(registry: &Registry) -> Self {
         let duration = |endpoint| {
             registry.histogram("cachetime_request_duration_us", &[("endpoint", endpoint)])
@@ -56,11 +57,23 @@ impl ServerStats {
             timeouts: registry.counter("cachetime_server_timeouts_total", &[]),
             panics: registry.counter("cachetime_server_panics_total", &[]),
             degraded: registry.gauge("cachetime_server_degraded", &[]),
+            store_budget: registry.gauge("cachetime_store_budget_bytes", &[]),
             simulate: duration("simulate"),
             replay: duration("replay"),
             ingest: duration("ingest"),
             stats: duration("stats"),
             other: duration("other"),
+        }
+    }
+
+    /// The histogram a request path belongs to.
+    pub fn endpoint(&self, method: &str, path: &str) -> &Histogram {
+        match (method, path) {
+            ("POST", "/v1/simulate") => &self.simulate,
+            ("POST", "/v1/replay") => &self.replay,
+            ("POST", "/v1/traces") => &self.ingest,
+            ("GET", "/v1/stats") | ("GET", "/v1/metrics") => &self.stats,
+            _ => &self.other,
         }
     }
 }
@@ -107,18 +120,6 @@ impl FleetMetrics {
             fetch_us: registry.histogram("cachetime_fleet_peer_fetch_us", &[]),
         }
     }
-
-    /// The `fleet` object of the `/v1/stats` payload.
-    pub fn to_json(&self) -> Json {
-        json_object([
-            ("rebalances", Json::UInt(self.rebalances.get())),
-            ("segments_pulled", Json::UInt(self.pulled.get())),
-            ("segments_dropped", Json::UInt(self.dropped.get())),
-            ("transfers_rejected", Json::UInt(self.rejected.get())),
-            ("fetch_failures", Json::UInt(self.fetch_failures.get())),
-            ("fetches", Json::UInt(self.fetch_us.count())),
-        ])
-    }
 }
 
 impl Default for FleetMetrics {
@@ -146,6 +147,10 @@ pub struct IngestMetrics {
     pub truncated: Arc<Counter>,
     /// Uploads evicted from the store by the byte budget.
     pub evicted: Arc<Counter>,
+    /// Uploads resident in the upload store, refreshed at each scrape.
+    pub resident_entries: Arc<Gauge>,
+    /// Bytes the resident uploads hold, refreshed at each scrape.
+    pub resident_bytes: Arc<Gauge>,
 }
 
 impl IngestMetrics {
@@ -160,23 +165,9 @@ impl IngestMetrics {
             bytes: registry.counter("cachetime_ingest_bytes_total", &[]),
             truncated: registry.counter("cachetime_ingest_truncated_refs_total", &[]),
             evicted: registry.counter("cachetime_ingest_evicted_total", &[]),
+            resident_entries: registry.gauge("cachetime_ingest_resident_entries", &[]),
+            resident_bytes: registry.gauge("cachetime_ingest_resident_bytes", &[]),
         }
-    }
-
-    /// The `ingest` object of the `/v1/stats` payload; `(entries, bytes)`
-    /// is the upload store's live residency.
-    pub fn to_json(&self, resident: (usize, usize)) -> Json {
-        json_object([
-            ("uploads", Json::UInt(self.uploads.get())),
-            ("rejected", Json::UInt(self.rejected.get())),
-            ("deduplicated", Json::UInt(self.deduplicated.get())),
-            ("refs", Json::UInt(self.refs.get())),
-            ("bytes", Json::UInt(self.bytes.get())),
-            ("truncated_refs", Json::UInt(self.truncated.get())),
-            ("evicted", Json::UInt(self.evicted.get())),
-            ("resident_entries", Json::UInt(resident.0 as u64)),
-            ("resident_bytes", Json::UInt(resident.1 as u64)),
-        ])
     }
 }
 
@@ -186,107 +177,74 @@ impl Default for IngestMetrics {
     }
 }
 
-impl ServerStats {
-    /// The histogram a request path belongs to.
-    pub fn endpoint(&self, method: &str, path: &str) -> &Histogram {
-        match (method, path) {
-            ("POST", "/v1/simulate") => &self.simulate,
-            ("POST", "/v1/replay") => &self.replay,
-            ("POST", "/v1/traces") => &self.ingest,
-            ("GET", "/v1/stats") | ("GET", "/v1/metrics") => &self.stats,
-            _ => &self.other,
-        }
-    }
+/// The sections of the `/v1/stats` payload, in order. Section `s` holds
+/// every unlabelled `cachetime_<s>_*` family of the registry.
+const SECTIONS: [&str; 5] = ["store", "disk", "fleet", "ingest", "server"];
 
-    /// The `/v1/stats` payload: server counters plus the store's, and —
-    /// when the server runs with `--data-dir` — the durable segment
-    /// store's. `degraded` is the live load-shedding gauge (see
-    /// [`App::is_degraded`](crate::App::is_degraded)).
-    pub fn to_json(
-        &self,
-        store: &crate::store::TraceStore,
-        disk: Option<&cachetime_disk::DiskMetrics>,
-        fleet: &FleetMetrics,
-        ingest: Json,
-        degraded: bool,
-    ) -> Json {
-        let s = store.stats();
-        let latency = |h: &Histogram| {
-            json_object([
-                ("count", Json::UInt(h.count())),
-                ("p50_upper_us", Json::UInt(h.quantile_upper(0.5))),
-                ("p99_upper_us", Json::UInt(h.quantile_upper(0.99))),
-            ])
-        };
-        let disk = match disk {
-            None => Json::Null,
-            Some(d) => json_object([
-                ("segments", Json::UInt(d.segments().max(0) as u64)),
-                ("bytes", Json::UInt(d.bytes().max(0) as u64)),
-                ("spills", Json::UInt(d.spills())),
-                ("spill_errors", Json::UInt(d.spill_errors())),
-                ("loads", Json::UInt(d.loads())),
-                ("load_misses", Json::UInt(d.load_misses())),
-                ("load_errors", Json::UInt(d.load_errors())),
-                ("recovered", Json::UInt(d.recovered())),
-                ("quarantined", Json::UInt(d.quarantined())),
-                (
-                    "quarantine_files",
-                    Json::UInt(d.quarantine_files().max(0) as u64),
-                ),
-                (
-                    "quarantine_bytes",
-                    Json::UInt(d.quarantine_bytes().max(0) as u64),
-                ),
-                ("quarantine_evicted", Json::UInt(d.quarantine_evicted())),
-                ("adopted", Json::UInt(d.adopted())),
-                ("dropped", Json::UInt(d.dropped())),
-                ("evicted", Json::UInt(d.evicted())),
-            ]),
-        };
+/// The `/v1/stats` payload: a fixed projection of `registry`'s
+/// [`walk`](Registry::walk).
+///
+/// * An unlabelled counter or gauge `cachetime_<section>_<field>[_total]`
+///   becomes `<section>.<field>`; a gauge reads as unsigned, except
+///   `server.degraded`, which is a bool.
+/// * An unlabelled histogram becomes `<section>.<field>` =
+///   `{count, p50_upper_us, p99_upper_us}`.
+/// * `cachetime_request_duration_us{endpoint=E}` becomes `latency.E`,
+///   the same object.
+/// * Keys within a section come out in family-name order; `disk` is
+///   `null` when no disk family is registered.
+pub fn stats_json(registry: &Registry) -> Json {
+    let quantiles = |h: &Histogram| {
         json_object([
-            (
-                "store",
-                json_object([
-                    ("lookups", Json::UInt(s.lookups)),
-                    ("hits", Json::UInt(s.hits)),
-                    ("misses", Json::UInt(s.misses)),
-                    ("coalesced", Json::UInt(s.coalesced)),
-                    ("shed", Json::UInt(s.shed)),
-                    ("absent", Json::UInt(s.absent)),
-                    ("evictions", Json::UInt(s.evictions)),
-                    ("entries", Json::UInt(s.entries as u64)),
-                    ("bytes", Json::UInt(s.bytes as u64)),
-                    ("budget_bytes", Json::UInt(store.budget_bytes() as u64)),
-                    ("recordings_in_flight", Json::UInt(s.in_flight as u64)),
-                ]),
-            ),
-            ("disk", disk),
-            ("fleet", fleet.to_json()),
-            ("ingest", ingest),
-            (
-                "server",
-                json_object([
-                    ("in_flight", Json::UInt(self.in_flight.get_unsigned())),
-                    ("errors", Json::UInt(self.errors.get())),
-                    ("shed", Json::UInt(self.shed.get())),
-                    ("timeouts", Json::UInt(self.timeouts.get())),
-                    ("panics", Json::UInt(self.panics.get())),
-                    ("degraded", Json::Bool(degraded)),
-                ]),
-            ),
-            (
-                "latency",
-                json_object([
-                    ("simulate", latency(&self.simulate)),
-                    ("replay", latency(&self.replay)),
-                    ("ingest", latency(&self.ingest)),
-                    ("stats", latency(&self.stats)),
-                    ("other", latency(&self.other)),
-                ]),
-            ),
+            ("count", Json::UInt(h.count())),
+            ("p50_upper_us", Json::UInt(h.quantile_upper(0.5))),
+            ("p99_upper_us", Json::UInt(h.quantile_upper(0.99))),
         ])
-    }
+    };
+    let mut sections: [Vec<(String, Json)>; SECTIONS.len()] = Default::default();
+    let mut latency = Vec::new();
+    registry.walk(|family, labels, sample| {
+        if family == "cachetime_request_duration_us" {
+            let endpoint = labels
+                .strip_prefix("endpoint=\"")
+                .and_then(|l| l.strip_suffix('"'));
+            if let (Some(endpoint), Sample::Histogram(h)) = (endpoint, sample) {
+                latency.push((endpoint.to_string(), quantiles(h)));
+            }
+            return;
+        }
+        let section = family.strip_prefix("cachetime_").and_then(|rest| {
+            SECTIONS
+                .iter()
+                .enumerate()
+                .find_map(|(ix, s)| Some((ix, rest.strip_prefix(s)?.strip_prefix('_')?)))
+        });
+        let Some((ix, field)) = section.filter(|_| labels.is_empty()) else {
+            return;
+        };
+        let field = field.strip_suffix("_total").unwrap_or(field);
+        let value = match sample {
+            Sample::Counter(c) => Json::UInt(c.get()),
+            Sample::Gauge(g) if family == "cachetime_server_degraded" => Json::Bool(g.get() != 0),
+            Sample::Gauge(g) => Json::UInt(g.get_unsigned()),
+            Sample::Histogram(h) => quantiles(h),
+        };
+        sections[ix].push((field.to_string(), value));
+    });
+    let mut payload: Vec<(String, Json)> = SECTIONS
+        .iter()
+        .zip(sections)
+        .map(|(name, fields)| {
+            let section = if fields.is_empty() {
+                Json::Null
+            } else {
+                Json::Object(fields)
+            };
+            (name.to_string(), section)
+        })
+        .collect();
+    payload.push(("latency".into(), Json::Object(latency)));
+    Json::Object(payload)
 }
 
 #[cfg(test)]

@@ -70,7 +70,6 @@ fn start_shard(
         .with_fleet(FleetConfig {
             peers: peers.to_vec(),
             self_addr: addr.to_string(),
-            replication: 2,
             client: ClientConfig::default(),
         })
         .expect("join fleet");

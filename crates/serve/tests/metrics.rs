@@ -235,7 +235,6 @@ fn fleet_families_expose_exemplars_over_a_socket() {
             .with_fleet(FleetConfig {
                 peers: addrs.clone(),
                 self_addr: addrs[ix].clone(),
-                replication: 2,
                 client: ClientConfig::default(),
             })
             .unwrap();
@@ -587,4 +586,124 @@ fn trace_import_span_renders_after_an_upload() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// Every `cachetime_{store,disk,fleet,ingest,server}_*` family and every
+/// numeric leaf of `/v1/stats` on a `--data-dir` server: each family's
+/// value sits at its projected `/v1/stats` path, and each leaf maps back
+/// to a family. The registry is the only list of metrics, so neither
+/// report has a field the other lacks.
+#[test]
+fn every_section_family_and_stats_leaf_correspond() {
+    const SECTIONS: [&str; 5] = ["store", "disk", "fleet", "ingest", "server"];
+    let dir = std::env::temp_dir().join(format!("cachetime-metrics-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = cachetime_serve::serve(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        data_dir: Some(dir.clone()),
+        ..Default::default()
+    })
+    .expect("bind an ephemeral port");
+    let mut client = HttpClient::connect(&handle.local_addr().to_string()).unwrap();
+
+    // An upload, a cold simulate by its digest (recorded and spilled to
+    // disk before the answer), and a replay of the recording.
+    let trace = cachetime_trace::catalog::mu3(0.004).generate();
+    let mut text = Vec::new();
+    cachetime_trace::io::write_din(&mut text, trace.refs()).unwrap();
+    let (status, body) = client
+        .post("/v1/traces", std::str::from_utf8(&text).unwrap())
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let up = Json::parse(&body).unwrap();
+    let digest = up.get("digest").and_then(Json::as_str).unwrap();
+    let sim = format!(r#"{{"trace": {{"upload": "{digest}"}}}}"#);
+    let (status, body) = client.post("/v1/simulate", &sim).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let key = Json::parse(&body).unwrap();
+    let key = key.get("key").and_then(Json::as_str).unwrap();
+    let replay = format!(r#"{{"key": "{key}", "cycle_times_ns": [40, 80]}}"#);
+    let (status, body) = client.post("/v1/replay", &replay).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (status, stats_body) = client.get("/v1/stats").unwrap();
+    assert_eq!(status, 200, "{stats_body}");
+    let (status, metrics) = client.get("/v1/metrics").unwrap();
+    assert_eq!(status, 200, "{metrics}");
+    let stats = Json::parse(&stats_body).unwrap();
+    let kinds: Vec<(&str, &str)> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+
+    // Family → its value at the projected path.
+    for &(family, kind) in &kinds {
+        let Some((section, field)) = SECTIONS.iter().find_map(|s| {
+            let field = family.strip_prefix("cachetime_")?.strip_prefix(s)?;
+            Some((*s, field.strip_prefix('_')?))
+        }) else {
+            continue;
+        };
+        let field = field.strip_suffix("_total").unwrap_or(field);
+        let at = stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .unwrap_or_else(|| panic!("{family} has no {section}.{field} in {stats_body}"));
+        let (stats_value, metrics_value) = match kind {
+            "histogram" => (
+                at.get("count").and_then(Json::as_u64).map(|v| v as i64),
+                prom(&metrics, &format!("{family}_count")),
+            ),
+            _ => (
+                at.as_u64()
+                    .map(|v| v as i64)
+                    .or_else(|| at.as_bool().map(i64::from)),
+                prom(&metrics, family),
+            ),
+        };
+        assert_eq!(
+            stats_value,
+            Some(metrics_value),
+            "{family} differs from {section}.{field}"
+        );
+    }
+
+    // Every leaf of `/v1/stats` → the family it came from.
+    let kind_of = |family: &str| kinds.iter().find(|(f, _)| *f == family).map(|(_, k)| *k);
+    for section in SECTIONS {
+        let fields = match stats.get(section) {
+            Some(Json::Object(fields)) => fields,
+            other => panic!("{section} is {other:?} on a --data-dir server"),
+        };
+        for (field, value) in fields {
+            let base = format!("cachetime_{section}_{field}");
+            let family = [base.clone(), format!("{base}_total")]
+                .into_iter()
+                .find(|f| kind_of(f).is_some())
+                .unwrap_or_else(|| panic!("{section}.{field} maps to no family"));
+            if let Json::Object(leaves) = value {
+                let names: Vec<&str> = leaves.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(names, ["count", "p50_upper_us", "p99_upper_us"]);
+            }
+            assert_eq!(
+                kind_of(&family) == Some("histogram"),
+                matches!(value, Json::Object(_)),
+                "{section}.{field} and {family} disagree on being a histogram"
+            );
+        }
+    }
+    let Some(Json::Object(latency)) = stats.get("latency") else {
+        panic!("no latency object in {stats_body}");
+    };
+    for (endpoint, _) in latency {
+        prom(
+            &metrics,
+            &format!("cachetime_request_duration_us_count{{endpoint=\"{endpoint}\"}}"),
+        );
+    }
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -57,7 +57,7 @@
 //! digest folded in, costs 28, 21 and 25 ns (best of 120 in six rounds,
 //! 2-vCPU 2.1 GHz x86-64 host).
 
-use crate::io::{parse_line, Alignment, ParseDinError};
+use crate::io::{parse_line, Alignment, ParseDinError, Quoted};
 use crate::lines::{Dialect, Grammar, LineReader, LineRefs, RefReader, Sink};
 use cachetime_types::{AccessKind, MemRef, Pid, WordAddr, BYTES_PER_WORD};
 use std::fmt;
@@ -305,13 +305,14 @@ fn parse_non_din(
     match format {
         TraceFormat::Din => unreachable!("din lines go to io::parse_line"),
         TraceFormat::ChampSim => {
-            let kind = match op.to_ascii_uppercase().as_str() {
-                "I" | "F" => AccessKind::IFetch,
-                "L" | "R" => AccessKind::Load,
-                "S" | "W" => AccessKind::Store,
+            let kind = match op {
+                "I" | "i" | "F" | "f" => AccessKind::IFetch,
+                "L" | "l" | "R" | "r" => AccessKind::Load,
+                "S" | "s" | "W" | "w" => AccessKind::Store,
                 other => {
                     return Err(err(format!(
-                        "unknown opcode '{other}' (expected I/F, L/R, or S/W)"
+                        "unknown opcode {} (expected I/F, L/R, or S/W)",
+                        Quoted(other)
                     )))
                 }
             };
@@ -321,10 +322,12 @@ fn parse_non_din(
             let byte_addr = parse_hex_addr(addr_str).map_err(err)?;
             let pid = match fields.next() {
                 None => Pid(0),
-                Some(p) => Pid(p.parse().map_err(|e| err(format!("bad pid '{p}': {e}")))?),
+                Some(p) => Pid(p
+                    .parse()
+                    .map_err(|e| err(format!("bad pid {}: {e}", Quoted(p))))?),
             };
             if let Some(junk) = fields.next() {
-                return Err(err(format!("trailing junk '{junk}'")));
+                return Err(err(format!("trailing junk {}", Quoted(junk))));
             }
             let truncated = byte_addr % BYTES_PER_WORD != 0;
             let r = MemRef::new(WordAddr::from_byte_addr(byte_addr), kind, pid);
@@ -338,7 +341,8 @@ fn parse_non_din(
                 "M" => AccessKind::Load, // modify = load then store
                 other => {
                     return Err(err(format!(
-                        "unknown lackey op '{other}' (expected I, L, S, or M)"
+                        "unknown lackey op {} (expected I, L, S, or M)",
+                        Quoted(other)
                     )))
                 }
             };
@@ -346,7 +350,7 @@ fn parse_non_din(
                 .next()
                 .ok_or_else(|| err("missing address field".into()))?;
             if let Some(junk) = fields.next() {
-                return Err(err(format!("trailing junk '{junk}'")));
+                return Err(err(format!("trailing junk {}", Quoted(junk))));
             }
             // `<addr>,<size>`; the size is byte-granular detail the
             // word-granular simulator does not model, so it is parsed
@@ -358,7 +362,7 @@ fn parse_non_din(
             if let Some(s) = size {
                 let _: u64 = s
                     .parse()
-                    .map_err(|e| err(format!("bad access size '{s}': {e}")))?;
+                    .map_err(|e| err(format!("bad access size {}: {e}", Quoted(s))))?;
             }
             let byte_addr = parse_hex_addr(addr_hex).map_err(err)?;
             let truncated = byte_addr % BYTES_PER_WORD != 0;
@@ -375,7 +379,7 @@ fn parse_hex_addr(s: &str) -> Result<u64, String> {
         .strip_prefix("0x")
         .or_else(|| s.strip_prefix("0X"))
         .unwrap_or(s);
-    u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex address '{s}': {e}"))
+    u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex address {}: {e}", Quoted(s)))
 }
 
 impl<R: BufRead> Iterator for ImportIter<R> {

@@ -82,6 +82,29 @@ pub fn parse_din<R: BufRead>(reader: R) -> Result<Vec<MemRef>, ParseDinError> {
     DinIter::new(reader).collect()
 }
 
+/// The most bytes of an offending token a parse error repeats.
+const QUOTE_BYTES: usize = 32;
+
+/// An offending token as a parse error quotes it: `'token'`, or, past
+/// [`QUOTE_BYTES`], its prefix cut on a char boundary and marked
+/// `'prefix'... (N bytes)`. An upload may be one multi-megabyte token,
+/// and its error is also an HTTP answer, so a message must stay short.
+pub(crate) struct Quoted<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let token = self.0;
+        if token.len() <= QUOTE_BYTES {
+            return write!(f, "'{token}'");
+        }
+        let mut cut = QUOTE_BYTES;
+        while !token.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        write!(f, "'{}'... ({} bytes)", &token[..cut], token.len())
+    }
+}
+
 /// Parses one `din` line: no reference for a blank or `#` comment line,
 /// else one, with whether its address lost sub-word bits (never under
 /// [`Alignment::Reject`], which errors instead). The authority on every
@@ -104,7 +127,7 @@ pub(crate) fn parse_line(
         other => {
             return Err(ParseDinError {
                 line: lineno,
-                message: format!("unknown label '{other}' (expected 0, 1, or 2)"),
+                message: format!("unknown label {} (expected 0, 1, or 2)", Quoted(other)),
             })
         }
     };
@@ -118,19 +141,19 @@ pub(crate) fn parse_line(
         .unwrap_or(addr_str);
     let byte_addr = u64::from_str_radix(hex, 16).map_err(|e| ParseDinError {
         line: lineno,
-        message: format!("bad hex address '{addr_str}': {e}"),
+        message: format!("bad hex address {}: {e}", Quoted(addr_str)),
     })?;
     let pid = match fields.next() {
         None => Pid(0),
         Some(p) => Pid(p.parse().map_err(|e| ParseDinError {
             line: lineno,
-            message: format!("bad pid '{p}': {e}"),
+            message: format!("bad pid {}: {e}", Quoted(p)),
         })?),
     };
     if let Some(junk) = fields.next() {
         return Err(ParseDinError {
             line: lineno,
-            message: format!("trailing junk '{junk}'"),
+            message: format!("trailing junk {}", Quoted(junk)),
         });
     }
     let truncated = byte_addr % BYTES_PER_WORD != 0;
@@ -307,6 +330,16 @@ mod tests {
             assert_eq!(err.line, 2, "{input}");
             assert!(err.to_string().contains(needle), "{input}: {err}");
         }
+    }
+
+    #[test]
+    fn a_long_token_is_quoted_by_a_prefix_cut_on_a_char_boundary() {
+        assert_eq!(Quoted("zzz").to_string(), "'zzz'");
+        // Byte 32 falls inside the sixteenth `é`, so the cut backs off
+        // to the end of the fifteenth.
+        let token = format!("a{}", "é".repeat(40));
+        let quoted = Quoted(&token).to_string();
+        assert_eq!(quoted, format!("'a{}'... (81 bytes)", "é".repeat(15)));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! Upload bodies may be tens of MiB. A vector sized from the body (one
 //! slot per line, or per `M` byte) would let a body of blank lines or
-//! comments reserve 16 bytes per body byte while yielding nothing. This
-//! binary counts the largest single allocation made during each parse
-//! with a counting global allocator; it holds one test, so no other test
-//! allocates while it measures.
+//! comments reserve 16 bytes per body byte while yielding nothing, and an
+//! error that quoted a multi-megabyte token whole would cost twice the
+//! token. This binary counts the largest single allocation made during
+//! each parse with a counting global allocator; it holds one test, so no
+//! other test allocates while it measures.
 
 use cachetime_trace::import::{self, TraceFormat};
 use cachetime_types::{MemRef, Pid, WordAddr};
@@ -75,6 +76,11 @@ fn a_parse_reserves_only_for_the_references_it_yields() {
         text.extend_from_slice(&filler(b"\n"));
         bodies.push(("1,000 refs then newlines", format, text));
     }
+    // One huge token each, refused: the error quotes a clipped prefix.
+    let line = |head: &[u8], token: u8| [head, &vec![token; BODY], b"\n"].concat();
+    bodies.push(("a line of M", TraceFormat::Lackey, line(b"", b'M')));
+    bodies.push(("a huge hex token", TraceFormat::Din, line(b"0 ", b'f')));
+    bodies.push(("a huge opcode", TraceFormat::ChampSim, line(b"", b'Q')));
     bodies.push((
         "banners full of M",
         TraceFormat::Lackey,

@@ -73,7 +73,10 @@
 #    (`cachetime_store_evictions_total`, `cachetime_disk_evicted_total`)
 #    are among them: both are driven by the shared `BudgetLru`. So is
 #    `cachetime_record_bytes_total` beside `cachetime_record_ops_total`:
-#    their ratio is what a recording costs in memory per op.
+#    their ratio is what a recording costs in memory per op. The store
+#    budget and the upload store's residency
+#    (`cachetime_store_budget_bytes`, `cachetime_ingest_resident_bytes`)
+#    are there too, since `/v1/stats` is projected from the same families.
 # 9. Server chaos test: start `ctserve` with tight robustness limits and
 #    run the seeded fault-injection clients (`cachetime-bench
 #    serve-chaos`, fixed seed): half-written heads, mid-body disconnects,
@@ -193,6 +196,7 @@ for family in \
   cachetime_store_misses_total \
   cachetime_store_entries \
   cachetime_store_bytes \
+  cachetime_store_budget_bytes \
   cachetime_store_evictions_total \
   cachetime_server_in_flight \
   cachetime_server_shed_total \
@@ -225,7 +229,8 @@ for family in \
   cachetime_ingest_refs_total \
   cachetime_ingest_bytes_total \
   cachetime_ingest_truncated_refs_total \
-  cachetime_ingest_evicted_total; do
+  cachetime_ingest_evicted_total \
+  cachetime_ingest_resident_bytes; do
   grep -q "^$family" <<<"$METRICS" \
     || { echo "missing metric family: $family"; exit 1; }
 done
