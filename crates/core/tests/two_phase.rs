@@ -20,13 +20,14 @@ fn traces() -> Vec<Trace> {
     ]
 }
 
-/// The §3 speed–size shape in miniature: every (size, cycle time, trace)
-/// cell must reprice bit-identically. One behavioral pass per (size,
-/// trace) covers the whole cycle-time axis.
+/// The §3 speed–size shape on every catalog trace, across the paper's
+/// size axis from its smallest to its largest cache: every (size, cycle
+/// time, trace) cell must reprice bit-identically. One behavioral pass per
+/// (size, trace) covers the whole cycle-time axis.
 #[test]
 fn speed_size_grid_cells_replay_bit_identically() {
-    let traces = traces();
-    for size_kib in [2u64, 8] {
+    let traces: Vec<Trace> = catalog::all(0.02).iter().map(|s| s.generate()).collect();
+    for size_kib in [2u64, 8, 64, 2048] {
         let l1 = CacheConfig::builder(CacheSize::from_kib(size_kib).unwrap())
             .build()
             .unwrap();

@@ -54,7 +54,6 @@ pub struct Registry {
     /// there is nothing to emit to. Relaxed: the flag publishes nothing,
     /// since a span that sees it set reads the sink under the lock.
     has_sink: AtomicBool,
-    spans_enabled: AtomicBool,
 }
 
 impl Default for Registry {
@@ -64,13 +63,12 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry with span timing enabled and no sink.
+    /// An empty registry with no sink.
     pub fn new() -> Self {
         Self {
             families: Mutex::new(BTreeMap::new()),
             sink: Mutex::new(None),
             has_sink: AtomicBool::new(false),
-            spans_enabled: AtomicBool::new(true),
         }
     }
 
@@ -130,32 +128,22 @@ impl Registry {
     /// Start a span. Its duration lands in the
     /// `cachetime_span_duration_us{span="<name>"}` histogram when the
     /// guard drops, and — if a sink is installed — one trace record is
-    /// emitted. When spans are disabled the guard is inert and costs a
-    /// single atomic load. Looks the histogram up on every call; a hot
-    /// call site on the global registry uses
-    /// [`global_span!`](crate::global_span), which looks it up once.
+    /// emitted. Looks the histogram up on every call; a hot call site on
+    /// the global registry uses [`global_span!`](crate::global_span),
+    /// which looks it up once.
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        let enabled = self.spans_enabled.load(Ordering::Relaxed);
-        Span::start(self, name, enabled.then(|| self.span_histogram(name)))
+        Span::start(self, name, self.span_histogram(name))
     }
 
     /// [`span`](Self::span) with the duration histogram already looked
     /// up by [`span_histogram`](Self::span_histogram).
     pub fn span_with(&self, name: &'static str, hist: &Arc<Histogram>) -> Span<'_> {
-        let enabled = self.spans_enabled.load(Ordering::Relaxed);
-        Span::start(self, name, enabled.then(|| Arc::clone(hist)))
+        Span::start(self, name, Arc::clone(hist))
     }
 
     /// The histogram spans named `name` record their durations in.
     pub fn span_histogram(&self, name: &str) -> Arc<Histogram> {
         self.histogram("cachetime_span_duration_us", &[("span", name)])
-    }
-
-    /// Enable or disable span timing (counters and direct histogram
-    /// recording are unaffected). Used by the bench harness to measure
-    /// instrumentation overhead.
-    pub fn set_spans_enabled(&self, enabled: bool) {
-        self.spans_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Install (or clear) the span trace sink.

@@ -41,34 +41,24 @@ pub trait SpanSink: Send + Sync {
 pub struct Span<'a> {
     registry: &'a Registry,
     name: &'static str,
-    /// The duration histogram and the start instant; `None` when spans
-    /// were disabled at creation — the guard is then fully inert.
-    timer: Option<(Arc<Histogram>, Instant)>,
+    hist: Arc<Histogram>,
+    start: Instant,
     start_us: u64,
     work: u64,
 }
 
 impl<'a> Span<'a> {
-    /// Starts a span that records into `hist`, or an inert one.
-    pub(crate) fn start(
-        registry: &'a Registry,
-        name: &'static str,
-        hist: Option<Arc<Histogram>>,
-    ) -> Self {
-        let (timer, start_us) = match hist {
-            Some(hist) => {
-                let start_us = SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_micros() as u64)
-                    .unwrap_or(0);
-                (Some((hist, Instant::now())), start_us)
-            }
-            None => (None, 0),
-        };
+    /// Starts a span that records into `hist`.
+    pub(crate) fn start(registry: &'a Registry, name: &'static str, hist: Arc<Histogram>) -> Self {
+        let start_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
         Self {
             registry,
             name,
-            timer,
+            hist,
+            start: Instant::now(),
             start_us,
             work: 0,
         }
@@ -83,11 +73,8 @@ impl<'a> Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some((hist, start)) = &self.timer else {
-            return;
-        };
-        let dur_us = start.elapsed().as_micros() as u64;
-        hist.record(dur_us);
+        let dur_us = self.start.elapsed().as_micros() as u64;
+        self.hist.record(dur_us);
         if let Some(sink) = self.registry.current_sink() {
             sink.emit(&SpanRecord {
                 span: self.name,
@@ -199,24 +186,6 @@ mod tests {
         assert_eq!(sink.0.load(Ordering::Relaxed), 1);
         let h = r.histogram("cachetime_span_duration_us", &[("span", "unseen")]);
         assert_eq!(h.count(), 1, "the histogram records without a sink");
-    }
-
-    #[test]
-    fn disabled_spans_are_inert() {
-        let r = Registry::new();
-        let sink = Arc::new(CountingSink(AtomicU64::new(0), AtomicU64::new(0)));
-        r.set_sink(Some(sink.clone()));
-        r.set_spans_enabled(false);
-        drop(r.span("quiet"));
-        assert_eq!(
-            r.histogram("cachetime_span_duration_us", &[("span", "quiet")])
-                .count(),
-            0
-        );
-        assert_eq!(sink.0.load(Ordering::Relaxed), 0);
-        r.set_spans_enabled(true);
-        drop(r.span("loud"));
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -126,19 +126,16 @@ fn main() {
     )
     .with_limits(limits_for(&config));
     if let Some(dir) = &config.data_dir {
-        let disk = cachetime_disk::SegmentStore::open_with_metrics(
-            cachetime_disk::DiskConfig {
+        app = app
+            .with_disk(cachetime_disk::DiskConfig {
                 root: dir.clone(),
                 budget_bytes: config.disk_budget_bytes,
                 quarantine_cap_bytes: cachetime_disk::DEFAULT_QUARANTINE_CAP_BYTES,
-            },
-            cachetime_disk::DiskMetrics::in_registry(cachetime_obs::global()),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: failed to open data dir {}: {e}", dir.display());
-            std::process::exit(1);
-        });
-        app = app.with_disk(disk);
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("error: failed to open data dir {}: {e}", dir.display());
+                std::process::exit(1);
+            });
         match app.recover_from_disk() {
             Ok(report) => {
                 if report.recovered > 0 || report.quarantined > 0 || report.stale_tmp > 0 {

@@ -422,15 +422,11 @@ impl ServerHandle {
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut app = App::new(config.store_budget_bytes).with_limits(limits_for(&config));
     if let Some(dir) = &config.data_dir {
-        let disk = cachetime_disk::SegmentStore::open_with_metrics(
-            cachetime_disk::DiskConfig {
-                root: dir.clone(),
-                budget_bytes: config.disk_budget_bytes,
-                quarantine_cap_bytes: cachetime_disk::DEFAULT_QUARANTINE_CAP_BYTES,
-            },
-            cachetime_disk::DiskMetrics::in_registry(app.registry()),
-        )?;
-        app = app.with_disk(disk);
+        app = app.with_disk(cachetime_disk::DiskConfig {
+            root: dir.clone(),
+            budget_bytes: config.disk_budget_bytes,
+            quarantine_cap_bytes: cachetime_disk::DEFAULT_QUARANTINE_CAP_BYTES,
+        })?;
         // Warm the in-memory store before the listener binds, so the
         // first request after a restart already sees every intact
         // segment and re-records nothing.

@@ -66,7 +66,7 @@ pub mod upload;
 pub use http::{serve, serve_with_app, Request, ServerConfig, ServerHandle};
 
 use cachetime::{keyed, EventTrace, SystemConfig, TimingConfig};
-use cachetime_disk::{AdoptOutcome, DiskOp, ScanReport, SegmentStore};
+use cachetime_disk::{AdoptOutcome, DiskConfig, DiskMetrics, DiskOp, ScanReport, SegmentStore};
 use cachetime_obs::Registry;
 use cachetime_trace::import::TraceFormat;
 use cachetime_types::{json_object, Json};
@@ -349,12 +349,19 @@ impl App {
         self
     }
 
-    /// Attaches a durable segment store (builder-style), wiring the app's
-    /// fault plan into the store's `disk.write`/`disk.read` points. Call
+    /// Opens the durable segment store `config` describes and attaches it
+    /// (builder-style): its `cachetime_disk_*` metrics register in the
+    /// app's registry, and the app's fault plan is wired into the store's
+    /// `disk.write`/`disk.read` points. Call
     /// [`recover_from_disk`](Self::recover_from_disk) afterwards to warm
     /// the in-memory store, before serving traffic.
-    #[must_use]
-    pub fn with_disk(mut self, disk: SegmentStore) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error opening or creating the store's directories.
+    pub fn with_disk(mut self, config: DiskConfig) -> std::io::Result<Self> {
+        let disk =
+            SegmentStore::open_with_metrics(config, DiskMetrics::in_registry(&self.registry))?;
         let plan = Arc::clone(&self.faults);
         let disk = disk.with_fault_hook(Arc::new(move |op, _key, len| {
             let point = match op {
@@ -364,7 +371,7 @@ impl App {
             plan.decide_disk(point, len)
         }));
         self.disk = Some(Arc::new(disk));
-        self
+        Ok(self)
     }
 
     /// The attached durable store, if any.
@@ -1406,14 +1413,14 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         // Self not in the peer list: refused.
         let dir = std::env::temp_dir().join(format!("ct-fleet-cfg-{}", std::process::id()));
-        let disk = cachetime_disk::SegmentStore::open(cachetime_disk::DiskConfig {
+        let disk = DiskConfig {
             root: dir.clone(),
             budget_bytes: 0,
             quarantine_cap_bytes: 0,
-        })
-        .unwrap();
+        };
         let err = match App::new(usize::MAX)
             .with_disk(disk)
+            .unwrap()
             .with_fleet(fleet(&["a:1", "b:2"], "c:3"))
         {
             Err(e) => e,

@@ -11,7 +11,7 @@
 //! fleet heals once the fault budget drains.
 
 use cachetime::{keyed, Simulator, SystemConfig};
-use cachetime_disk::{DiskConfig, SegmentStore};
+use cachetime_disk::DiskConfig;
 use cachetime_serve::client::{ClientConfig, FleetClient};
 use cachetime_serve::fault::FaultPlan;
 use cachetime_serve::{api, serve_with_app, App, FleetConfig, ServerConfig, ServerHandle};
@@ -29,13 +29,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn open_disk(root: &Path) -> SegmentStore {
-    SegmentStore::open(DiskConfig {
+fn disk_config(root: &Path) -> DiskConfig {
+    DiskConfig {
         root: root.to_path_buf(),
         budget_bytes: 0,
         quarantine_cap_bytes: 0,
-    })
-    .expect("open segment store")
+    }
 }
 
 /// Reserves `n` distinct loopback addresses. The listeners are all held
@@ -64,7 +63,9 @@ fn start_shard(
     if let Some(faults) = faults {
         app = app.with_faults(faults);
     }
-    let app = app.with_disk(open_disk(root));
+    let app = app
+        .with_disk(disk_config(root))
+        .expect("open segment store");
     app.recover_from_disk().expect("recovery scan");
     let app = app
         .with_fleet(FleetConfig {

@@ -224,14 +224,14 @@ fn fleet_families_expose_exemplars_over_a_socket() {
             .collect()
     };
     let start = |ix: usize| {
-        let disk = cachetime_disk::SegmentStore::open(cachetime_disk::DiskConfig {
+        let disk = cachetime_disk::DiskConfig {
             root: roots[ix].clone(),
             budget_bytes: 0,
             quarantine_cap_bytes: 0,
-        })
-        .unwrap();
+        };
         let app = App::new(usize::MAX)
             .with_disk(disk)
+            .unwrap()
             .with_fleet(FleetConfig {
                 peers: addrs.clone(),
                 self_addr: addrs[ix].clone(),
@@ -702,6 +702,64 @@ fn every_section_family_and_stats_leaf_correspond() {
             &format!("cachetime_request_duration_us_count{{endpoint=\"{endpoint}\"}}"),
         );
     }
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable store attached with `App::with_disk` registers its metrics in
+/// the app's own registry: once a recording has spilled, `/v1/metrics`
+/// carries the `cachetime_disk_*` families and `/v1/stats` a `disk`
+/// section that agrees with them.
+#[test]
+fn an_attached_disk_reports_in_the_apps_registry() {
+    let dir = std::env::temp_dir().join(format!("cachetime-metrics-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = App::new(usize::MAX)
+        .with_disk(cachetime_disk::DiskConfig {
+            root: dir.clone(),
+            budget_bytes: 0,
+            quarantine_cap_bytes: 0,
+        })
+        .expect("open segment store");
+    let handle = serve_with_app(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..Default::default()
+        },
+        Arc::new(app),
+    )
+    .expect("bind an ephemeral port");
+    let mut client = HttpClient::connect(&handle.local_addr().to_string()).unwrap();
+
+    // A cold simulate records and spills before it answers.
+    let (status, body) = client
+        .post(
+            "/v1/simulate",
+            r#"{"trace": {"name": "mu3", "scale": 0.004}}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (status, metrics) = client.get("/v1/metrics").unwrap();
+    assert_eq!(status, 200, "{metrics}");
+    assert_eq!(prom(&metrics, "cachetime_disk_spills_total"), 1);
+    assert_eq!(prom(&metrics, "cachetime_disk_segments"), 1);
+    let spilled = prom(&metrics, "cachetime_disk_spill_bytes_total");
+    assert!(spilled > 0, "{metrics}");
+
+    let (status, body) = client.get("/v1/stats").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let stats = Json::parse(&body).unwrap();
+    let disk = stats.get("disk").unwrap_or_else(|| panic!("{body}"));
+    assert_eq!(disk.get("spills").and_then(Json::as_u64), Some(1), "{body}");
+    assert_eq!(
+        disk.get("spill_bytes").and_then(Json::as_u64),
+        Some(spilled as u64),
+        "{body}"
+    );
 
     handle.shutdown();
     handle.join();

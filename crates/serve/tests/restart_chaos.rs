@@ -12,7 +12,7 @@
 //! * replay recovered keys bit-identically to a direct `Simulator::run`.
 
 use cachetime::{Simulator, SystemConfig};
-use cachetime_disk::{DiskConfig, SegmentStore};
+use cachetime_disk::DiskConfig;
 use cachetime_serve::client::HttpClient;
 use cachetime_serve::fault::FaultPlan;
 use cachetime_serve::{api, serve_with_app, App, Request, ServerConfig};
@@ -26,13 +26,12 @@ fn scratch() -> std::path::PathBuf {
     dir
 }
 
-fn open_disk(root: &std::path::Path) -> SegmentStore {
-    SegmentStore::open(DiskConfig {
+fn disk_config(root: &std::path::Path) -> DiskConfig {
+    DiskConfig {
         root: root.to_path_buf(),
         budget_bytes: 0,
         quarantine_cap_bytes: 0,
-    })
-    .expect("open segment store")
+    }
 }
 
 fn post(app: &App, path: &str, body: &str) -> (u16, Json) {
@@ -63,7 +62,8 @@ fn restart_recovers_intact_segments_and_quarantines_torn_ones() {
     let faults = FaultPlan::seeded(0xD15C_CA05).arm_disk("disk.write", 0.3, 0.2, None);
     let app = App::new(usize::MAX)
         .with_faults(faults)
-        .with_disk(open_disk(&root));
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     for &scale in &scales {
         let (status, v) = post(&app, "/v1/simulate", &sim_body(scale));
         assert_eq!(status, 200, "recording must survive spill faults");
@@ -78,7 +78,9 @@ fn restart_recovers_intact_segments_and_quarantines_torn_ones() {
     drop(app); // SIGKILL: no shutdown path runs.
 
     // ---- Life 2: same directory, no faults.
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     let report = app.recover_from_disk().expect("scan");
     assert_eq!(report.recovered, intact, "every intact segment comes back");
     assert_eq!(
@@ -123,14 +125,18 @@ fn restart_after_clean_run_rerecords_nothing() {
     let _ = std::fs::remove_dir_all(&root);
     let scales = [0.004, 0.005, 0.006];
 
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     for &scale in &scales {
         let (status, _) = post(&app, "/v1/simulate", &sim_body(scale));
         assert_eq!(status, 200);
     }
     drop(app);
 
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     let report = app.recover_from_disk().expect("scan");
     assert_eq!(report.recovered, scales.len() as u64);
     assert_eq!(report.quarantined, 0);
@@ -161,7 +167,9 @@ fn a_corrupt_upload_segment_after_restart_answers_404_not_a_panic() {
     let _ = std::fs::remove_dir_all(&root);
 
     // ---- Life 1: upload two traces and record both; each spills.
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     let mut uploads = Vec::new();
     for scale in [0.003, 0.004] {
         let trace = catalog::mu3(scale).generate();
@@ -179,7 +187,11 @@ fn a_corrupt_upload_segment_after_restart_answers_404_not_a_panic() {
 
     // ---- Life 2: index the segments without seeding the memory store,
     // then flip one payload byte of the first.
-    let app = Arc::new(App::new(usize::MAX).with_disk(open_disk(&root)));
+    let app = Arc::new(
+        App::new(usize::MAX)
+            .with_disk(disk_config(&root))
+            .expect("open segment store"),
+    );
     let report = app.disk().unwrap().scan(|_, _| {}).expect("scan");
     assert_eq!(report.recovered, 2);
     let seg_name = format!("{}.seg", uploads[0].1);
@@ -257,7 +269,9 @@ fn a_v1_segment_is_rerecorded_once_and_answers_bit_identically() {
     )
     .unwrap();
 
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     let report = app.recover_from_disk().expect("scan");
     assert_eq!((report.recovered, report.quarantined), (0, 1));
     let direct = api::sim_result_to_json(&Simulator::new(&config).run(&workload.generate()));
@@ -274,7 +288,9 @@ fn a_v1_segment_is_rerecorded_once_and_answers_bit_identically() {
     assert_eq!(app.store.stats().misses, 1);
     // The recording spilled a current segment in the v1 one's place.
     drop(app);
-    let app = App::new(usize::MAX).with_disk(open_disk(&root));
+    let app = App::new(usize::MAX)
+        .with_disk(disk_config(&root))
+        .expect("open segment store");
     let report = app.recover_from_disk().expect("scan");
     assert_eq!((report.recovered, report.quarantined), (1, 0));
     let _ = std::fs::remove_dir_all(&root);

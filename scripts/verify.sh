@@ -37,9 +37,14 @@
 #    and every byte flip of a stream that it accepts prices on both banks
 #    without a panic (`checked_streams_price_without_panicking`). Each
 #    name-filtered run fails if its filter matched no test.
-# 5. Small-scale `cachetime-bench sweep`: re-asserts equivalence over the
-#    full speed-size grid and refreshes BENCH_sweep.json with the current
-#    grid-repricing numbers.
+# 5. Small-scale `cachetime-bench sweep`: a serial repricing pass prices
+#    one cell per organization from scratch (`simulate`) back to back
+#    with that organization's record + one `replay_many` over the 16-point
+#    axis, and asserts the cell equals its replay lane bit for bit (the
+#    88 cells cover every trace, size and cycle time). It counts the spans
+#    a serial two-phase pass finishes, prices them at the per-span cost
+#    measured in the same process, and asserts that stays under 2% of the
+#    pass's wall time. Refreshes BENCH_sweep.json.
 # 6. Server smoke test: start `ctserve` on an ephemeral port, drive
 #    simulate + replay + stats through `cachetime-bench serve-check`
 #    (which asserts the responses are bit-identical to a direct
@@ -99,14 +104,20 @@
 # 13. Serve benchmark: cold/warm/batch legs, a chunked-ingest throughput
 #    leg (refs/sec), the 1..256-client concurrency sweep (p50 at 256
 #    clients must stay within 3x of solo), and the cold-record vs
-#    restart-warm leg (>= 10x). Refreshes BENCH_serve.json.
+#    restart-warm leg. Across the 176 warm requests the process-global
+#    engine counters must show no recording and no from-scratch
+#    simulation, and exactly 176 replayed configurations; the restart-warm
+#    leg must recover all 11 segments and record nothing (store misses 0).
+#    The warm and restart-warm speedups are ratios of leg medians.
+#    Refreshes BENCH_serve.json.
 # 14. Associativity-threshold study at small scale: the organization
 #    features (victim cache, way prediction) must reproduce the
 #    crossover — a size below which set-associativity stops paying
 #    against the best direct-mapped organization.
 # 15. Bench regression diff: compare the freshly written BENCH_sweep.json
 #    and BENCH_serve.json against the committed baselines; any headline
-#    metric regressing by more than 15% fails the gate.
+#    metric regressing by more than 15% (times its noise multiplier), or
+#    missing from the fresh snapshot, fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
