@@ -18,8 +18,7 @@
 //! Every header field is little-endian and fixed-width. The op stream is
 //! the trace's own representation (the layout is documented with the
 //! writer in `opstream.rs`), so `encode` is the header plus one copy and
-//! `decode` is the header and one check pass over the ops, which writes
-//! the decoded trace's stream as it goes. A
+//! `decode` is the header, one check pass over the ops and one copy. A
 //! version-1 payload (one fixed-width record per op) is rejected as an
 //! unsupported version; recording is deterministic, so its key is simply
 //! recorded again. No external serialization crate is used — the
@@ -30,16 +29,16 @@
 //! * **Round-trip identity**: `decode(encode(t)) == t` for every trace,
 //!   so a warm restart replays bit-identically to
 //!   [`crate::Simulator::run`]; and `encode(decode(b)) == b` for every
-//!   payload `decode` accepts, because the op stream is canonical.
+//!   payload `decode` accepts, because a decoded trace holds its op bytes
+//!   as given. They need not be the encoder's: a wider field or a set
+//!   bit the decoder never reads prices as the ops it decodes to, so `==`
+//!   on decoded traces compares bytes, not ops.
 //! * **Validated decode**: configurations are rebuilt through the public
-//!   builders, and every op is decoded once into a sink that writes it
-//!   back through the recording's own encoder: the payload is accepted
-//!   only if the encoder writes its bytes unchanged and every op is one a
-//!   walk emits (a couplet with a half, a read on the ifetch half, fills
-//!   and victims that are whole aligned blocks). So a decoded trace
-//!   satisfies every invariant a freshly recorded one does and prices
-//!   without a panic; a corrupt payload yields [`CodecError`], never a
-//!   panic and never an internally inconsistent trace.
+//!   builders, and each op is decoded once into a sink that accepts only
+//!   ops a walk emits (a hit run that counts something, a couplet with a
+//!   half, a read on the ifetch half, fills and victims that are whole
+//!   aligned blocks). So a decoded trace prices without a panic; a
+//!   corrupt payload yields [`CodecError`], never a panic.
 //! * **Bounded allocation**: claimed lengths are checked against the
 //!   remaining input before any buffer is reserved, so truncated or
 //!   garbage headers cannot trigger huge allocations.
@@ -183,7 +182,7 @@ pub fn decode(bytes: &[u8]) -> Result<EventTrace, CodecError> {
     };
     let op_count = r.u64()?;
     // One check pass over the rest, which rejects a claimed count beyond
-    // the remaining input before reserving anything and writes the copy.
+    // the remaining input before reserving anything, then one copy.
     let ops = OpStream::checked(&r.bytes[r.pos..], op_count)?;
     Ok(EventTrace::from_raw_parts(
         org, ops, refs, couplets, l1i_stats, l1d_stats, mmu,

@@ -26,7 +26,7 @@
 //!                  bit 1     side: 0 = ifetch half, 1 = data half
 //!                  bit 2     pid changed: 2 pid bytes follow the address
 //!                  bits 3-5  address delta width - 1 (1..8 bytes)
-//!                  bits 6-7  must be zero
+//!                  bits 6-7  zero (never read)
 //!                walk-free, no victim, fill size as the last miss's
 //! wmmm_mm01      hit run: m = the classes with a nonzero count, in
 //!                CoupletClass order; w = a u16 of 2-bit count widths
@@ -39,21 +39,22 @@
 //!                bit 5     walk: a width byte (1..8) and the walk cycles
 //!                bits 6-7  address delta width: 1/2/4/8 bytes
 //! miss byte      (kinds 8..=10 only, after the walk)
-//!                bits 0-1  must be zero
+//!                bits 0-1  zero (never read)
 //!                bit 2     fill size changed: 4 bytes follow
 //!                bit 3     victim: its address delta follows
 //!                bits 4-5  victim delta width: 1/2/4/8 bytes
 //!                bit 6     victim words differ from the fill: 4 bytes
 //! ```
 //!
-//! The stream is canonical: every field takes the narrowest width that
-//! holds it and every shape takes its dedicated code, so equal op
-//! sequences are equal bytes. [`OpStream::checked`] enforces this by
-//! decoding each op into a sink that writes it back through an
-//! [`OpWriter`] and comparing, which rejects overlong fields, set
-//! must-be-zero bits and misplaced shapes alike, so the encoder is the one
-//! definition of canonical form. That sink also refuses the shapes no
-//! walk emits, which a lane bank cannot price (see `walked`).
+//! [`OpWriter`] writes every field at the narrowest width that holds it
+//! and every shape with its dedicated code, so the ops of one recording
+//! are always the same bytes. [`OpStream::checked`] does not require
+//! that of bytes it is handed: it decodes each op once into a sink that
+//! refuses only the shapes no walk emits, which a lane bank cannot price
+//! (see `walked`), and keeps the bytes as given. An overlong field or a
+//! set bit that is never read is accepted and prices as the op it
+//! decodes to. Equal streams are equal ops, but equal ops from two
+//! sources need not be equal bytes.
 
 use crate::codec::CodecError;
 use cachetime_cache::MAX_BLOCK_WORDS;
@@ -90,7 +91,8 @@ struct State {
 }
 
 /// An encoded op sequence: the packed bytes and the number of ops in
-/// them. Only [`OpWriter`] makes one, so its bytes always decode.
+/// them. Only [`OpWriter`] and [`OpStream::checked`] make one, so its
+/// bytes always decode.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct OpStream {
     bytes: Vec<u8>,
@@ -98,41 +100,32 @@ pub(crate) struct OpStream {
 }
 
 impl OpStream {
-    /// Validates `bytes` as exactly `len` canonical ops a walk could have
-    /// recorded, and returns the stream an [`OpWriter`] writes back from
-    /// them.
+    /// Validates `bytes` as exactly `len` ops a walk could have recorded,
+    /// in one decode pass, and returns a stream of those bytes as given.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] if the bytes end inside an op or hold
     /// fewer than `len`; [`CodecError::Invalid`] on an undefined code, an
-    /// op no walk emits, a stream the writer would not write, or bytes
-    /// past the last op.
+    /// op no walk emits, or bytes past the last op.
     pub(crate) fn checked(bytes: &[u8], len: u64) -> Result<Self, CodecError> {
         // Every op is at least one byte, so a larger count is a lie.
         if len > bytes.len() as u64 {
             return Err(CodecError::Truncated);
         }
-        let mut check = Checker {
-            writer: OpWriter::with_capacity(bytes.len() + OP_ROOM),
-            unwalked: None,
-        };
-        let (mut pos, mut state) = (0, State::default());
-        for _ in 0..len {
-            let start = pos;
-            decode_op(bytes, &mut pos, &mut state, &mut check)?;
-            if let Some(why) = check.unwalked {
-                return Err(CodecError::Invalid(why));
-            }
-            // The writer holds the ops before this one, byte for byte.
-            if check.writer.stream.bytes[start..] != bytes[start..pos] {
-                return Err(CodecError::Invalid("non-canonical op"));
-            }
-        }
-        if pos != bytes.len() {
+        let len = len as usize;
+        let mut shapes = Shapes(Ok(()));
+        let end = decode_ops(bytes, len, &mut shapes);
+        // The sink saw only the ops before a decode error, so its refusal
+        // is the earlier fault.
+        shapes.0.map_err(CodecError::Invalid)?;
+        if end? != bytes.len() {
             return Err(CodecError::Invalid("trailing bytes"));
         }
-        Ok(check.writer.finish())
+        Ok(OpStream {
+            bytes: bytes.to_vec(),
+            len,
+        })
     }
 
     pub(crate) fn view(&self) -> Ops<'_> {
@@ -235,10 +228,7 @@ impl Ops<'_> {
     /// Decodes every op in recorded order into `sink`.
     #[inline]
     pub(crate) fn feed(&self, sink: &mut impl OpSink) {
-        let (mut pos, mut state) = (0, State::default());
-        for _ in 0..self.len {
-            decode_op(self.bytes, &mut pos, &mut state, sink).expect(CHECKED);
-        }
+        decode_ops(self.bytes, self.len, sink).expect(CHECKED);
     }
 }
 
@@ -255,31 +245,22 @@ pub(crate) trait OpSink {
     fn warm_boundary(&mut self);
 }
 
-/// The sink [`OpStream::checked`] decodes into: it writes each op back
-/// through `writer` and notes an op no walk emits.
-struct Checker {
-    writer: OpWriter,
-    unwalked: Option<&'static str>,
-}
+/// The sink [`OpStream::checked`] decodes into: it keeps why the first op
+/// no walk emits is refused.
+struct Shapes(Result<(), &'static str>);
 
-impl OpSink for Checker {
+impl OpSink for Shapes {
     fn hit_run(&mut self, counts: &[u32; CoupletClass::COUNT]) {
         if counts.iter().all(|&c| c == 0) {
-            self.unwalked = Some("empty hit run");
+            self.0 = self.0.and(Err("empty hit run"));
         }
-        self.writer.hit_run(counts);
     }
 
     fn couplet(&mut self, iref: Option<&RefEvent>, dref: Option<&RefEvent>) {
-        if let Err(why) = walked(iref, dref) {
-            self.unwalked = Some(why);
-        }
-        self.writer.couplet(iref, dref);
+        self.0 = self.0.and(walked(iref, dref));
     }
 
-    fn warm_boundary(&mut self) {
-        self.writer.warm_boundary();
-    }
+    fn warm_boundary(&mut self) {}
 }
 
 /// Whether a walk could have recorded this couplet: it has a half, its
@@ -559,6 +540,17 @@ const PLAIN: [AccessEvent; 8] = [
     AccessEvent::WriteVictimHit { through: false },
     AccessEvent::WriteVictimHit { through: true },
 ];
+
+/// Decodes the first `len` ops of `bytes` into `sink` and returns where
+/// the last one ends.
+#[inline(always)]
+fn decode_ops(bytes: &[u8], len: usize, sink: &mut impl OpSink) -> Result<usize, CodecError> {
+    let (mut pos, mut state) = (0, State::default());
+    for _ in 0..len {
+        decode_op(bytes, &mut pos, &mut state, sink)?;
+    }
+    Ok(pos)
+}
 
 /// Decodes the op at `*pos` into `sink`, steps past it and advances the
 /// stream state. Never panics: out-of-range reads see zeros and end in
@@ -841,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn an_overlong_field_is_not_canonical() {
+    fn an_overlong_field_decodes_to_the_same_ops() {
         // A general record sets the fill size, then a lone clean miss.
         let ops = [
             Op::Couplet {
@@ -854,22 +846,17 @@ mod tests {
             },
         ];
         let s = stream(&ops);
-        // The lone miss is one header byte and a one-byte delta: widening
-        // the delta to two bytes decodes to the same ops but is rejected.
+        // The lone miss is one header byte and a one-byte delta: widened
+        // to two bytes, the delta is accepted, kept as given, and decodes
+        // to the same ops.
         let at = s.bytes.len() - 2;
         assert_eq!(s.bytes[at] & 1, 0, "a lone clean miss");
         let mut wide = s.bytes.clone();
         wide[at] |= 1 << 3;
         wide.push(0);
-        let (mut pos, mut state, mut again) = (0, State::default(), Vec::new());
-        for _ in 0..2 {
-            decode_op(&wide, &mut pos, &mut state, &mut again).unwrap();
-        }
-        assert_eq!((pos, again), (wide.len(), ops.to_vec()));
-        assert_eq!(
-            OpStream::checked(&wide, 2),
-            Err(CodecError::Invalid("non-canonical op"))
-        );
+        let back = OpStream::checked(&wide, 2).expect("an overlong delta decodes");
+        assert_eq!(back.bytes, wide);
+        assert_eq!(decoded(&back), ops.to_vec());
     }
 
     /// Ops the encoder can write but no walk emits, each of which a lane
@@ -901,19 +888,21 @@ mod tests {
     }
 
     /// Decodes `bytes` as `len` ops; if that succeeds, the ops must
-    /// re-encode to exactly `bytes`.
-    fn accepted_only_if_canonical(bytes: &[u8], len: u64) -> Result<(), String> {
+    /// re-encode to a stream that decodes to them again, so the decoder
+    /// reads no field the encoder does not write.
+    fn accepted_ops_round_trip(bytes: &[u8], len: u64) -> Result<(), String> {
         let Ok(s) = OpStream::checked(bytes, len) else {
             return Ok(());
         };
-        prop_assert_eq!(stream(&decoded(&s)).bytes, bytes.to_vec());
+        let ops = decoded(&s);
+        prop_assert_eq!(decoded(&stream(&ops)), ops);
         Ok(())
     }
 
     #[test]
-    fn op_stream_round_trips_and_is_canonical() {
+    fn op_stream_round_trips() {
         check(
-            "op_stream_round_trips_and_is_canonical",
+            "op_stream_round_trips",
             |rng| gen_ops(rng, Range::Any),
             shrink::vec_linear,
             |ops| {
@@ -926,13 +915,13 @@ mod tests {
                         OpStream::checked(&s.bytes[..cut], n).is_err(),
                         "prefix {cut} decoded"
                     );
-                    accepted_only_if_canonical(&s.bytes[..cut], n - 1)?;
+                    accepted_ops_round_trip(&s.bytes[..cut], n - 1)?;
                 }
                 let mut flipped = s.bytes.clone();
                 for at in 0..flipped.len() {
                     for mask in [0x01, 0x08, 0x20, 0x80, 0xff] {
                         flipped[at] ^= mask;
-                        accepted_only_if_canonical(&flipped, n)?;
+                        accepted_ops_round_trip(&flipped, n)?;
                         flipped[at] ^= mask;
                     }
                 }

@@ -7,8 +7,12 @@
 //!   smallest, a middle and the largest L1 of its grid, packs into at most
 //!   eight bytes per op.
 //!
-//! Round trips, canonical form and corrupt input are the property test in
-//! `opstream.rs` (`cargo test -p cachetime --lib op_stream`).
+//! Round trips and corrupt input are the property test in `opstream.rs`
+//! (`cargo test -p cachetime --lib op_stream`). The encoder writes every
+//! op in one form, which is what pins these bytes; a decoded payload is
+//! not held to that form. It keeps its bytes as given, so a field wider
+//! than it needs decodes and prices as the op it holds
+//! (`an_overlong_field_decodes_to_the_same_ops`).
 
 use cachetime::{codec, BehavioralSim, SystemConfig};
 use cachetime_cache::CacheConfig;

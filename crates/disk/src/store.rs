@@ -104,6 +104,12 @@ pub struct DiskConfig {
 /// Live segments in write order, each weighted by its sealed length.
 type Index = BudgetLru<u64, ()>;
 
+/// The trace in `key`'s sealed segment bytes, if the container checks
+/// out and its payload decodes.
+fn open_trace(key: u64, sealed: &[u8]) -> Option<EventTrace> {
+    codec::decode(segment::open(key, sealed).ok()?).ok()
+}
+
 /// A crash-safe, content-addressed segment store.
 ///
 /// Keys are the store's stable SplitMix64 trace keys; the 16-hex key is
@@ -269,31 +275,9 @@ impl SegmentStore {
     /// cannot vouch for. A corrupt file is quarantined on the spot and
     /// reads as absent, exactly like [`SegmentStore::load`].
     pub fn read_sealed(&self, key: u64) -> Option<Vec<u8>> {
-        if !self.contains(key) {
-            self.metrics.load_misses.inc();
-            return None;
-        }
-        let path = self.seg_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.metrics.load_errors.inc();
-                self.index_remove(key);
-                return None;
-            }
-        };
-        match segment::open(key, &bytes) {
-            Ok(_) => {
-                self.metrics.loads.inc();
-                Some(bytes)
-            }
-            Err(_) => {
-                self.quarantine_file(&path);
-                self.index_remove(key);
-                self.metrics.load_errors.inc();
-                None
-            }
-        }
+        let (path, bytes) = self.read_live(key)?;
+        let valid = segment::open(key, &bytes).is_ok();
+        self.loaded(key, &path, valid.then_some(bytes))
     }
 
     /// Adopts a sealed segment transferred from a peer. The bytes must be
@@ -309,15 +293,9 @@ impl SegmentStore {
         if self.contains(key) {
             return Ok(AdoptOutcome::AlreadyPresent);
         }
-        let trace = segment::open(key, sealed)
-            .map_err(|e| e.to_string())
-            .and_then(|payload| codec::decode(payload).map_err(|e| e.to_string()));
-        let trace = match trace {
-            Ok(trace) => trace,
-            Err(_) => {
-                self.quarantine_evidence(key, sealed);
-                return Ok(AdoptOutcome::Rejected);
-            }
+        let Some(trace) = open_trace(key, sealed) else {
+            self.quarantine_evidence(key, sealed);
+            return Ok(AdoptOutcome::Rejected);
         };
         self.write_sealed_atomic(key, sealed)?;
         self.metrics.adopted.inc();
@@ -342,41 +320,52 @@ impl SegmentStore {
     /// spot) and injected read errors; read-through callers treat all of
     /// those as a miss and re-record.
     pub fn load(&self, key: u64) -> Option<EventTrace> {
+        let (path, bytes) = self.read_live(key)?;
+        let bytes = match self.fault_for(DiskOp::Read, key, bytes.len()) {
+            DiskFault::None => bytes,
+            fault => {
+                let Some(bytes) = mangle(&bytes, fault) else {
+                    self.metrics.load_errors.inc();
+                    return None;
+                };
+                bytes
+            }
+        };
+        let trace = open_trace(key, &bytes);
+        self.loaded(key, &path, trace)
+    }
+
+    /// The path and bytes of `key`'s live segment. A key with no live
+    /// segment counts a load miss; a file that cannot be read counts a
+    /// load error and leaves the index.
+    fn read_live(&self, key: u64) -> Option<(PathBuf, Vec<u8>)> {
         if !self.contains(key) {
             self.metrics.load_misses.inc();
             return None;
         }
         let path = self.seg_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
+        match fs::read(&path) {
+            Ok(bytes) => Some((path, bytes)),
             Err(_) => {
                 self.metrics.load_errors.inc();
                 self.index_remove(key);
-                return None;
-            }
-        };
-        let bytes = match mangle(&bytes, self.fault_for(DiskOp::Read, key, bytes.len())) {
-            Some(b) => b,
-            None => {
-                self.metrics.load_errors.inc();
-                return None;
-            }
-        };
-        match segment::open(key, &bytes)
-            .map_err(|e| e.to_string())
-            .and_then(|payload| codec::decode(payload).map_err(|e| e.to_string()))
-        {
-            Ok(trace) => {
-                self.metrics.loads.inc();
-                Some(trace)
-            }
-            Err(_) => {
-                self.quarantine_file(&path);
-                self.index_remove(key);
-                self.metrics.load_errors.inc();
                 None
             }
         }
+    }
+
+    /// Counts a load of `key` that validated; or, for `None`, quarantines
+    /// the corrupt file at `path`, drops `key` from the index and counts a
+    /// load error.
+    fn loaded<T>(&self, key: u64, path: &Path, valid: Option<T>) -> Option<T> {
+        if valid.is_some() {
+            self.metrics.loads.inc();
+        } else {
+            self.quarantine_file(path);
+            self.index_remove(key);
+            self.metrics.load_errors.inc();
+        }
+        valid
     }
 
     /// Startup recovery: validates every segment in the directory,
@@ -421,15 +410,10 @@ impl SegmentStore {
                 continue;
             };
             let trace = fs::read(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| {
-                    segment::open(key, &bytes)
-                        .map_err(|e| e.to_string())
-                        .and_then(|payload| codec::decode(payload).map_err(|e| e.to_string()))
-                        .map(|trace| (trace, bytes.len() as u64))
-                });
+                .ok()
+                .and_then(|bytes| Some((open_trace(key, &bytes)?, bytes.len() as u64)));
             match trace {
-                Ok((trace, len)) => {
+                Some((trace, len)) => {
                     let mtime = entry
                         .metadata()
                         .and_then(|m| m.modified())
@@ -439,7 +423,7 @@ impl SegmentStore {
                     report.bytes += len;
                     sink(key, trace);
                 }
-                Err(_) => {
+                None => {
                     self.quarantine_file(&path);
                     report.quarantined += 1;
                 }

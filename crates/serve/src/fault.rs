@@ -43,9 +43,10 @@
 //! [`HttpClient::send_raw`]. It returns a [`ChaosReport`] and fails fast
 //! (with a message) on any *protocol violation* — a well-formed request
 //! answered with anything but `200`/`503`, or a malformed one answered
-//! with anything but its proper `4xx`.
+//! with anything but its proper `4xx` or the accept path's canned shed.
 
 use crate::client::{ClientConfig, HttpClient};
+use crate::http::QUEUE_FULL_RESPONSE;
 use cachetime_disk::DiskFault;
 use cachetime_testkit::SplitMix64;
 use std::collections::HashMap;
@@ -335,7 +336,8 @@ pub struct ChaosReport {
     pub rounds: u64,
     /// Well-formed requests answered `200`.
     pub ok: u64,
-    /// Well-formed requests shed or deadline-bounced (`503`).
+    /// Well-formed requests shed or deadline-bounced (`503`), and probe
+    /// or oversize rounds the accept path shed.
     pub shed: u64,
     /// Malformed requests correctly rejected with their `4xx`.
     pub rejected: u64,
@@ -364,6 +366,17 @@ impl ChaosReport {
 /// the one `500` a chaos run must tolerate (and count) rather than flag.
 fn is_injected_panic(status: u16, body: &str) -> bool {
     status == 500 && body.contains("panic")
+}
+
+/// Whether an answer is the accept path's canned shed, status and body
+/// exactly ([`QUEUE_FULL_RESPONSE`]). It is written before a byte of the
+/// request is read, so a round of any kind may meet it; any other `503`
+/// still means what its round says.
+fn is_accept_shed(status: u16, body: &[u8]) -> bool {
+    status == 503
+        && QUEUE_FULL_RESPONSE
+            .strip_suffix(body)
+            .is_some_and(|head| head.ends_with(b"\r\n\r\n"))
 }
 
 /// The paper's 11-point per-cache size axis (2 KB – 2 MB), as served.
@@ -416,7 +429,8 @@ fn extract_key(body: &str) -> Option<String> {
 /// requests must answer `200` (or `503` when the server sheds, or the
 /// recognizable injected-panic `500` when the server runs an armed
 /// [`FaultPlan`]); malformed ones must answer their proper `4xx` or see
-/// the connection closed.
+/// the connection closed. A probe or an oversize claim may also meet the
+/// accept path's canned shed.
 ///
 /// # Errors
 ///
@@ -501,6 +515,8 @@ pub fn run_chaos_client(
                     .map_err(|e| format!("probe round {round}: {e}"))?;
                 if is_injected_panic(status, &resp) {
                     report.panicked += 1;
+                } else if is_accept_shed(status, resp.as_bytes()) {
+                    report.shed += 1;
                 } else if status != 200 {
                     return Err(format!(
                         "probe round {round}: {path} answered {status}: {resp}"
@@ -569,6 +585,7 @@ pub fn run_chaos_client(
                     let head = b"POST /v1/simulate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
                     match c.send_raw(head) {
                         Ok((413, _)) => report.rejected += 1,
+                        Ok((s, resp)) if is_accept_shed(s, &resp) => report.shed += 1,
                         Ok((other, resp)) => {
                             return Err(format!(
                                 "oversize round {round}: expected 413, got {other}: {}",
@@ -596,6 +613,19 @@ mod tests {
             assert_eq!(plan.decide("serve.handle"), FaultAction::Proceed);
         }
         assert_eq!(plan.injected(), 0);
+    }
+
+    #[test]
+    fn only_the_accept_paths_canned_shed_is_an_accept_shed() {
+        let body = b"{\"error\":\"connection shed\"}\r\n";
+        assert!(is_accept_shed(503, body));
+        assert!(!is_accept_shed(413, body));
+        assert!(!is_accept_shed(503, b""));
+        assert!(!is_accept_shed(503, b"\r\n"));
+        // The app's own load-shedding 503 is not the accept path's.
+        let busy = crate::Response::unavailable("busy");
+        assert!(!is_accept_shed(503, &busy.body));
+        assert!(!is_accept_shed(503, &QUEUE_FULL_RESPONSE[9..]));
     }
 
     #[test]

@@ -529,7 +529,7 @@ pub fn serve_with_app(config: ServerConfig, app: Arc<App>) -> std::io::Result<Se
 
 /// The canned response the accept path sheds over-limit connections with
 /// (no allocation, no handler, bounded write).
-const QUEUE_FULL_RESPONSE: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 29\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{\"error\":\"connection shed\"}\r\n";
+pub(crate) const QUEUE_FULL_RESPONSE: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 29\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{\"error\":\"connection shed\"}\r\n";
 
 /// A handler-pool thread: pops blocking jobs, runs them panic-isolated,
 /// posts completions, and wakes the loop.

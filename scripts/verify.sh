@@ -22,11 +22,13 @@
 #    kernel with the general path. The cache oracle (`cachetime-cache
 #    --test oracle`) runs there too: the frame store against a naive
 #    model for blocks of 1-256 words, across every dirty-mask limb
-#    boundary. So do the packed op stream's checks: the round-trip and
-#    canonical-form property over random op sequences (every truncation
-#    and single-byte flip errors or re-encodes to itself), the golden
-#    encoding of one recording, and the bytes-per-op bound over the
-#    sweep catalog (`cachetime --lib op_stream`, `--test op_stream`).
+#    boundary. So do the packed op stream's checks: the round-trip
+#    property over random op sequences (every truncation and single-byte
+#    flip errors or decodes to ops that re-encode and decode to
+#    themselves), an overlong field that decodes to the ops it holds
+#    (`an_overlong_field_decodes_to_the_same_ops`), the golden encoding
+#    of one recording, and the bytes-per-op bound over the sweep catalog
+#    (`cachetime --lib op_stream`, `--test op_stream`).
 #    Beside them, the decoder's differential property: random op streams
 #    whose generator reaches every first-byte code
 #    (`generated_streams_reach_every_code`) are priced by decoding
@@ -169,7 +171,8 @@ cargo test --release -q -p cachetime --test reference_engine --test two_phase \
 cargo test --release -q -p cachetime-cache --test oracle
 filtered_test --release -q -p cachetime --lib op_stream
 for name in generated_streams_reach_every_code sink_replay_matches_apply_bit_for_bit \
-  a_stream_no_walk_writes_is_rejected checked_streams_price_without_panicking; do
+  a_stream_no_walk_writes_is_rejected checked_streams_price_without_panicking \
+  an_overlong_field_decodes_to_the_same_ops; do
   filtered_test --release -q -p cachetime --lib -- "$name"
 done
 cargo test --release -q -p cachetime --test op_stream
